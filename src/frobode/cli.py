@@ -182,12 +182,13 @@ def parse_document(obj: dict) -> dict:
         chart: object = "infinity"
     else:
         chart = parse_scalar(point, "point")
-    e = Ode(order, tuple(rows), GaussianRational(0), rhs_s)
+    given = Ode(order, tuple(rows), GaussianRational(0), rhs_s)
+    e = given
     if chart == "infinity":
-        e = transform_to_infinity(e)
+        e = transform_to_infinity(given)
     elif not _is_zero_scalar(chart):
-        e = shift_to_origin(e, chart)
-    return {"ode": e, "raw": obj, "terms": terms, "mode": mode, "point": point}
+        e = shift_to_origin(given, chart)
+    return {"ode": e, "given": given, "raw": obj, "terms": terms, "mode": mode, "point": point}
 
 
 def _is_zero_scalar(s: Scalar) -> bool:
@@ -197,8 +198,10 @@ def _is_zero_scalar(s: Scalar) -> bool:
 
 
 def serialize_document(ctx: dict) -> dict:
-    """Canonical re-serialization of a parsed document."""
-    e = ctx["ode"]
+    """Canonical re-serialization of a parsed document: the rows as given,
+    before the chart transform, so that parsing it again reproduces the
+    chart-origin rows of ``ctx["ode"]``."""
+    e = ctx["given"]
     raw = ctx["raw"]
     return {
         "format": 1,

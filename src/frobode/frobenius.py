@@ -554,7 +554,9 @@ def residual_valuation(
     tol: float = 1e-9,
 ) -> float:
     """How deeply the residual vanishes, graded by x^base: the smallest
-    k + offset over non-negligible coefficients (math.inf if none)."""
+    k + offset over non-negligible coefficients (math.inf if none).  An exact
+    coefficient is negligible only when it is zero; `scale` and `tol` apply
+    to floating coefficients."""
     best = math.inf
     thresh = tol * max(1.0, scale)
     for t in res.terms:
@@ -563,7 +565,7 @@ def residual_valuation(
             off_c = to_complex(t.exponent) - to_complex(base)
             off = off_c.real
         for k, c in enumerate(t.body.coeffs):
-            if abs(to_complex(c)) > thresh:
+            if (bool(c) if is_exact(c) else abs(to_complex(c)) > thresh):
                 best = min(best, k + off)
                 break
     return best

@@ -122,13 +122,16 @@ class Series:
 
     def __mul__(self, other: "Series") -> "Series":
         n = min(len(self.coeffs), len(other.coeffs))
+        a, b = self.coeffs[:n], other.coeffs[:n]
+        if _all_exact(a) and _all_exact(b):
+            return Series(_mul_exact(a, b))
         out = [_ZERO] * n
         for i in range(n):
-            a = self.coeffs[i]
-            if isinstance(a, GaussianRational) and not a:
+            ai = a[i]
+            if isinstance(ai, GaussianRational) and not ai:
                 continue
             for j in range(n - i):
-                out[i + j] = out[i + j] + a * other.coeffs[j]
+                out[i + j] = out[i + j] + ai * b[j]
         return Series(out)
 
     def scale(self, k: Scalar) -> "Series":
@@ -181,6 +184,8 @@ def series_arith(a: Series, b: Series, op: str) -> Series:
 
 def series_inverse(a: Series) -> Series:
     """Multiplicative inverse of a series with invertible constant term."""
+    if _all_exact(a.coeffs):
+        return Series(_inverse_exact(a.coeffs))
     a0 = a.coeffs[0]
     if scalar_is_zero(a0, max(1.0, a.magnitude())):
         raise ZeroDivisionError("series has no invertible constant term")
@@ -193,6 +198,95 @@ def series_inverse(a: Series) -> Series:
             acc = acc + a.coeffs[j] * out[k - j]
         out.append(-inv0 * acc)
     return Series(out)
+
+
+# ---------------------------------------------------------------------------
+# exact kernels: Gaussian-integer numerators over one common denominator
+# ---------------------------------------------------------------------------
+
+
+def _all_exact(coeffs: Sequence) -> bool:
+    return all(isinstance(c, GaussianRational) for c in coeffs)
+
+
+def _common_denominator(coeffs: Sequence[GaussianRational]) -> tuple[int, list, bool]:
+    """(d, support, real) with c_k = (u + v i)/d for each (k, u, v) in
+    support, which lists the non-zero coefficients in increasing k; `real`
+    says that every v is 0."""
+    d = 1
+    for c in coeffs:
+        d = math.lcm(d, c.re.denominator, c.im.denominator)
+    support = []
+    real = True
+    for k, c in enumerate(coeffs):
+        u, v = c.re, c.im
+        if v:
+            real = False
+        elif not u:
+            continue
+        support.append((k, u.numerator * (d // u.denominator), v.numerator * (d // v.denominator)))
+    return d, support, real
+
+
+def _gr(u: int, v: int, d: int) -> GaussianRational:
+    """(u + v i)/d in lowest terms."""
+    if not v:
+        return GaussianRational(Fraction(u, d)) if u else _ZERO
+    return GaussianRational(Fraction(u, d), Fraction(v, d))
+
+
+def _mul_exact(a: Sequence[GaussianRational], b: Sequence[GaussianRational]) -> list:
+    """Truncated product of two equal-length exact coefficient lists, with
+    one integer convolution over the non-zero supports."""
+    n = len(a)
+    da, sa, ra = _common_denominator(a)
+    db, sb, rb = _common_denominator(b)
+    re = [0] * n
+    im = [0] * n
+    if ra and rb:
+        for i, ua, _ in sa:
+            for j, ub, _ in sb:
+                k = i + j
+                if k >= n:
+                    break
+                re[k] += ua * ub
+    else:
+        for i, ua, va in sa:
+            for j, ub, vb in sb:
+                k = i + j
+                if k >= n:
+                    break
+                re[k] += ua * ub - va * vb
+                im[k] += ua * vb + va * ub
+    d = da * db
+    return [_gr(re[k], im[k], d) for k in range(n)]
+
+
+def _inverse_exact(a: Sequence[GaussianRational]) -> list:
+    """Fraction-free inverse: with a = A/d for integers A_j,
+    1/a = d C_k / A_0^(k+1), C_0 = 1, C_k = -sum_{j>=1} A_j A_0^(j-1) C_(k-j).
+    A complex a is inverted as conj(a) / (a conj(a)), whose divisor is real."""
+    d, support, real = _common_denominator(a)
+    if not real:
+        conj = [c.conjugate() for c in a]
+        return _mul_exact(conj, _inverse_exact(_mul_exact(a, conj)))
+    if not support or support[0][0] != 0:
+        raise ZeroDivisionError("series has no invertible constant term")
+    n = len(a)
+    a0 = support[0][1]
+    pw = [1]  # pw[m] = A_0^m
+    for _ in range(n):
+        pw.append(pw[-1] * a0)
+    P = [(j, u * pw[j - 1]) for j, u, _ in support[1:]]
+    C = [1]
+    for k in range(1, n):
+        acc = 0
+        for j, p in P:
+            if j > k:
+                break
+            acc -= p * C[k - j]
+        C.append(acc)
+    return [_gr(d * C[k], 0, pw[k + 1]) for k in range(n)]
 
 
 def series_div(a: Series, b: Series) -> Series:
@@ -300,8 +394,10 @@ class Jet:
 
     def div(self, other: "Jet", scale: float = 1.0) -> "Jet":
         """Valuation-cancelling division; the result's order drops by the
-        divisor's valuation."""
-        v = other.valuation(max(scale, other.magnitude()))
+        divisor's valuation.  The divisor's zero test is relative to its own
+        magnitude; `scale` (the caller's running magnitude) only bounds the
+        numerator's cancellation check."""
+        v = other.valuation(other.magnitude())
         if v is None:
             raise ZeroDivisionError("jet division by zero")
         if v > 0:
@@ -545,7 +641,6 @@ def gs_integrate(g: GeneralizedSeries) -> GeneralizedSeries:
         N = body.trunc
         bodies = [[_ZERO] * (N + 1) for _ in range(m + 1)]
         log_raised = [_ZERO] * (N + 1)
-        exact_mode = is_exact(rho) and all(is_exact(c) for c in body.coeffs)
         for n in range(N + 1):
             d = body[n]
             if _hard_zero(d):
@@ -574,11 +669,10 @@ def gs_integrate(g: GeneralizedSeries) -> GeneralizedSeries:
                     out.append(
                         GSTerm(rho + n + 1, m + 1, Series([log_raised[n]], trunc=N))
                     )
-        del exact_mode
     return GeneralizedSeries(out)
 
 
-def gs_evaluate(g: GeneralizedSeries, x: complex, branch: str = "principal") -> complex:
+def gs_evaluate(g: GeneralizedSeries, x: complex) -> complex:
     """Evaluate with the principal branch of log."""
     if x == 0:
         for t in g.terms:

@@ -1,6 +1,8 @@
 """Document parsing, command dispatch and exit-code contract."""
 
 import json
+import re
+from fractions import Fraction
 
 import pytest
 
@@ -58,9 +60,12 @@ def test_document_validation_errors():
 
 
 def test_document_round_trip():
-    ctx = parse_document(DOC)
-    again = parse_document(serialize_document(ctx))
-    assert serialize_document(again) == serialize_document(ctx)
+    for point in (0, "1/2"):
+        ctx = parse_document(dict(DOC, point=point))
+        again = parse_document(serialize_document(ctx))
+        assert serialize_document(again) == serialize_document(ctx)
+        # the re-parsed document lands on the same chart-origin rows
+        assert [r.coeffs for r in again["ode"].coeffs] == [r.coeffs for r in ctx["ode"].coeffs]
 
 
 def test_generalized_series_round_trip():
@@ -87,6 +92,37 @@ def test_solve_then_residual_round_trip(tmp_path, capsys):
     assert main(["residual", out]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["matches"]
+
+
+def test_solve_then_residual_away_from_origin(tmp_path, capsys):
+    path = _write(tmp_path, dict(DOC, point="1/2"))
+    out = str(tmp_path / "bundle.json")
+    assert main(["solve", path, "--output", out]) == 0
+    bundle = json.loads(open(out).read())
+    assert bundle["residual_valuations"] == ["clean"] * 3
+    assert main(["residual", out]) == 0
+    assert json.loads(capsys.readouterr().out)["matches"]
+
+
+def test_residual_rejects_a_tampered_exact_bundle(tmp_path, capsys):
+    doc = {
+        "format": 1,
+        "order": 2,
+        "coeffs": [[0, 0, 1], [0, 1], [0, 0, 1]],
+        "options": {"terms": 16},
+    }
+    path = _write(tmp_path, doc)
+    out = str(tmp_path / "bundle.json")
+    assert main(["solve", path, "--output", out]) == 0
+    bundle = json.loads(open(out).read())
+    assert bundle["residual_valuations"] == ["clean", "clean"]
+    coeffs = bundle["solutions"][0]["terms"][0]["coeffs"]
+    coeffs[4] = str(Fraction(coeffs[4]) + Fraction(1, 10**12))
+    tampered = _write(tmp_path, bundle, "tampered.json")
+    assert main(["residual", tampered]) == 2
+    err = capsys.readouterr().err
+    recomputed = re.search(r"'recomputed': \[([^]]*)\]", err).group(1)
+    assert recomputed.split(", ")[0] == "4"
 
 
 def test_eval_command(tmp_path, capsys):

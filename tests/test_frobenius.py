@@ -167,6 +167,29 @@ def test_residuals_vanish_through_reliable_order():
         assert not wronskian_of_system(fs.solutions).is_zero()
 
 
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_divisor_zero_test_ignores_the_running_magnitude(mode):
+    # roots about 20.14, 1.84 and -0.97: D_n grows to about 1e15 while
+    # q(n + r) stays near 774, which a zero test scaled by D_n took for 0
+    Q = Fraction
+    rows = [
+        [0, 0, 0, 1],
+        [0, 0, -18, -30, 17],
+        [0, Q(-40, 9), Q(29, 10), Q(19, 3)],
+        [36, Q(-11, 3), 3, Q(-17, 2)],
+    ]
+    N = 24
+    if mode == "float":
+        rows = [[complex(c) for c in r] for r in rows]
+    e = Ode.from_rows(rows, trunc=N)
+    fs = solve(e, N=N)
+    assert fs.indicial.case.tag == "non_exceptional"
+    scale = max(r.magnitude() for r in e.coeffs)
+    for sol, root in zip(fs.solutions, fs.indicial.roots):
+        rv = residual_valuation(residual(e, sol), root, scale * max(1.0, sol.magnitude()))
+        assert rv >= N - 3
+
+
 def test_wronskian_solution_regular_case():
     # x^3 y'' - x^2 y' - y: a w' + b w = 0 gives W = K x
     e = Ode.from_rows([[0, 0, 0, 1], [0, 0, -1], [-1]], trunc=10)

@@ -78,6 +78,117 @@ def test_inverse_and_division():
     assert (series_div(a, b) * b).coeffs == a.coeffs
 
 
+# -- the exact kernels against a naive Fraction oracle ------------------------
+
+
+def _pairs(s: Series) -> list:
+    return [(c.re, c.im) for c in s.coeffs]
+
+
+def _naive_product(a: list, b: list) -> list:
+    n = min(len(a), len(b))
+    out = []
+    for k in range(n):
+        re = im = Fraction(0)
+        for i in range(k + 1):
+            (ar, ai), (br, bi) = a[i], b[k - i]
+            re += ar * br - ai * bi
+            im += ar * bi + ai * br
+        out.append((re, im))
+    return out
+
+
+def _naive_inverse(a: list) -> list:
+    ar, ai = a[0]
+    norm = ar * ar + ai * ai
+    ir, ii = ar / norm, -ai / norm
+    out = [(ir, ii)]
+    for k in range(1, len(a)):
+        sr = si = Fraction(0)
+        for j in range(1, k + 1):
+            (pr, pi), (qr, qi) = a[j], out[k - j]
+            sr += pr * qr - pi * qi
+            si += pr * qi + pi * qr
+        out.append((-(ir * sr - ii * si), -(ir * si + ii * sr)))
+    return out
+
+
+small_fractions = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 40))
+
+
+@st.composite
+def gaussian_series(draw, unit=False):
+    """Exact series of 1 to 14 terms, real-only or complex, non-zero only at
+    every step-th index (step 3 is the shape of the third-order Bessel
+    series)."""
+    complex_ = draw(st.booleans())
+    step = draw(st.sampled_from([1, 1, 2, 3]))
+    parts = draw(st.lists(st.tuples(small_fractions, small_fractions), min_size=1, max_size=14))
+    cs = [
+        GaussianRational(re, im if complex_ else 0) if k % step == 0 else GaussianRational(0)
+        for k, (re, im) in enumerate(parts)
+    ]
+    if unit and not cs[0]:
+        cs[0] = GaussianRational(draw(st.integers(1, 9)))
+    return Series(cs)
+
+
+@settings(max_examples=100)
+@given(gaussian_series(), gaussian_series())
+def test_exact_product_matches_naive_convolution(a, b):
+    p = a * b
+    assert p.trunc == min(a.trunc, b.trunc)
+    assert _pairs(p) == _naive_product(_pairs(a), _pairs(b))
+
+
+@settings(max_examples=100)
+@given(gaussian_series(unit=True))
+def test_exact_inverse_matches_naive_inverse(a):
+    assert _pairs(series_inverse(a)) == _naive_inverse(_pairs(a))
+
+
+def test_exact_kernels_on_sparse_unequal_denominators():
+    # phi1 of the third-order Bessel equation: d_3k = (-1)^k / (27^k k!^3)
+    bessel3 = Series(
+        [
+            Fraction((-1) ** (n // 3), 27 ** (n // 3) * math.factorial(n // 3) ** 3)
+            if n % 3 == 0 else 0
+            for n in range(31)
+        ]
+    )
+    b = _pairs(bessel3)
+    assert _pairs(bessel3 * bessel3) == _naive_product(b, b)
+    assert _pairs(series_inverse(bessel3)) == _naive_inverse(b)
+    a = Series([Fraction(1, 3), GaussianRational(Fraction(1, 7), Fraction(2, 5)), Fraction(1, 11)])
+    c = Series([Fraction(1, 2), Fraction(-1, 5)])
+    assert (a * c).trunc == 1
+    assert _pairs(a * c) == _naive_product(_pairs(a), _pairs(c))
+    assert _pairs(series_inverse(a)) == _naive_inverse(_pairs(a))
+
+
+def test_exact_kernels_on_length_one():
+    a = Series([GaussianRational(Fraction(2, 3), Fraction(-1, 4))])
+    assert _pairs(a * a) == _naive_product(_pairs(a), _pairs(a))
+    assert _pairs(series_inverse(a)) == _naive_inverse(_pairs(a))
+    with pytest.raises(ZeroDivisionError):
+        series_inverse(Series([0, 1]))
+
+
+def test_mixed_exact_float_operands_take_the_float_path():
+    exact = Series([Fraction(1, 3), Fraction(-2, 7), GaussianRational(1, 1), 5])
+    mixed = Series([0.5, Fraction(1, 9), 0, Fraction(3, 2)])
+    as_exact = [(Fraction(1, 2), Fraction(0))] + _pairs(Series(mixed.coeffs[1:]))
+    for p in (exact * mixed, mixed * exact, series_inverse(mixed)):
+        assert all(isinstance(c, complex) for c in p.coeffs)
+    checks = (
+        (exact * mixed, _naive_product(_pairs(exact), as_exact)),
+        (series_inverse(mixed), _naive_inverse(as_exact)),
+    )
+    for got, want in checks:
+        for g, (re, im) in zip(got.coeffs, want):
+            assert g == pytest.approx(complex(float(re), float(im)), rel=1e-12)
+
+
 def test_exp_matches_scalar_exponential():
     s = series_exp(Series([0, 1], trunc=10))
     for n in range(11):
