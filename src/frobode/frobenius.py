@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .indicial import (
     IndicialData,
     analyze,
     congruence_classes,
+    indicial_polynomial,
     integer_difference,
 )
 from .ode import FrobeniusForm, Ode, to_frobenius_form
@@ -33,8 +34,14 @@ from .series import (
     Jet,
     JetValuationError,
     Series,
+    _all_exact,
+    _common_denominator,
+    _convolve,
+    _gr,
+    _unit_inverse,
     gs_differentiate,
     gs_from_series,
+    poly_eval_jet,
 )
 
 __all__ = [
@@ -85,16 +92,62 @@ def recurrence_jets(
 ) -> list[Jet]:
     """Run the recurrence with r = base + eps, seed D_0 = eps^seed_pow.
 
-    `roots` are the indicial roots; q(n + r) is formed as the product of
-    (n + base - r_i + eps) factors with near-zero constant parts snapped to
-    exact zero, which makes resonance detection structural rather than a
-    floating tolerance question.
+    `roots` are the indicial roots; q(n + r) is the product of the
+    (n + base - r_i + eps) factors.  Exact data runs on Gaussian integers
+    (`_recurrence_exact`); otherwise near-zero constant parts of the factors
+    are snapped to exact zero, which makes resonance detection structural
+    rather than a floating tolerance question.
     """
+    if seed_pow > jet_order:
+        raise ValueError("seed power exceeds jet order")
+    if _all_exact([base, *roots]) and _form_exact(f):
+        qpoly = [_ONE]  # prod (z - r_i), low power first
+        for r in roots:
+            qpoly = [_ZERO] + qpoly
+            for i in range(len(qpoly) - 1):
+                qpoly[i] = qpoly[i] - r * qpoly[i + 1]
+        return _recurrence_exact(f, base, seed_pow, jet_order, N, qpoly)
+    return _recurrence_jets(
+        f, base, seed_pow, jet_order, N, lambda n: _q_jet(roots, base, n, jet_order)
+    )
+
+
+def recurrence_jets_free(f: FrobeniusForm, r: Scalar, N: int, jet_order: int = 0) -> list[Jet]:
+    """Recurrence at an exponent that need not be an indicial root.
+
+    q(n+r) is evaluated from the indicial polynomial directly; divisions must
+    be invertible (no resonance handling)."""
+    qpoly = indicial_polynomial(f)
+    if is_exact(r) and _form_exact(f):
+        return _recurrence_exact(f, r, 0, jet_order, N, qpoly)
+    return _recurrence_jets(
+        f, r, 0, jet_order, N, lambda n: poly_eval_jet(qpoly, r + n, jet_order)
+    )
+
+
+def recurrence_coefficients(f: FrobeniusForm, r: Scalar, N: int) -> list[Scalar]:
+    """Plain scalar recurrence D_n at an arbitrary (non-resonant) exponent r."""
+    jets = recurrence_jets_free(f, r, N)
+    return [j.coeffs[0] for j in jets]
+
+
+def _form_exact(f: FrobeniusForm) -> bool:
+    rows = (f.b, f.c) + ((f.a,) if f.order == 3 else ())
+    return all(_all_exact(row.coeffs) for row in rows)
+
+
+def _recurrence_jets(
+    f: FrobeniusForm,
+    base: Scalar,
+    seed_pow: int,
+    jet_order: int,
+    N: int,
+    q_at: Callable[[int], Jet],
+) -> list[Jet]:
+    """The recurrence in `Jet` arithmetic; q_at(n) is the jet q(n + base + eps)."""
     order = f.order
     a, b, c = f.a, f.b, f.c
     seed = [_ZERO] * (jet_order + 1)
-    if seed_pow > jet_order:
-        raise ValueError("seed power exceeds jet order")
     seed[seed_pow] = _ONE
     D = [Jet(seed)]
     # (j + r) and (j + r)(j + r - 1) jets for all j
@@ -118,8 +171,7 @@ def recurrence_jets(
             acc = term if acc is None else acc + term
         if acc is None:
             acc = Jet([_ZERO] * (jet_order + 1))
-        qn = _q_jet(roots, base, n, jet_order)
-        dn = (-acc).div(qn, scale=running)
+        dn = (-acc).div(q_at(n), scale=running)
         D.append(dn)
         running = max(running, dn.magnitude(), acc.magnitude())
     return D
@@ -135,44 +187,126 @@ def _q_jet(roots: Sequence[Scalar], base: Scalar, n: int, jet_order: int) -> Jet
     return out
 
 
-def recurrence_coefficients(f: FrobeniusForm, r: Scalar, N: int) -> list[Scalar]:
-    """Plain scalar recurrence D_n at an arbitrary (non-resonant) exponent r."""
-    jets = recurrence_jets_free(f, r, N)
-    return [j.coeffs[0] for j in jets]
+def _gmul(p: tuple, q: tuple) -> tuple:
+    """Product of two Gaussian integers (u, v) = u + v i."""
+    return (p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0])
 
 
-def recurrence_jets_free(f: FrobeniusForm, r: Scalar, N: int, jet_order: int = 0) -> list[Jet]:
-    """Recurrence at an exponent that need not be an indicial root.
+def _gadd(*ps: tuple) -> tuple:
+    return (sum(p[0] for p in ps), sum(p[1] for p in ps))
 
-    q(n+r) is evaluated from the indicial polynomial directly; divisions must
-    be invertible (no resonance handling)."""
-    from .indicial import indicial_polynomial
-    from .series import poly_eval_jet
 
-    qpoly = indicial_polynomial(f)
-    order = f.order
-    a, b, c = f.a, f.b, f.c
-    D = [Jet.constant(_ONE, jet_order)]
-    p1 = [Jet.variable(r + j, jet_order) for j in range(N)]
-    if order == 3:
-        p2 = [p1[j] * Jet.variable(r + j - 1, jet_order) for j in range(N)]
-    running = 1.0
+def _support(re: list, im: list) -> list:
+    return [(t, u, v) for t, (u, v) in enumerate(zip(re, im)) if u or v]
+
+
+def _recurrence_exact(
+    f: FrobeniusForm,
+    base: GaussianRational,
+    seed_pow: int,
+    jet_order: int,
+    N: int,
+    qpoly: Sequence[GaussianRational],
+) -> list[Jet]:
+    """`_recurrence_jets` for exact data, on Gaussian integers.
+
+    a, b, c, base and q (low power first; the divisor is q(n + base + eps))
+    are written over one common denominator L.  With X_j = L (j + base + eps)
+    the row weight a_k x(x - 1) + b_k x + c_k at x = j + base + eps is
+    (A_k X_j (X_j - L) + L B_k X_j + L^2 C_k) / L^3, and q(n + base + eps) is
+    Q_n / L^(deg + 1), Q_n = sum_i Q_i X_n^i L^(deg - i) by Horner's rule.
+    Each D_n is a jet of Gaussian-integer numerators over one positive
+    denominator, reduced by their gcd; E_n is summed over the lcm of the
+    earlier denominators and divided by Q_n with the fraction-free unit
+    inverse, after multiplying both by conj(Q_n) when Q_n is complex.
+    """
+    m = jet_order + 1
+    deg = len(qpoly) - 1
+    rows = (f.a, f.b, f.c) if f.order == 3 else (f.b, f.c)
+    data = [base, *qpoly] + [row[k] for row in rows for k in range(1, N + 1)]
+    L, support, real = _common_denominator(data)
+    g = [(0, 0)] * len(data)
+    for i, u, v in support:
+        g[i] = (u, v)
+    beta, Q, coef = g[0], g[1 : deg + 2], g[deg + 2 :]
+    L2 = L * L
+    weights = []  # (k, A, L B, L^2 C) for the rows with a non-zero entry
+    for k in range(1, N + 1):
+        abc = [coef[i * N + k - 1] for i in range(len(rows))]
+        if f.order == 2:
+            abc.insert(0, (0, 0))
+        A, B, C = abc
+        if A != (0, 0) or B != (0, 0) or C != (0, 0):
+            weights.append((k, A, (L * B[0], L * B[1]), (L2 * C[0], L2 * C[1])))
+    # X_j = x_j + L eps, X_j (X_j - L) = x_j (x_j - L) + s_j eps + L^2 eps^2
+    x = [(j * L + beta[0], beta[1]) for j in range(N + 1)]
+    xy = [_gmul(xj, (xj[0] - L, xj[1])) for xj in x]
+    s = [(L * (2 * xj[0] - L), L * 2 * xj[1]) for xj in x]
+    lift = L ** (deg - 2)  # L^(deg + 1) of q over the L^3 of the weights
+    nums = [[(seed_pow, 1, 0)]]  # D_n numerators as supports (t, u, v)
+    lens = [m]
+    dens = [1]
+    lam = 1  # lcm of dens
     for n in range(1, N + 1):
-        acc = Jet([_ZERO] * (jet_order + 1))
-        for j in range(n):
-            k = n - j
-            ak = a[k] if order == 3 else _ZERO
-            bk, ck = b[k], c[k]
-            if _structural_zero(ak, bk, ck):
+        re, im = [0] * m, [0] * m
+        ell = m
+        for k, A, LB, L2C in weights:
+            if k > n:
+                break
+            j = n - k
+            w0 = _gadd(_gmul(A, xy[j]), _gmul(LB, x[j]), L2C)
+            w1 = _gadd(_gmul(A, s[j]), (L * LB[0], L * LB[1]))
+            w = [(0, *w0), (1, *w1), (2, L2 * A[0], L2 * A[1])]
+            ell = min(ell, lens[j])
+            tr, ti = _convolve(w, nums[j], lens[j], real)
+            fac = lam // dens[j]
+            for t in range(lens[j]):
+                re[t] += fac * tr[t]
+                im[t] += fac * ti[t]
+        h = [Q[deg]] + [(0, 0)] * (m - 1)  # Q_n
+        for i in range(deg - 1, -1, -1):  # h <- h X_n + Q_i L^(deg - i)
+            c = L ** (deg - i)
+            hx = [_gmul(p, x[n]) for p in h]
+            h = [_gadd(hx[0], (Q[i][0] * c, Q[i][1] * c))] + [
+                _gadd(hx[t], (L * h[t - 1][0], L * h[t - 1][1])) for t in range(1, m)
+            ]
+        v = next((t for t, p in enumerate(h) if p != (0, 0)), None)
+        if v is None:
+            raise ZeroDivisionError("jet division by zero")
+        if v > 0:
+            nv = next((t for t in range(ell) if re[t] or im[t]), None)
+            if nv is None:
+                nums.append([])
+                lens.append(max(1, ell - v))
+                dens.append(1)
                 continue
-            w = p1[j].scale(bk)
-            if order == 3 and not _structural_zero(ak):
-                w = w + p2[j].scale(ak)
-            acc = acc + w * D[j] + D[j].scale(ck)
-        qn = poly_eval_jet(qpoly, r + n, jet_order)
-        dn = (-acc).div(qn, scale=running)
-        D.append(dn)
-        running = max(running, dn.magnitude())
+            if nv < v:
+                raise JetValuationError(f"numerator valuation {nv} < divisor valuation {v}")
+        mm = ell - v
+        num = _support(re[v:ell], im[v:ell])
+        den = [(t, u, w) for t, (u, w) in enumerate(h[v : v + mm]) if u or w]
+        if any(w for _, _, w in den):
+            conj = [(t, u, -w) for t, u, w in den]
+            num = _support(*_convolve(num, conj, mm, False))
+            den = _support(*_convolve(den, conj, mm, False))
+        C, pw = _unit_inverse(den, mm)
+        inv = [(t, C[t] * pw[mm - 1 - t], 0) for t in range(mm) if C[t]]
+        out_re, out_im = _convolve(num, inv, mm, real)
+        sign = -lift if pw[mm] > 0 else lift
+        out_re = [sign * u for u in out_re]
+        out_im = [sign * u for u in out_im]
+        d = abs(pw[mm]) * lam
+        gcd = math.gcd(d, *out_re, *out_im)
+        nums.append(_support([u // gcd for u in out_re], [u // gcd for u in out_im]))
+        lens.append(mm)
+        dens.append(d // gcd)
+        lam = math.lcm(lam, dens[-1])
+    D = []
+    for num, ell, d in zip(nums, lens, dens):
+        re, im = [0] * ell, [0] * ell
+        for t, u, w in num:
+            re[t], im[t] = u, w
+        D.append(Jet([_gr(re[t], im[t], d) for t in range(ell)]))
     return D
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 import numpy as np
@@ -23,6 +24,10 @@ __all__ = [
 
 #: integer-difference and root-merging tolerance for floating roots
 INT_TOL = 1e-8
+
+#: most exact Newton steps spent refining one numpy root towards a
+#: rational root; a converging start stops after two or three
+_NEWTON_STEPS = 8
 
 _ONE = GaussianRational(1)
 
@@ -68,37 +73,62 @@ def _poly_eval(poly: Sequence[Scalar], z):
 
 
 def _rational_root(poly: Sequence[GaussianRational]) -> Optional[GaussianRational]:
-    """A rational root of a monic poly with real-rational coefficients, or None."""
+    """A rational root of a monic cubic with real-rational coefficients, or None.
+
+    A repeated root is rational and comes from gcd(P, P').  For a
+    square-free P, each numpy root's real part is refined by exact Newton
+    steps until a step is below 1/(2 lead^2), lead the leading coefficient
+    of P over integers; the iterates are rounded to a grid finer than
+    1/(4 lead^2), which keeps their size bounded when a start does not
+    converge.  A step that small leaves the iterate nearer to a rational
+    root p/q (q | lead) than to any other fraction with denominator at most
+    lead, and that nearest fraction is accepted only if it is an exact root.
+    """
     if any(c.im != 0 for c in poly):
         return None
     fracs = [c.re for c in poly]
-    from math import lcm
-
-    den = lcm(*(f.denominator for f in fracs)) if fracs else 1
-    ints = [int(f * den) for f in fracs]
-    # integer polynomial: rational roots p/q with p | ints[0]*? , q | lead
-    a0, lead = ints[0], ints[-1]
-    if a0 == 0:
+    if fracs[0] == 0:
         return GaussianRational(0)
-
-    def divisors(n: int):
-        n = abs(n)
-        out = []
-        d = 1
-        while d * d <= n:
-            if n % d == 0:
-                out.append(d)
-                out.append(n // d)
-            d += 1
-        return sorted(set(out))
-
-    for p in divisors(a0):
-        for q in divisors(lead):
-            for sgn in (1, -1):
-                cand = Fraction(sgn * p, q)
-                if _poly_eval(ints, cand) == 0:
-                    return GaussianRational(cand)
+    dfracs = [k * fracs[k] for k in range(1, len(fracs))]
+    g = _poly_gcd(fracs, dfracs)
+    if len(g) == 2:
+        return GaussianRational(-g[0] / g[1])
+    if len(g) == 3:
+        return GaussianRational(-g[1] / (2 * g[2]))
+    lead = lcm(*(f.denominator for f in fracs))
+    tol = Fraction(1, 2 * lead * lead)
+    grid = 1 << (2 * lead.bit_length() + 2)
+    for z in np.roots([float(f) for f in reversed(fracs)]):
+        x = Fraction(float(z.real))
+        for _ in range(_NEWTON_STEPS):
+            dp = _poly_eval(dfracs, x)
+            if dp == 0:
+                break
+            step = _poly_eval(fracs, x) / dp
+            x = Fraction(round((x - step) * grid), grid)
+            if abs(step) < tol:
+                break
+        cand = x.limit_denominator(lead)
+        if _poly_eval(fracs, cand) == 0:
+            return GaussianRational(cand)
     return None
+
+
+def _poly_gcd(p: list, q: list) -> list:
+    """Greatest common divisor of two Fraction polynomials (low power first),
+    by Euclid's algorithm; the result's length is its degree plus one."""
+    while q:
+        r = list(p)
+        while len(r) >= len(q):
+            f = r[-1] / q[-1]
+            off = len(r) - len(q)
+            for i, c in enumerate(q):
+                r[off + i] -= f * c
+            r.pop()
+            while r and r[-1] == 0:
+                r.pop()
+        p, q = q, r
+    return p
 
 
 def _deflate(poly: list, root: Scalar) -> list:

@@ -175,11 +175,12 @@ def shift_to_origin(e: Ode, x0: Scalar) -> Ode:
 
     def taylor_shift(s: Series) -> Series:
         N = s.trunc
+        pw = [x0 ** i for i in range(N + 1)]
         out = []
         for t in range(N + 1):
             acc = _ZERO
             for k in range(t, N + 1):
-                acc = acc + math.comb(k, t) * s.coeffs[k] * (x0 ** (k - t))
+                acc = acc + math.comb(k, t) * s.coeffs[k] * pw[k - t]
             out.append(acc)
         return Series(out)
 
@@ -251,7 +252,7 @@ def transform_to_infinity(e: Ode) -> Ode:
         for p, v in d.items():
             if not scalar_is_zero(v, scale):
                 coeffs[p + shift] = v
-        out_rows.append(Series(coeffs))
+        out_rows.append(Series(coeffs, trunc=max(T, e.trunc)))
     # the original chart's point swaps with infinity
     new_chart = "infinity" if not isinstance(e.chart, str) else _ZERO
     return Ode(e.order, tuple(out_rows), new_chart, None)

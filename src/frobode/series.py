@@ -241,9 +241,18 @@ def _mul_exact(a: Sequence[GaussianRational], b: Sequence[GaussianRational]) -> 
     n = len(a)
     da, sa, ra = _common_denominator(a)
     db, sb, rb = _common_denominator(b)
+    re, im = _convolve(sa, sb, n, ra and rb)
+    d = da * db
+    return [_gr(re[k], im[k], d) for k in range(n)]
+
+
+def _convolve(sa: Sequence, sb: Sequence, n: int, real: bool) -> tuple[list, list]:
+    """(re, im) integer lists of the product of two Gaussian-integer
+    supports (k, u, v), truncated to n terms; `real` skips the imaginary
+    parts, which must then all be 0."""
     re = [0] * n
     im = [0] * n
-    if ra and rb:
+    if real:
         for i, ua, _ in sa:
             for j, ub, _ in sb:
                 k = i + j
@@ -258,14 +267,13 @@ def _mul_exact(a: Sequence[GaussianRational], b: Sequence[GaussianRational]) -> 
                     break
                 re[k] += ua * ub - va * vb
                 im[k] += ua * vb + va * ub
-    d = da * db
-    return [_gr(re[k], im[k], d) for k in range(n)]
+    return re, im
 
 
 def _inverse_exact(a: Sequence[GaussianRational]) -> list:
     """Fraction-free inverse: with a = A/d for integers A_j,
-    1/a = d C_k / A_0^(k+1), C_0 = 1, C_k = -sum_{j>=1} A_j A_0^(j-1) C_(k-j).
-    A complex a is inverted as conj(a) / (a conj(a)), whose divisor is real."""
+    1/a = d C_k / A_0^(k+1) (see `_unit_inverse`).  A complex a is inverted
+    as conj(a) / (a conj(a)), whose divisor is real."""
     d, support, real = _common_denominator(a)
     if not real:
         conj = [c.conjugate() for c in a]
@@ -273,8 +281,17 @@ def _inverse_exact(a: Sequence[GaussianRational]) -> list:
     if not support or support[0][0] != 0:
         raise ZeroDivisionError("series has no invertible constant term")
     n = len(a)
+    C, pw = _unit_inverse(support, n)
+    return [_gr(d * C[k], 0, pw[k + 1]) for k in range(n)]
+
+
+def _unit_inverse(support: Sequence, n: int) -> tuple[list, list]:
+    """(C, pw) for a real integer series A given by its support (k, u, 0),
+    whose first entry is k = 0: 1/A = sum_k C_k eps^k / A_0^(k+1) through
+    eps^(n-1), with C_0 = 1, C_k = -sum_{j>=1} A_j A_0^(j-1) C_(k-j), and
+    pw[m] = A_0^m for m <= n."""
     a0 = support[0][1]
-    pw = [1]  # pw[m] = A_0^m
+    pw = [1]
     for _ in range(n):
         pw.append(pw[-1] * a0)
     P = [(j, u * pw[j - 1]) for j, u, _ in support[1:]]
@@ -286,7 +303,7 @@ def _inverse_exact(a: Sequence[GaussianRational]) -> list:
                 break
             acc -= p * C[k - j]
         C.append(acc)
-    return [_gr(d * C[k], 0, pw[k + 1]) for k in range(n)]
+    return C, pw
 
 
 def series_div(a: Series, b: Series) -> Series:

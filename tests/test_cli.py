@@ -192,3 +192,20 @@ def test_particular_command(tmp_path, capsys):
     assert main(["particular", path]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["residual_valuation"] == "clean" or report["residual_valuation"] >= 9
+
+
+@pytest.mark.parametrize("terms", [8, 16, 32])
+def test_infinity_chart_keeps_the_requested_terms(tmp_path, capsys, terms):
+    # (x^2 + x^3) y'' + x y' - y at infinity: b = (2 + t)/(1 + t) in the
+    # Frobenius form, which a chart cut to degree 2 knew only through t^1
+    doc = {
+        "format": 1,
+        "order": 2,
+        "point": "infinity",
+        "coeffs": [[0, 0, 1, 1], [0, 1], [-1]],
+        "options": {"terms": terms},
+    }
+    assert main(["solve", _write(tmp_path, doc)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["case"] == "o2_integer_diff(1)"
+    assert report["residual_valuations"] == ["clean", "clean"]

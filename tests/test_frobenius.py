@@ -5,11 +5,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from frobode.frobenius import (
     formal_probe,
     frobenius_solve,
     recurrence_coefficients,
+    recurrence_jets,
     recurrence_jets_free,
     residual,
     residual_valuation,
@@ -18,9 +20,10 @@ from frobode.frobenius import (
     wronskian_of_system,
     wronskian_ode_solution,
 )
+from frobode.indicial import analyze, indicial_polynomial
 from frobode.ode import FrobeniusForm, Ode, to_frobenius_form
 from frobode.scalars import GaussianRational, to_complex
-from frobode.series import Series
+from frobode.series import JetValuationError, Series
 
 G = GaussianRational
 
@@ -292,3 +295,166 @@ def test_jet_derivative_matches_central_difference():
             fd = (to_complex(plus[n]) - to_complex(minus[n])) / (2 * h)
             dj = to_complex(jets[n].coeff(1))
             assert abs(dj - fd) <= 1e-6 * max(1.0, abs(fd))
+
+
+# ---------------------------------------------------------------------------
+# the integer recurrence against a plain Gaussian-rational jet recurrence
+# ---------------------------------------------------------------------------
+
+
+def _jvar(x0, m):
+    """x0 + eps, as a jet of m coefficients."""
+    return ([x0, G(1)] + [G(0)] * m)[:m]
+
+
+def _jmul(p, q):
+    return [sum((p[i] * q[t - i] for i in range(t + 1)), G(0)) for t in range(min(len(p), len(q)))]
+
+
+def _oracle_jets(f, q_at, base, seed_pow, jet_order, N):
+    """D_n = -E_n / q(n + base + eps) on lists of scalars, jets truncated to
+    the shorter operand; q_at(n, m) is q(n + base + eps) with m coefficients."""
+    m = jet_order + 1
+    zero = G(0)
+    D = [[G(1 if t == seed_pow else 0) for t in range(m)]]
+    for n in range(1, N + 1):
+        acc = [zero] * m
+        for j in range(n):
+            ak, bk, ck = (f.a[n - j] if f.order == 3 else zero), f.b[n - j], f.c[n - j]
+            if ak == 0 and bk == 0 and ck == 0:
+                continue
+            x = _jvar(base + j, m)
+            xx = _jmul(x, _jvar(base + j - 1, m))
+            w = [ak * u + bk * v + (ck if t == 0 else zero) for t, (u, v) in enumerate(zip(xx, x))]
+            acc = [u + v for u, v in zip(acc, _jmul(w, D[j]))]
+        q = q_at(n, m)
+        v = next((t for t, u in enumerate(q) if u != 0), None)
+        if v is None:
+            raise ZeroDivisionError("jet division by zero")
+        nv = next((t for t, u in enumerate(acc) if u != 0), None)
+        if v and nv is None:
+            D.append([zero] * max(1, len(acc) - v))
+            continue
+        if v and nv < v:
+            raise JetValuationError(f"numerator valuation {nv} < divisor valuation {v}")
+        out = []
+        for k in range(len(acc) - v):
+            tail = sum((q[v + i] * out[k - i] for i in range(1, k + 1)), zero)
+            out.append((-acc[v + k] - tail) / q[v])
+        D.append(out)
+    return D
+
+
+def _root_product(roots, base):
+    def q_at(n, m):
+        out = [G(1)] + [G(0)] * (m - 1)
+        for r in roots:
+            out = _jmul(out, _jvar(base + n - r, m))
+        return out
+    return q_at
+
+
+def _outcome(fn):
+    try:
+        return [list(j.coeffs) if hasattr(j, "coeffs") else j for j in fn()]
+    except (JetValuationError, ZeroDivisionError, ValueError) as err:
+        return (type(err), str(err))
+
+
+def _gaussian(parts=(-3, 3), den=4, complex_=True):
+    u = st.fractions(min_value=parts[0], max_value=parts[1], max_denominator=den)
+    return st.builds(G, u, u if complex_ else st.just(0))
+
+
+@st.composite
+def _recurrence_case(draw):
+    order = draw(st.sampled_from([2, 3]))
+    cplx = draw(st.booleans())
+    coef = st.one_of(st.just(G(0)), _gaussian(complex_=cplx))
+    N = draw(st.integers(1, 10))
+    rows = [Series(draw(st.lists(coef, min_size=1, max_size=5)), trunc=N) for _ in range(order)]
+    base = draw(_gaussian(complex_=cplx))
+    # roots at integer offsets from the base make q(n + base) vanish
+    roots = [base - draw(st.integers(-1, 3)) if draw(st.booleans()) else draw(_gaussian((-12, 12)))
+             for _ in range(order)]
+    jet_order = draw(st.integers(0, 3))
+    seed_pow = draw(st.integers(0, jet_order))
+    f = FrobeniusForm(order, b=rows[-2], c=rows[-1], a=rows[0] if order == 3 else None)
+    return f, roots, base, seed_pow, jet_order, N
+
+
+@settings(max_examples=120, deadline=None)
+@given(_recurrence_case())
+def test_exact_recurrence_matches_jet_oracle(case):
+    f, roots, base, seed_pow, jet_order, N = case
+    got = _outcome(lambda: recurrence_jets(f, roots, base, seed_pow, jet_order, N))
+    q_at = _root_product(roots, base)
+    want = _outcome(lambda: _oracle_jets(f, q_at, base, seed_pow, jet_order, N))
+    assert got == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(_recurrence_case())
+def test_exact_free_recurrence_matches_jet_oracle(case):
+    f, _, r, _, jet_order, N = case
+    q = indicial_polynomial(f)
+
+    def q_at(n, m):
+        acc = [G(0)] * m
+        for c in reversed(q):  # Horner at r + n + eps
+            acc = _jmul(acc, _jvar(r + n, m))
+            acc[0] += c
+        return acc
+
+    got = _outcome(lambda: recurrence_jets_free(f, r, N, jet_order))
+    want = _outcome(lambda: _oracle_jets(f, q_at, r, 0, jet_order, N))
+    assert got == want
+
+
+def test_exact_recurrence_on_resonant_and_complex_forms():
+    forms = [
+        # case_iv, roots 2, 1, 0: seeds 1 and 2 at the bottom root; seed 0
+        # leaves q's zero at n = 1 uncancelled, and with no eps at all q
+        # vanishes identically there
+        ([[0, 0, 0, 1], [0, 0, 0, 1], [0, 0, 1], [0, -1]],
+         [(G(0), 1, 3), (G(0), 2, 4), (G(1), 1, 2), (G(0), 0, 1), (G(0), 0, 0)]),
+        # roots 1 + i, 1 - i, 0
+        ([[0, 0, 0, 1], [0, 0, 1], [0, 1], [0, 0, 0, 1]],
+         [(G(1, 1), 0, 0), (G(1, -1), 0, 1), (G(0), 0, 2)]),
+        # roots 1, 0 with c = x^2 only: D_1 is a structural zero, one shorter
+        ([[0, 0, 1], [0], [0, 0, 1]], [(G(0), 1, 2), (G(1), 0, 0)]),
+    ]
+    raised = []
+    for rows, runs in forms:
+        f = to_frobenius_form(Ode.from_rows(rows, trunc=12))
+        roots = analyze(f).roots
+        for base, s, jet_order in runs:
+            got = _outcome(lambda: recurrence_jets(f, roots, base, s, jet_order, 12))
+            q_at = _root_product(roots, base)
+            want = _outcome(lambda: _oracle_jets(f, q_at, base, s, jet_order, 12))
+            assert got == want
+            if isinstance(got, tuple):
+                raised.append(got)
+    assert raised == [
+        (JetValuationError, "numerator valuation 0 < divisor valuation 1"),
+        (ZeroDivisionError, "jet division by zero"),
+    ]
+    f = to_frobenius_form(Ode.from_rows(forms[2][0], trunc=12))
+    roots = analyze(f).roots
+    lens = [len(j.coeffs) for j in recurrence_jets(f, roots, G(0), 1, 2, 12)]
+    assert lens[:5] == [3, 2, 3, 2, 3]
+    with pytest.raises(ValueError, match="seed power exceeds jet order"):
+        recurrence_jets(f, roots, G(0), 2, 1, 12)
+
+
+def test_irrational_roots_take_the_float_recurrence():
+    # x^2 y'' + x y' + (x - 2) y: roots +-sqrt(2)
+    f = to_frobenius_form(Ode.from_rows([[0, 0, 1], [0, 1], [-2, 1]], trunc=10))
+    ind = analyze(f)
+    assert not ind.exact
+    jets = recurrence_jets(f, ind.roots, ind.roots[0], 0, 1, 10)
+    assert all(isinstance(c, complex) for j in jets[1:] for c in j.coeffs)
+    want = _oracle_jets(f, _root_product(ind.roots, ind.roots[0]), ind.roots[0], 0, 1, 10)
+    for j, w in zip(jets, want):
+        for c, cw in zip(j.coeffs, w):
+            assert abs(to_complex(c) - to_complex(cw)) <= 1e-12 * max(1.0, abs(to_complex(cw)))

@@ -1,5 +1,6 @@
 """Indicial polynomials, exact roots and exceptional-case tags."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -132,3 +133,37 @@ def test_exact_rational_roots():
     roots, exact = solve_roots(poly)
     assert exact
     assert set(str(r) for r in roots) == {"3", "1/2", "-2"}
+
+
+def _monic_cubic(rs):
+    a, b, c = (Fraction(r) for r in rs)
+    return [GaussianRational(v) for v in (-a * b * c, a * b + a * c + b * c, -(a + b + c), 1)]
+
+
+@pytest.mark.parametrize(
+    "rs",
+    [
+        ("1/1000000007", "2/1000000009", "-3/1000000021"),
+        ("1/4", "1/4", "1/4"),
+        ("1/4", "1/4", "0"),
+        ("1/4", "1/4", "5/3"),
+        ("7/3", "-7/3", "1/1000000000039"),
+    ],
+)
+def test_exact_roots_with_large_denominators_and_repeats(rs):
+    # trial division over the divisors of c_0 took longer than 8 s on the
+    # first cubic; repeated roots come from gcd(q, q')
+    t0 = time.perf_counter()
+    roots, exact = solve_roots(_monic_cubic(rs))
+    assert time.perf_counter() - t0 < 1.0
+    assert exact
+    assert sorted(roots, key=str) == sorted((GaussianRational(Fraction(r)) for r in rs), key=str)
+
+
+def test_irrational_cubic_falls_back_to_float_roots():
+    # r^3 - 2 and r^3 + r/3 + 1/(10^10 + 7) have no rational root
+    for poly in ([-2, 0, 0, 1], [Fraction(1, 10**10 + 7), Fraction(1, 3), 0, 1]):
+        roots, exact = solve_roots([GaussianRational(c) for c in poly])
+        assert not exact
+        for r in roots:
+            assert abs(sum(complex(c) * to_complex(r) ** k for k, c in enumerate(poly))) < 1e-9
