@@ -297,10 +297,6 @@ def cmd_probe(ctx: dict, args) -> dict:
     }
 
 
-def cmd_euler(ctx: dict, args) -> dict:
-    return euler_characterize(ctx["ode"])
-
-
 def cmd_holonomy(ctx: dict, args) -> dict:
     e = ctx["ode"]
     if e.order != 2:
@@ -321,7 +317,7 @@ def cmd_holonomy(ctx: dict, args) -> dict:
             loops.append(Circle(complex(s), rad))
     if not loops:
         raise DocumentError("no ramification points and no loops specified")
-    maps = global_holonomy(m, loops[0].point(0.0), loops)
+    maps = global_holonomy(m, loops)
     return {
         "ramification": [
             "infinity" if s == "infinity" else [complex(s).real, complex(s).imag]
@@ -419,7 +415,6 @@ _COMMANDS = {
     "indicial": (cmd_indicial, "doc"),
     "solve": (cmd_solve, "doc"),
     "probe": (cmd_probe, "doc"),
-    "euler": (cmd_euler, "doc"),
     "holonomy": (cmd_holonomy, "doc"),
     "particular": (cmd_particular, "doc"),
     "eval": (cmd_eval, "bundle"),

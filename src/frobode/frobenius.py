@@ -144,36 +144,68 @@ def _recurrence_jets(
     N: int,
     q_at: Callable[[int], Jet],
 ) -> list[Jet]:
-    """The recurrence in `Jet` arithmetic; q_at(n) is the jet q(n + base + eps)."""
-    order = f.order
-    a, b, c = f.a, f.b, f.c
-    seed = [_ZERO] * (jet_order + 1)
+    """The recurrence for float and mixed data; q_at(n) is the jet
+    q(n + base + eps).
+
+    E_n is summed on lists of scalars by the operations of the `Jet`
+    expression sum_j (w D_j + c_k D_j), w = b_k (j + r) + a_k (j + r)(j + r - 1),
+    j ascending, over the rows with a non-zero entry, so every value, type
+    and rounding is that of `Jet` arithmetic.  An exact scalar meets a
+    complex one only as complex(scalar): each row coefficient is converted
+    once, and a D_j of complex entries only is used in complex arithmetic
+    alone.  Exact entries (the seed, the zero jets of cancelled resonances,
+    exact weights when the base is exact) keep exact arithmetic.
+    """
+    m = jet_order + 1
+    seed = [_ZERO] * m
     seed[seed_pow] = _ONE
     D = [Jet(seed)]
+    plain = [False]  # D_j has complex entries only
     # (j + r) and (j + r)(j + r - 1) jets for all j
-    p1 = [Jet.variable(base + j, jet_order) for j in range(N)]
-    if order == 3:
-        p2 = [p1[j] * Jet.variable(base + j - 1, jet_order) for j in range(N)]
+    x = [Jet.variable(base + j, jet_order) for j in range(N)]
+    p1 = [xj.coeffs for xj in x]
+    if f.order == 3:
+        p2 = [(xj * Jet.variable(base + j - 1, jet_order)).coeffs for j, xj in enumerate(x)]
+    rows = []  # (k, a_k, b_k, c_k, their complex values, a_k != 0), k descending
+    for k in range(N, 0, -1):
+        ak = f.a[k] if f.order == 3 else _ZERO
+        bk, ck = f.b[k], f.c[k]
+        if not _structural_zero(ak, bk, ck):
+            rows.append((k, ak, bk, ck, complex(ak), complex(bk), complex(ck),
+                         not _structural_zero(ak)))
+    start = len(rows)  # rows[start:] are the rows with k <= n
     running = max(1.0, f.b.magnitude(), f.c.magnitude(),
                   f.a.magnitude() if f.a is not None else 0.0)
     for n in range(1, N + 1):
-        acc: Optional[Jet] = None
-        for j in range(n):
-            k = n - j
-            ak = a[k] if order == 3 else _ZERO
-            bk, ck = b[k], c[k]
-            if _structural_zero(ak, bk, ck):
-                continue
-            w = p1[j].scale(bk)
-            if order == 3 and not _structural_zero(ak):
-                w = w + p2[j].scale(ak)
-            term = w * D[j] + D[j].scale(ck)
-            acc = term if acc is None else acc + term
+        while start and rows[start - 1][0] <= n:
+            start -= 1
+        acc: Optional[list] = None
+        for k, ak, bk, ck, ac, bc, cc, has_a in rows[start:]:
+            j = n - k
+            d = D[j].coeffs
+            L = len(d)
+            w = [(bc if v.__class__ is complex else bk) * v for v in p1[j][:L]]
+            if has_a:
+                w = [u + (ac if v.__class__ is complex else ak) * v for u, v in zip(w, p2[j])]
+            fast = plain[j]
+            out = [0j if fast else _ZERO] * L
+            for i, a in enumerate(w):
+                if a.__class__ is GaussianRational:
+                    if not a:
+                        continue
+                    if fast:
+                        a = complex(a)
+                for t in range(i, L):
+                    out[t] = out[t] + a * d[t - i]
+            c_ = cc if fast else ck
+            term = [u + c_ * v for u, v in zip(out, d)]
+            acc = term if acc is None else [u + v for u, v in zip(acc, term)]
         if acc is None:
-            acc = Jet([_ZERO] * (jet_order + 1))
-        dn = (-acc).div(q_at(n), scale=running)
+            acc = [_ZERO] * m
+        dn = Jet([-u for u in acc]).div(q_at(n), scale=running)
         D.append(dn)
-        running = max(running, dn.magnitude(), acc.magnitude())
+        plain.append(all(u.__class__ is complex for u in dn.coeffs))
+        running = max(running, dn.magnitude(), max(abs(to_complex(u)) for u in acc))
     return D
 
 

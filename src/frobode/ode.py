@@ -173,14 +173,20 @@ def shift_to_origin(e: Ode, x0: Scalar) -> Ode:
     if isinstance(x0, (int, float)):
         x0 = GaussianRational(x0) if isinstance(x0, int) else complex(x0)
 
+    # Exact-zero coefficients are skipped.  Each added an exact zero when x0
+    # is exact, and a complex zero otherwise, which leaves a complex sum as it
+    # is; with a complex x0 every sum is complex, so it starts at 0j.
+    start = _ZERO if is_exact(x0) else 0j
+
     def taylor_shift(s: Series) -> Series:
-        N = s.trunc
-        pw = [x0 ** i for i in range(N + 1)]
+        terms = [(k, c) for k, c in enumerate(s.coeffs) if not (is_exact(c) and not c)]
+        pw = [x0 ** i for i in range(terms[-1][0] + 1 if terms else 0)]
         out = []
-        for t in range(N + 1):
-            acc = _ZERO
-            for k in range(t, N + 1):
-                acc = acc + math.comb(k, t) * s.coeffs[k] * pw[k - t]
+        for t in range(s.trunc + 1):
+            acc = start
+            for k, c in terms:
+                if k >= t:
+                    acc = acc + math.comb(k, t) * c * pw[k - t]
             out.append(acc)
         return Series(out)
 

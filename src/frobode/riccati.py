@@ -319,14 +319,9 @@ def holonomy_of_loop(
     return fit
 
 
-def global_holonomy(
-    m: RiccatiModel,
-    basepoint: complex,
-    loops: Sequence,
-    **kw,
-) -> list[MoebiusMap]:
-    """One Moebius map per loop (loops as Circle/Polyline through basepoint)."""
-    del basepoint  # loops carry their own basepoint; kept for the interface
+def global_holonomy(m: RiccatiModel, loops: Sequence, **kw) -> list[MoebiusMap]:
+    """One Moebius map per loop (loops as Circle/Polyline, each through its
+    own basepoint)."""
     return [holonomy_of_loop(m, loop, **kw) for loop in loops]
 
 

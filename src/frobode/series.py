@@ -191,11 +191,16 @@ def series_inverse(a: Series) -> Series:
         raise ZeroDivisionError("series has no invertible constant term")
     n = len(a.coeffs)
     inv0 = (GaussianRational(1) / a0) if is_exact(a0) else (1.0 / to_complex(a0))
+    # exact-zero a_j are skipped: each added an exact zero, or a complex zero
+    # to a sum that the complex terms make complex anyway
+    support = [(j, c) for j, c in enumerate(a.coeffs) if j and not (is_exact(c) and not c)]
     out = [inv0]
     for k in range(1, n):
         acc = _ZERO
-        for j in range(1, k + 1):
-            acc = acc + a.coeffs[j] * out[k - j]
+        for j, c in support:
+            if j > k:
+                break
+            acc = acc + c * out[k - j]
         out.append(-inv0 * acc)
     return Series(out)
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frobode.frobenius import (
+    _q_jet,
     formal_probe,
     frobenius_solve,
     recurrence_coefficients,
@@ -23,7 +24,7 @@ from frobode.frobenius import (
 from frobode.indicial import analyze, indicial_polynomial
 from frobode.ode import FrobeniusForm, Ode, to_frobenius_form
 from frobode.scalars import GaussianRational, to_complex
-from frobode.series import JetValuationError, Series
+from frobode.series import Jet, JetValuationError, Series, poly_eval_jet
 
 G = GaussianRational
 
@@ -458,3 +459,155 @@ def test_irrational_roots_take_the_float_recurrence():
     for j, w in zip(jets, want):
         for c, cw in zip(j.coeffs, w):
             assert abs(to_complex(c) - to_complex(cw)) <= 1e-12 * max(1.0, abs(to_complex(cw)))
+
+
+# ---------------------------------------------------------------------------
+# the float and mixed recurrence against the `Jet` loop it replaced
+# ---------------------------------------------------------------------------
+
+
+def _jet_loop(f, base, seed_pow, jet_order, N, q_at):
+    """The recurrence in `Jet` arithmetic, as float and mixed data ran it
+    before the list loop: the reference that loop must match bit for bit."""
+
+    def zero(*cs):
+        return all((isinstance(c, G) and not c) or c == 0 for c in cs)
+
+    a, b, c = f.a, f.b, f.c
+    seed = [G(0)] * (jet_order + 1)
+    seed[seed_pow] = G(1)
+    D = [Jet(seed)]
+    p1 = [Jet.variable(base + j, jet_order) for j in range(N)]
+    if f.order == 3:
+        p2 = [p1[j] * Jet.variable(base + j - 1, jet_order) for j in range(N)]
+    running = max(1.0, f.b.magnitude(), f.c.magnitude(),
+                  f.a.magnitude() if f.a is not None else 0.0)
+    for n in range(1, N + 1):
+        acc = None
+        for j in range(n):
+            k = n - j
+            ak = a[k] if f.order == 3 else G(0)
+            bk, ck = b[k], c[k]
+            if zero(ak, bk, ck):
+                continue
+            w = p1[j].scale(bk)
+            if f.order == 3 and not zero(ak):
+                w = w + p2[j].scale(ak)
+            term = w * D[j] + D[j].scale(ck)
+            acc = term if acc is None else acc + term
+        if acc is None:
+            acc = Jet([G(0)] * (jet_order + 1))
+        dn = (-acc).div(q_at(n), scale=running)
+        D.append(dn)
+        running = max(running, dn.magnitude(), acc.magnitude())
+    return D
+
+
+def _bits(fn):
+    """Each jet's coefficients as (type, repr) pairs, so that equal outcomes
+    have equal values, types, lengths and float bits (signed zeros too);
+    or the type and message of the exception raised."""
+    try:
+        return [[(type(c), repr(c)) for c in j.coeffs] for j in fn()]
+    except (JetValuationError, ZeroDivisionError) as err:
+        return (type(err), str(err))
+
+
+def _same_as_jet_loop(f, roots, base, seed_pow, jet_order, N):
+    got = _bits(lambda: recurrence_jets(f, roots, base, seed_pow, jet_order, N))
+    want = _bits(lambda: _jet_loop(
+        f, base, seed_pow, jet_order, N, lambda n: _q_jet(roots, base, n, jet_order)))
+    assert got == want
+    return got
+
+
+def _float(cplx):
+    part = st.floats(-3, 3, allow_nan=False, allow_infinity=False)
+    return st.builds(complex, part, part if cplx else st.just(0.0))
+
+
+@st.composite
+def _float_case(draw):
+    order = draw(st.sampled_from([2, 3]))
+    cplx = draw(st.booleans())
+    # exact zeros are the padding of float rows; exact entries make mixed rows
+    coef = st.one_of(st.just(G(0)), st.just(0j), _float(cplx), _gaussian(complex_=cplx))
+    N = draw(st.integers(1, 10))
+    rows = [Series(draw(st.lists(coef, min_size=1, max_size=5)), trunc=N) for _ in range(order)]
+    base = draw(st.one_of(_float(cplx), _gaussian(complex_=cplx)))
+    # a root at an integer offset from the base: q(n + base) vanishes at
+    # n = r - base when the offset is negative; exact roots and an exact base
+    # make q exact, and its exact zeros are what meets the rows
+    gap = draw(st.integers(-3, 2))
+    roots = [base - gap if draw(st.booleans()) else complex(base) - gap]
+    roots += [draw(st.one_of(_float(cplx), _gaussian(complex_=cplx))) for _ in range(order - 1)]
+    jet_order = draw(st.integers(0, 3))
+    seed_pow = draw(st.integers(0, jet_order))
+    f = FrobeniusForm(order, b=rows[-2], c=rows[-1], a=rows[0] if order == 3 else None)
+    return f, draw(st.permutations(roots)), base, seed_pow, jet_order, N
+
+
+@settings(max_examples=150, deadline=None)
+@given(_float_case())
+def test_float_recurrence_matches_the_jet_loop(case):
+    _same_as_jet_loop(*case)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_float_case())
+def test_float_free_recurrence_matches_the_jet_loop(case):
+    f, roots, _, _, jet_order, N = case
+    r = complex(roots[0])
+    q = indicial_polynomial(f)
+    got = _bits(lambda: recurrence_jets_free(f, r, N, jet_order))
+    want = _bits(lambda: _jet_loop(
+        f, r, 0, jet_order, N, lambda n: poly_eval_jet(q, r + n, jet_order)))
+    assert got == want
+
+
+def test_float_and_mixed_recurrence_on_resonant_and_irrational_forms():
+    def form(rows, mode):
+        if mode == "float":
+            rows = [[complex(Fraction(c)) for c in r] for r in rows]
+        return to_frobenius_form(Ode.from_rows(rows, trunc=12))
+
+    raised = []
+    # case_iv in float mode, roots 2, 1, 0: the runs of the exact test
+    f = form([[0, 0, 0, 1], [0, 0, 0, 1], [0, 0, 1], [0, -1]], "float")
+    roots = analyze(f).roots
+    for i, s, jet_order in [(2, 1, 3), (2, 2, 4), (1, 1, 2), (2, 0, 1), (2, 0, 0)]:
+        got = _same_as_jet_loop(f, roots, roots[i], s, jet_order, 12)
+        if isinstance(got, tuple):
+            raised.append(got)
+    assert raised == [
+        (JetValuationError, "numerator valuation 0 < divisor valuation 1"),
+        (ZeroDivisionError, "jet division by zero"),
+    ]
+    # roots 1, 0 with c = x^2 only: E_1 = 0 over q(1 + eps) = eps (1 + eps)
+    # gives D_1 a jet of exact zeros, one shorter
+    f = form([[0, 0, 1], [0], [0, 0, 1]], "float")
+    roots = analyze(f).roots
+    got = _same_as_jet_loop(f, roots, roots[1], 1, 2, 12)
+    assert [len(j) for j in got[:5]] == [3, 2, 3, 2, 3]
+    assert got[1] == [(G, "0")] * 2
+    # float entries only at x^0, which the recurrence never reads: with an
+    # exact base and exact roots every D_n stays exact
+    f = FrobeniusForm(2, b=Series([0.5 + 0j, "1/3"], trunc=6),
+                      c=Series([0j, 1, "-1/7"], trunc=6))
+    got = _same_as_jet_loop(f, (G(0), G(-1, 2)), G(0), 0, 1, 6)
+    assert all(t is G for jet in got for t, _ in jet)
+    # exact rows, roots +-sqrt(2): a float base
+    f = form([[0, 0, 1], [0, 1], [-2, 1, "1/3"]], "exact")
+    roots = analyze(f).roots
+    for jet_order in range(3):
+        _same_as_jet_loop(f, roots, roots[jet_order % 2], 0, jet_order, 12)
+    # exact rows, q(r) = (r - 1)(r^2 - 2): the exact base 1 with float roots,
+    # where the weights and the j = 0 term are exact
+    f = FrobeniusForm(3, b=Series([-2, 1, 0, "1/5"], trunc=12),
+                      c=Series([2, "-1/3", 1], trunc=12), a=Series([2, "1/7"], trunc=12))
+    ind = analyze(f)
+    assert not ind.exact
+    for roots in (ind.roots, (G(1), 2 ** 0.5, -(2 ** 0.5))):
+        for jet_order in range(3):
+            got = _same_as_jet_loop(f, roots, G(1), jet_order // 2, jet_order, 12)
+            assert all(t is complex for t, _ in got[2])

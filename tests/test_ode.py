@@ -1,5 +1,7 @@
 """Equation container, chart transforms and the Frobenius normalization."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -109,3 +111,43 @@ def test_shift_by_zero_is_identity(row):
     e = Ode.from_rows([[1], [0], row if any(row) else [1]], trunc=6)
     s = shift_to_origin(e, GaussianRational(0))
     assert all(a.coeffs == b.coeffs for a, b in zip(e.coeffs, s.coeffs))
+
+
+def _shift_reference(s, x0):
+    """The chart shift summing every coefficient, exact zeros included."""
+    N = s.trunc
+    pw = [x0 ** i for i in range(N + 1)]
+    out = []
+    for t in range(N + 1):
+        acc = GaussianRational(0)
+        for k in range(t, N + 1):
+            acc = acc + math.comb(k, t) * s.coeffs[k] * pw[k - t]
+        out.append(acc)
+    return out
+
+
+_part = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+_float_part = st.floats(-3, 3, allow_nan=False, allow_infinity=False)
+_scalar = st.one_of(
+    st.just(GaussianRational(0)),
+    st.just(0j),
+    st.builds(GaussianRational, _part, _part),
+    st.builds(complex, _float_part, _float_part),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.lists(_scalar, min_size=1, max_size=5), min_size=3, max_size=3),
+    st.integers(1, 12),
+    st.one_of(st.builds(GaussianRational, _part, _part), st.builds(complex, _float_part, _float_part)),
+)
+def test_shift_to_origin_matches_the_full_sum(rows, N, x0):
+    # rows padded with exact zeros to N, at an exact or a float point: the
+    # same values, types and float bits as the sum over every coefficient
+    rows[0] = [1, *rows[0]]  # a leading row that does not vanish
+    e = Ode(2, tuple(Series(r, trunc=N) for r in rows), GaussianRational(0), None)
+    got = shift_to_origin(e, x0)
+    for row, srow in zip(e.coeffs, got.coeffs):
+        want = _shift_reference(row, x0)
+        assert [(type(c), repr(c)) for c in srow.coeffs] == [(type(c), repr(c)) for c in want]

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from frobode.scalars import GaussianRational, to_complex
 from frobode.series import (
@@ -310,3 +310,42 @@ def test_product_adds_exponents_and_logpowers():
     p = g1 * g2
     assert p.terms[0].exponent == GaussianRational(Fraction(5, 6))
     assert p.max_logpow() == 3
+
+
+def _float_inverse_reference(a):
+    """The float inverse recurrence over every a_j, exact zeros included."""
+    a0 = a.coeffs[0]
+    inv0 = GaussianRational(1) / a0 if isinstance(a0, GaussianRational) else 1.0 / a0
+    out = [inv0]
+    for k in range(1, len(a.coeffs)):
+        acc = GaussianRational(0)
+        for j in range(1, k + 1):
+            acc = acc + a.coeffs[j] * out[k - j]
+        out.append(-inv0 * acc)
+    return out
+
+
+@settings(max_examples=100)
+@given(
+    st.one_of(
+        st.builds(GaussianRational, st.integers(1, 9), small_fractions),
+        st.complex_numbers(min_magnitude=0.5, max_magnitude=3, allow_nan=False, allow_infinity=False),
+    ),
+    st.lists(
+        st.one_of(
+            st.just(GaussianRational(0)),
+            st.just(0j),
+            st.builds(GaussianRational, small_fractions, small_fractions),
+            st.complex_numbers(max_magnitude=3, allow_nan=False, allow_infinity=False),
+        ),
+        max_size=12,
+    ),
+)
+def test_float_inverse_matches_the_full_recurrence(a0, tail):
+    # float and mixed series, padded with exact zeros: the same values,
+    # types and float bits as the recurrence over every coefficient
+    a = Series([a0, *tail], trunc=14)
+    assume(any(isinstance(c, complex) for c in a.coeffs))
+    got = series_inverse(a)
+    want = _float_inverse_reference(a)
+    assert [(type(c), repr(c)) for c in got.coeffs] == [(type(c), repr(c)) for c in want]
