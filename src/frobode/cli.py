@@ -44,7 +44,7 @@ from .ode import (
     transform_to_infinity,
 )
 from .riccati import Circle, global_holonomy, riccati_model
-from .scalars import GaussianRational, Scalar, is_exact, to_complex
+from .scalars import GaussianRational, Scalar, is_exact, structural_zero, to_complex
 from .series import (
     GeneralizedSeries,
     GSTerm,
@@ -186,15 +186,9 @@ def parse_document(obj: dict) -> dict:
     e = given
     if chart == "infinity":
         e = transform_to_infinity(given)
-    elif not _is_zero_scalar(chart):
+    elif not structural_zero(chart):
         e = shift_to_origin(given, chart)
     return {"ode": e, "given": given, "raw": obj, "terms": terms, "mode": mode, "point": point}
-
-
-def _is_zero_scalar(s: Scalar) -> bool:
-    if is_exact(s):
-        return not bool(s)
-    return to_complex(s) == 0
 
 
 def serialize_document(ctx: dict) -> dict:

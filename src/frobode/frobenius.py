@@ -27,7 +27,7 @@ from .indicial import (
     integer_difference,
 )
 from .ode import FrobeniusForm, Ode, to_frobenius_form
-from .scalars import GaussianRational, Scalar, is_exact, scalar_is_zero, to_complex
+from .scalars import GaussianRational, Scalar, is_exact, scalar_is_zero, structural_zero, to_complex
 from .series import (
     GSTerm,
     GeneralizedSeries,
@@ -76,10 +76,6 @@ class FundamentalSystem:
 # ---------------------------------------------------------------------------
 # recurrence kernels
 # ---------------------------------------------------------------------------
-
-
-def _structural_zero(*cs: Scalar) -> bool:
-    return all((is_exact(c) and not bool(c)) or c == 0 for c in cs)
 
 
 def recurrence_jets(
@@ -170,9 +166,9 @@ def _recurrence_jets(
     for k in range(N, 0, -1):
         ak = f.a[k] if f.order == 3 else _ZERO
         bk, ck = f.b[k], f.c[k]
-        if not _structural_zero(ak, bk, ck):
+        if not (structural_zero(ak) and structural_zero(bk) and structural_zero(ck)):
             rows.append((k, ak, bk, ck, complex(ak), complex(bk), complex(ck),
-                         not _structural_zero(ak)))
+                         not structural_zero(ak)))
     start = len(rows)  # rows[start:] are the rows with k <= n
     running = max(1.0, f.b.magnitude(), f.c.magnitude(),
                   f.a.magnitude() if f.a is not None else 0.0)
@@ -506,9 +502,9 @@ def formal_probe(e: Ode, N: int = 32, trace_len: int = 10) -> FormalProbe:
                 idx = k - n + deriv
                 if 0 <= idx <= arow.trunc:
                     cc = arow[idx]
-                    if not _structural_zero(cc):
+                    if not structural_zero(cc):
                         coef = coef + _falling(n, deriv) * cc
-            if _structural_zero(coef):
+            if structural_zero(coef):
                 continue
             if not is_exact(coef) and scalar_is_zero(coef, max(1.0, _row_mag(e))):
                 continue
@@ -516,7 +512,7 @@ def formal_probe(e: Ode, N: int = 32, trace_len: int = 10) -> FormalProbe:
                 support_ok = False
                 break
             row[n] = coef
-        if support_ok and any(not _structural_zero(c) for c in row):
+        if support_ok and any(not structural_zero(c) for c in row):
             rows.append(row)
     basis = _nullspace(rows, N + 1, exact)
     if not basis:
@@ -587,7 +583,7 @@ def _nullspace(rows: list[list], ncols: int, exact: bool) -> list[list]:
             if ri == best:
                 continue
             fac = row[col]
-            if _structural_zero(fac) if exact else fac == 0:
+            if structural_zero(fac):
                 continue
             mat[ri] = [row[j] - fac * mat[best][j] for j in range(ncols)]
     free_cols = [c for c in range(ncols) if c not in pivots]

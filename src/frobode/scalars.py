@@ -19,6 +19,7 @@ __all__ = [
     "to_complex",
     "is_exact",
     "scalar_is_zero",
+    "structural_zero",
     "conjugate",
     "frac_sqrt",
     "gr_sqrt",
@@ -37,8 +38,8 @@ class GaussianRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        self.re = re if type(re) is Fraction else Fraction(re)
+        self.im = im if type(im) is Fraction else Fraction(im)
 
     # -- conversions -------------------------------------------------------
     def __complex__(self) -> complex:
@@ -71,8 +72,10 @@ class GaussianRational:
         return GaussianRational(-self.re, -self.im)
 
     def __sub__(self, other):
-        if isinstance(other, (GaussianRational, *_RAT)):
-            return self + (-other if isinstance(other, GaussianRational) else GaussianRational(-other))
+        if isinstance(other, GaussianRational):
+            return GaussianRational(self.re - other.re, self.im - other.im)
+        if isinstance(other, _RAT):
+            return GaussianRational(self.re - other, self.im)
         if isinstance(other, (float, complex)):
             return complex(self) - other
         return NotImplemented
@@ -189,6 +192,14 @@ def scalar_is_zero(s: Scalar, scale: float = 1.0) -> bool:
     if isinstance(s, GaussianRational):
         return not bool(s)
     return abs(complex(s)) <= ZERO_TOL * max(1.0, scale)
+
+
+def structural_zero(s: Scalar) -> bool:
+    """Zero test with no tolerance: exactly zero in exact mode, equal to 0
+    in floating mode."""
+    if isinstance(s, GaussianRational):
+        return not s
+    return s == 0
 
 
 def frac_sqrt(f: Fraction) -> Optional[Fraction]:

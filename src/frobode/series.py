@@ -25,6 +25,7 @@ from .scalars import (
     as_exact,
     is_exact,
     scalar_is_zero,
+    structural_zero,
     to_complex,
 )
 
@@ -50,9 +51,14 @@ __all__ = [
 EXP_TOL = 1e-9
 
 _ZERO = GaussianRational(0)
+_SCALAR_TYPES = frozenset((GaussianRational, complex))
+_EXACT_TYPES = frozenset((GaussianRational,))
 
 
 def _as_scalar_list(coeffs: Iterable) -> tuple:
+    coeffs = tuple(coeffs)
+    if _SCALAR_TYPES.issuperset(map(type, coeffs)):
+        return coeffs
     out = []
     for c in coeffs:
         if isinstance(c, (GaussianRational, complex)):
@@ -74,15 +80,12 @@ class Series:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Sequence, trunc: int | None = None):
-        cs = list(_as_scalar_list(coeffs))
+        cs = _as_scalar_list(coeffs)
         if trunc is not None:
-            if len(cs) > trunc + 1:
-                cs = cs[: trunc + 1]
-            while len(cs) < trunc + 1:
-                cs.append(_ZERO)
+            cs = cs[: trunc + 1] + (_ZERO,) * (trunc + 1 - len(cs))
         elif not cs:
-            cs = [_ZERO]
-        self.coeffs = tuple(cs)
+            cs = (_ZERO,)
+        self.coeffs = cs
 
     @property
     def trunc(self) -> int:
@@ -102,16 +105,20 @@ class Series:
 
     def valuation(self, scale: float | None = None) -> int | None:
         """Index of the first non-negligible coefficient, or None if all vanish."""
-        s = scale if scale is not None else max(1.0, self.magnitude())
+        if scale is None:
+            # exact coefficients are tested exactly, whatever the scale
+            scale = 1.0 if _all_exact(self.coeffs) else max(1.0, self.magnitude())
         for n, c in enumerate(self.coeffs):
-            if not scalar_is_zero(c, s):
+            if not scalar_is_zero(c, scale):
                 return n
         return None
 
     # -- arithmetic (truncates to the shorter operand) ---------------------
     def __add__(self, other: "Series") -> "Series":
-        n = min(len(self.coeffs), len(other.coeffs))
-        return Series([self.coeffs[i] + other.coeffs[i] for i in range(n)])
+        a, b = self.coeffs, other.coeffs
+        if _all_exact(a) and _all_exact(b):
+            return Series([(x + y if x else y) if y else x for x, y in zip(a, b)])
+        return Series([x + y for x, y in zip(a, b)])
 
     def __sub__(self, other: "Series") -> "Series":
         n = min(len(self.coeffs), len(other.coeffs))
@@ -211,7 +218,7 @@ def series_inverse(a: Series) -> Series:
 
 
 def _all_exact(coeffs: Sequence) -> bool:
-    return all(isinstance(c, GaussianRational) for c in coeffs)
+    return _EXACT_TYPES.issuperset(map(type, coeffs))
 
 
 def _common_denominator(coeffs: Sequence[GaussianRational]) -> tuple[int, list, bool]:
@@ -524,7 +531,10 @@ class GeneralizedSeries:
         return GeneralizedSeries(self.terms + other.terms)
 
     def __sub__(self, other: "GeneralizedSeries") -> "GeneralizedSeries":
-        return self + other.scale(GaussianRational(-1))
+        # a float body keeps (-1+0j)*c, which differs from -c in the sign of zeros
+        neg = [GSTerm(t.exponent, t.logpow, -t.body if _all_exact(t.body.coeffs)
+                      else t.body.scale(GaussianRational(-1))) for t in other.terms]
+        return GeneralizedSeries(self.terms + tuple(neg))
 
     def __mul__(self, other: "GeneralizedSeries") -> "GeneralizedSeries":
         out = []
@@ -575,7 +585,8 @@ def _normalize_terms(terms: tuple[GSTerm, ...]) -> tuple[GSTerm, ...]:
     """Fold integer exponent offsets into bodies, merge, drop zero terms."""
     if not terms:
         return ()
-    scale = max(1.0, max((t.body.magnitude() for t in terms), default=0.0))
+    exact = all(_all_exact(t.body.coeffs) for t in terms)
+    scale = 1.0 if exact else max(1.0, max(t.body.magnitude() for t in terms))
     # choose class representatives: smallest real part within each integer class
     reps: list[Scalar] = []
     for t in terms:
@@ -615,24 +626,18 @@ def _normalize_terms(terms: tuple[GSTerm, ...]) -> tuple[GSTerm, ...]:
         ),
     ):
         body = merged[key]
-        if body.is_zero(scale):
+        if not any(body.coeffs) if exact else body.is_zero(scale):
             continue
         rho, k2 = rep_of[key], key[1]
         # compact: strip exactly-zero leading coefficients into the exponent
         v = 0
-        while v < len(body.coeffs) and _hard_zero(body.coeffs[v]):
+        while v < len(body.coeffs) and structural_zero(body.coeffs[v]):
             v += 1
         if v and v <= body.trunc:
             body = Series(body.coeffs[v:])
             rho = rho + v
         out.append(GSTerm(rho, k2, body))
     return tuple(out)
-
-
-def _hard_zero(c: Scalar) -> bool:
-    if is_exact(c):
-        return not bool(c)
-    return c == 0
 
 
 def gs_from_series(body: Series, exponent: Scalar = _ZERO, logpow: int = 0) -> GeneralizedSeries:
@@ -643,16 +648,34 @@ def gs_differentiate(g: GeneralizedSeries) -> GeneralizedSeries:
     """d/dx termwise; body truncation drops by one (last coefficient unreliable)."""
     out = []
     for t in g.terms:
-        n_new = max(t.body.trunc - 1, 0)
-        power_body = Series(
-            [(t.exponent + n) * t.body[n] for n in range(n_new + 1)]
-        )
-        out.append(GSTerm(t.exponent - 1, t.logpow, power_body))
-        if t.logpow >= 1:
-            out.append(
-                GSTerm(t.exponent - 1, t.logpow - 1, t.body.truncate(n_new).scale(t.logpow))
-            )
+        rho, m = t.exponent, t.logpow
+        body = t.body.truncate(max(t.body.trunc - 1, 0))
+        if isinstance(rho, GaussianRational) and _all_exact(body.coeffs):
+            power_body, log_body = _differentiate_exact(rho, m, body.coeffs)
+        else:
+            power_body = Series([(rho + n) * c for n, c in enumerate(body.coeffs)])
+            log_body = body.scale(m) if m else None
+        out.append(GSTerm(rho - 1, m, power_body))
+        if m:
+            out.append(GSTerm(rho - 1, m - 1, log_body))
     return GeneralizedSeries(out)
+
+
+def _differentiate_exact(rho: GaussianRational, m: int, cs: Sequence) -> tuple:
+    """The bodies (rho + n) c_n and m c_n, with rho = (p + q i)/e and
+    c_n = (u + v i)/d, as Gaussian-integer products over e d and d."""
+    e = math.lcm(rho.re.denominator, rho.im.denominator)
+    p = rho.re.numerator * (e // rho.re.denominator)
+    q = rho.im.numerator * (e // rho.im.denominator)
+    d, support, _ = _common_denominator(cs)
+    power = [_ZERO] * len(cs)
+    log = [_ZERO] * len(cs)
+    for n, u, v in support:
+        a = p + n * e
+        power[n] = _gr(a * u - q * v, a * v + q * u, d * e)
+        if m:
+            log[n] = _gr(m * u, m * v, d)
+    return Series(power), Series(log) if m else None
 
 
 def gs_integrate(g: GeneralizedSeries) -> GeneralizedSeries:
@@ -665,7 +688,7 @@ def gs_integrate(g: GeneralizedSeries) -> GeneralizedSeries:
         log_raised = [_ZERO] * (N + 1)
         for n in range(N + 1):
             d = body[n]
-            if _hard_zero(d):
+            if structural_zero(d):
                 continue
             s1 = rho + n + 1  # s + 1
             resonant = (
@@ -684,10 +707,10 @@ def gs_integrate(g: GeneralizedSeries) -> GeneralizedSeries:
                 fac = fac * inv
         for j in range(m + 1):
             out.append(GSTerm(rho + 1, j, Series(bodies[j])))
-        if any(not _hard_zero(c) for c in log_raised):
+        if any(not structural_zero(c) for c in log_raised):
             # these came from x^{rho+n} with rho+n = -1; exponent folds to 0
             for n in range(N + 1):
-                if not _hard_zero(log_raised[n]):
+                if not structural_zero(log_raised[n]):
                     out.append(
                         GSTerm(rho + n + 1, m + 1, Series([log_raised[n]], trunc=N))
                     )

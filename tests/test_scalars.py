@@ -11,6 +11,7 @@ from frobode.scalars import (
     gr_sqrt,
     is_exact,
     scalar_is_zero,
+    structural_zero,
     to_complex,
 )
 
@@ -78,3 +79,11 @@ def test_power_matches_repeated_multiplication(a, k):
     for _ in range(k):
         acc = acc * a
     assert a**k == acc
+
+
+def test_structural_zero_has_no_tolerance():
+    assert structural_zero(GaussianRational(0))
+    assert not structural_zero(GaussianRational(0, Fraction(1, 10**30)))
+    assert structural_zero(0j) and structural_zero(complex(-0.0, 0.0))
+    assert not structural_zero(1e-300 + 0j)
+    assert not structural_zero(complex(0.0, 1e-300))

@@ -349,3 +349,200 @@ def test_float_inverse_matches_the_full_recurrence(a0, tail):
     got = series_inverse(a)
     want = _float_inverse_reference(a)
     assert [(type(c), repr(c)) for c in got.coeffs] == [(type(c), repr(c)) for c in want]
+
+
+# -- exact generalized-series operations against a naive GaussianRational oracle
+
+
+def _naive_differentiate(g: GeneralizedSeries) -> GeneralizedSeries:
+    """d/dx termwise, one GaussianRational product per coefficient."""
+    out = []
+    for t in g.terms:
+        cs = t.body.coeffs[: max(t.body.trunc - 1, 0) + 1]
+        power = [(t.exponent + n) * c for n, c in enumerate(cs)]
+        out.append(GSTerm(t.exponent - 1, t.logpow, Series(power)))
+        if t.logpow:
+            out.append(GSTerm(t.exponent - 1, t.logpow - 1, Series([t.logpow * c for c in cs])))
+    return GeneralizedSeries(out)
+
+
+def _naive_normalize(terms) -> list:
+    """(exponent, logpow, coefficient pairs) of the canonical form: integer
+    exponent offsets folded into the body of the class's smallest exponent,
+    bodies cut to the shortest trunc and summed in Fractions, zero sums
+    dropped and exactly-zero leading coefficients moved into the exponent."""
+    trunc = min(t.body.trunc for t in terms)
+    reps = []
+    for t in terms:
+        for i, r in enumerate(reps):
+            if (t.exponent - r).is_rational_integer:
+                if (t.exponent - r).re < 0:
+                    reps[i] = t.exponent
+                break
+        else:
+            reps.append(t.exponent)
+    sums = {}
+    for t in terms:
+        r = next(r for r in reps if (t.exponent - r).is_rational_integer)
+        k = int((t.exponent - r).re)
+        zeros = [(Fraction(0), Fraction(0))] * (trunc + 1)
+        acc = sums.setdefault((reps.index(r), t.logpow), zeros)
+        for n in range(trunc + 1 - k):
+            re, im = acc[n + k]
+            acc[n + k] = (re + t.body.coeffs[n].re, im + t.body.coeffs[n].im)
+    out = []
+    for i, m in sorted(sums, key=lambda key: (reps[key[0]].re, reps[key[0]].im, key[1])):
+        acc = sums[i, m]
+        v = next((n for n, c in enumerate(acc) if c != (0, 0)), None)
+        if v is not None:
+            out.append((reps[i] + v, m, acc[v:]))
+    return out
+
+
+small_exponents = st.builds(
+    GaussianRational,
+    st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 2, 3, 4])),
+    st.sampled_from([0, 0, Fraction(1, 2), -2]),
+)
+
+
+@st.composite
+def exact_gs_terms(draw, max_terms=4):
+    """Exact terms, not normalized: exponents at integer offsets from one or
+    two class representatives, log powers 0-2, sparse or length-1 bodies."""
+    reps = draw(st.lists(small_exponents, min_size=1, max_size=2))
+    terms = []
+    for _ in range(draw(st.integers(1, max_terms))):
+        rho = draw(st.sampled_from(reps)) + draw(st.integers(0, 2))
+        terms.append(GSTerm(rho, draw(st.integers(0, 2)), draw(gaussian_series())))
+    return terms
+
+
+def _gs_pairs(g: GeneralizedSeries) -> list:
+    return [(t.exponent, t.logpow, _pairs(t.body)) for t in g.terms]
+
+
+@settings(max_examples=150)
+@given(exact_gs_terms())
+def test_exact_differentiate_matches_naive_products(terms):
+    g = GeneralizedSeries(terms, normalize=False)
+    got = gs_differentiate(g)
+    assert repr(got) == repr(_naive_differentiate(g))
+    assert all(isinstance(c, GaussianRational) for t in got.terms for c in t.body.coeffs)
+
+
+def test_exact_differentiate_edge_cases():
+    rho = GaussianRational(Fraction(-3, 2), Fraction(5, 7))
+    cases = [
+        GSTerm(rho, 2, Series([GaussianRational(1, -1)])),
+        GSTerm(GaussianRational(-2), 1, Series([0, 0, 5, 0, 0, 7, 0])),  # (rho + 2) c_2 = 0
+        GSTerm(GaussianRational(0, 1), 0,
+               Series([Fraction(1, 3), 0, GaussianRational(Fraction(2, 5), -1)], trunc=6)),
+        GSTerm(GaussianRational(0), 1, Series([4, 1, 2])),
+    ]
+    for t in cases:
+        g = GeneralizedSeries([t], normalize=False)
+        assert repr(gs_differentiate(g)) == repr(_naive_differentiate(g))
+    d = gs_differentiate(GeneralizedSeries([cases[0]], normalize=False))
+    assert [t.body.trunc for t in d.terms] == [0, 0]
+
+
+@settings(max_examples=150)
+@given(gaussian_series(), gaussian_series())
+def test_exact_series_sum_and_difference_match_fractions(a, b):
+    n = min(a.trunc, b.trunc) + 1
+    pa, pb = _pairs(a)[:n], _pairs(b)[:n]
+    assert _pairs(a + b) == [(x + u, y + v) for (x, y), (u, v) in zip(pa, pb)]
+    assert _pairs(a - b) == [(x - u, y - v) for (x, y), (u, v) in zip(pa, pb)]
+
+
+@settings(max_examples=150)
+@given(exact_gs_terms(), exact_gs_terms())
+def test_exact_generalized_difference_matches_scaling_by_minus_one(ta, tb):
+    a, b = GeneralizedSeries(ta), GeneralizedSeries(tb)
+    assert repr(a - b) == repr(a + b.scale(GaussianRational(-1)))
+    assert (a - a).is_zero()
+
+
+@settings(max_examples=150)
+@given(exact_gs_terms(max_terms=6))
+def test_exact_normalization_matches_naive_merge(terms):
+    assert _gs_pairs(GeneralizedSeries(terms)) == _naive_normalize(terms)
+
+
+def test_exact_normalization_cancels_folds_and_merges():
+    half = GaussianRational(Fraction(1, 2))
+    body = Series([Fraction(1, 3), GaussianRational(0, 2), 5], trunc=4)
+    # an exact sum that cancels is dropped
+    assert GeneralizedSeries([GSTerm(half, 1, body), GSTerm(half, 1, -body)]).terms == ()
+    # leading exact zeros fold into the exponent
+    (t,) = GeneralizedSeries([GSTerm(half, 0, Series([0, 0, 3, 4], trunc=5))]).terms
+    assert (t.exponent, _pairs(t.body)) == (half + 2, _pairs(Series([3, 4, 0, 0])))
+    # integer offsets merge into the smallest exponent, cut to the shortest trunc
+    terms = [GSTerm(half + 1, 0, Series([1, 2, 3], trunc=3)),
+             GSTerm(half, 0, Series([7, -1], trunc=5))]
+    (t,) = GeneralizedSeries(terms).terms
+    assert (t.exponent, _pairs(t.body)) == (half, _pairs(Series([7, 0, 2, 3])))
+    assert _gs_pairs(GeneralizedSeries(terms)) == _naive_normalize(terms)
+
+
+signed_zero_floats = st.lists(
+    st.builds(complex, st.sampled_from([0.0, -0.0, 1.5, -2.0]), st.sampled_from([0.0, -0.0, 0.25])),
+    min_size=1, max_size=6,
+)
+
+
+def float_gs(exponents):
+    """Float bodies with signed zero parts, at float or exact exponents."""
+    term = st.builds(GSTerm, st.sampled_from(exponents), st.integers(0, 1),
+                     signed_zero_floats.map(Series))
+    return st.lists(term, min_size=1, max_size=3).map(GeneralizedSeries)
+
+
+@settings(max_examples=150)
+@given(float_gs([0.5 + 0j, 1.5 + 0j, -0.25 + 0j, 0.5 + 1j]),
+       float_gs([0.5 + 0j, 2.5 + 0j, 0.75 + 0j, GaussianRational(3)]))
+def test_float_generalized_difference_keeps_signed_zeros(a, b):
+    # (-1+0j)*c and -c differ in the sign of zero parts: float bodies are scaled
+    assert repr(a - b) == repr(a + b.scale(GaussianRational(-1)))
+
+
+def test_float_difference_of_a_lone_term_is_scaled_not_negated():
+    a = gs_from_series(Series([1.0 + 0j, 1.0 + 0j]), 0.5 + 0j)
+    b = gs_from_series(Series([2.0 + 0j, 0j]), 0.25 + 0j)
+    (t, _) = (a - b).terms
+    assert repr(t.body) == "Series([(-2+0j), (-0+0j)])"  # -b would give (-2-0j), (-0-0j)
+
+
+def test_mixed_operands_take_the_float_path():
+    third = GaussianRational(Fraction(1, 3))
+    mixed = Series([Fraction(1, 3), 0.5 + 0j, GaussianRational(0, 1), -0.0 + 0j])
+    exact = Series([2, Fraction(-1, 7), 0, GaussianRational(1, 1)])
+    assert repr(mixed + exact) == repr(Series([x + y for x, y in zip(mixed.coeffs, exact.coeffs)]))
+    assert repr(exact + mixed) == repr(Series([x + y for x, y in zip(exact.coeffs, mixed.coeffs)]))
+    g = GeneralizedSeries([GSTerm(third, 1, mixed)], normalize=False)
+    assert repr(gs_differentiate(g)) == repr(_naive_differentiate(g))
+    assert any(isinstance(c, complex) for t in gs_differentiate(g).terms for c in t.body.coeffs)
+    h = gs_from_series(exact, third)
+    assert repr(h - g) == repr(h + g.scale(GaussianRational(-1)))
+    assert repr(g - h) == repr(g + h.scale(GaussianRational(-1)))
+    # a mixed sum is zero within the float tolerance, not only when exactly zero
+    half = GaussianRational(Fraction(1, 2))
+    near = Series([-1.0 + 1e-17j, -2.0 + 0j])
+    assert GeneralizedSeries([GSTerm(half, 0, Series([1, 2])), GSTerm(0.5 + 0j, 0, near)]).is_zero()
+
+
+def test_exact_zero_tests_compute_no_magnitude(monkeypatch):
+    def no_magnitude(self):
+        raise AssertionError("magnitude computed for an exact series")
+
+    monkeypatch.setattr(Series, "magnitude", no_magnitude)
+    big = Series([0, 0, 10**40, Fraction(1, 3)], trunc=6)
+    assert big.valuation() == 2
+    assert Series([0, 0], trunc=3).valuation() is None
+    assert laurent_ratio(Series([0, 3, 1], trunc=5), big)[0] == -1
+    one, two = GaussianRational(1), GaussianRational(2)
+    g = GeneralizedSeries([GSTerm(one, 0, big), GSTerm(two, 1, big)])
+    assert [t.exponent for t in g.terms] == [GaussianRational(3), GaussianRational(4)]
+    with pytest.raises(AssertionError):
+        Series([0, 1e-13 + 0j, 1.0 + 0j]).valuation()
