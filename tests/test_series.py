@@ -422,7 +422,7 @@ def _gs_pairs(g: GeneralizedSeries) -> list:
     return [(t.exponent, t.logpow, _pairs(t.body)) for t in g.terms]
 
 
-@settings(max_examples=150)
+@settings(max_examples=80)
 @given(exact_gs_terms())
 def test_exact_differentiate_matches_naive_products(terms):
     g = GeneralizedSeries(terms, normalize=False)
@@ -447,7 +447,7 @@ def test_exact_differentiate_edge_cases():
     assert [t.body.trunc for t in d.terms] == [0, 0]
 
 
-@settings(max_examples=150)
+@settings(max_examples=100)
 @given(gaussian_series(), gaussian_series())
 def test_exact_series_sum_and_difference_match_fractions(a, b):
     n = min(a.trunc, b.trunc) + 1
@@ -456,7 +456,7 @@ def test_exact_series_sum_and_difference_match_fractions(a, b):
     assert _pairs(a - b) == [(x - u, y - v) for (x, y), (u, v) in zip(pa, pb)]
 
 
-@settings(max_examples=150)
+@settings(max_examples=60)
 @given(exact_gs_terms(), exact_gs_terms())
 def test_exact_generalized_difference_matches_scaling_by_minus_one(ta, tb):
     a, b = GeneralizedSeries(ta), GeneralizedSeries(tb)
@@ -464,7 +464,7 @@ def test_exact_generalized_difference_matches_scaling_by_minus_one(ta, tb):
     assert (a - a).is_zero()
 
 
-@settings(max_examples=150)
+@settings(max_examples=80)
 @given(exact_gs_terms(max_terms=6))
 def test_exact_normalization_matches_naive_merge(terms):
     assert _gs_pairs(GeneralizedSeries(terms)) == _naive_normalize(terms)
@@ -499,7 +499,7 @@ def float_gs(exponents):
     return st.lists(term, min_size=1, max_size=3).map(GeneralizedSeries)
 
 
-@settings(max_examples=150)
+@settings(max_examples=100)
 @given(float_gs([0.5 + 0j, 1.5 + 0j, -0.25 + 0j, 0.5 + 1j]),
        float_gs([0.5 + 0j, 2.5 + 0j, 0.75 + 0j, GaussianRational(3)]))
 def test_float_generalized_difference_keeps_signed_zeros(a, b):
