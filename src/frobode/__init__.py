@@ -17,7 +17,6 @@ from .frobenius import (
     residual,
     residual_valuation,
     solve,
-    solve_euler,
     wronskian_of_system,
     wronskian_ode_solution,
 )
@@ -62,7 +61,6 @@ from .scalars import GaussianRational, as_exact, to_complex
 from .series import (
     GeneralizedSeries,
     GSTerm,
-    Jet,
     JetValuationError,
     Series,
     gs_differentiate,
@@ -70,7 +68,6 @@ from .series import (
     gs_from_series,
     gs_integrate,
     laurent_ratio,
-    series_arith,
     series_div,
     series_exp,
     series_inverse,

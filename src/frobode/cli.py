@@ -433,8 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("document", nargs="?", default="-", help="input file or - for stdin")
     p.add_argument("--terms", type=int, default=None, help="truncation order N")
     p.add_argument("--mode", choices=["exact", "float"], default=None)
-    p.add_argument("--point", default=None, help="expansion point override")
-    p.add_argument("--at-infinity", action="store_true", help="work at infinity")
+    p.add_argument("--point", default=None, help="expansion point override, or infinity")
     p.add_argument("--output", default=None, help="write the report to a file")
     p.add_argument("--solution", type=int, default=0, help="solution index for eval")
     p.add_argument("--grid", type=_grid, default=(0.1, 1.0, 10), help="eval grid start:stop:count")
@@ -468,8 +467,6 @@ def main(argv=None) -> int:
         if kind == "doc":
             if args.point is not None:
                 obj["point"] = json.loads(args.point) if args.point != "infinity" else "infinity"
-            if args.at_infinity:
-                obj["point"] = "infinity"
             if args.terms is not None:
                 obj.setdefault("options", {})["terms"] = args.terms
             if args.mode is not None:

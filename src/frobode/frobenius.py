@@ -31,7 +31,6 @@ from .scalars import GaussianRational, Scalar, is_exact, scalar_is_zero, structu
 from .series import (
     GSTerm,
     GeneralizedSeries,
-    Jet,
     JetValuationError,
     Series,
     _all_exact,
@@ -41,6 +40,7 @@ from .series import (
     _unit_inverse,
     gs_differentiate,
     gs_from_series,
+    laurent_ratio,
     poly_eval_jet,
 )
 
@@ -48,7 +48,6 @@ __all__ = [
     "FundamentalSystem",
     "FormalProbe",
     "WronskianResult",
-    "solve_euler",
     "frobenius_solve",
     "solve",
     "recurrence_coefficients",
@@ -85,7 +84,7 @@ def recurrence_jets(
     seed_pow: int,
     jet_order: int,
     N: int,
-) -> list[Jet]:
+) -> list[Series]:
     """Run the recurrence with r = base + eps, seed D_0 = eps^seed_pow.
 
     `roots` are the indicial roots; q(n + r) is the product of the
@@ -108,7 +107,7 @@ def recurrence_jets(
     )
 
 
-def recurrence_jets_free(f: FrobeniusForm, r: Scalar, N: int, jet_order: int = 0) -> list[Jet]:
+def recurrence_jets_free(f: FrobeniusForm, r: Scalar, N: int, jet_order: int = 0) -> list[Series]:
     """Recurrence at an exponent that need not be an indicial root.
 
     q(n+r) is evaluated from the indicial polynomial directly; divisions must
@@ -138,15 +137,15 @@ def _recurrence_jets(
     seed_pow: int,
     jet_order: int,
     N: int,
-    q_at: Callable[[int], Jet],
-) -> list[Jet]:
+    q_at: Callable[[int], Series],
+) -> list[Series]:
     """The recurrence for float and mixed data; q_at(n) is the jet
     q(n + base + eps).
 
-    E_n is summed on lists of scalars by the operations of the `Jet`
+    E_n is summed on lists of scalars by the operations of the `Series`
     expression sum_j (w D_j + c_k D_j), w = b_k (j + r) + a_k (j + r)(j + r - 1),
     j ascending, over the rows with a non-zero entry, so every value, type
-    and rounding is that of `Jet` arithmetic.  An exact scalar meets a
+    and rounding is that of `Series` arithmetic.  An exact scalar meets a
     complex one only as complex(scalar): each row coefficient is converted
     once, and a D_j of complex entries only is used in complex arithmetic
     alone.  Exact entries (the seed, the zero jets of cancelled resonances,
@@ -155,13 +154,13 @@ def _recurrence_jets(
     m = jet_order + 1
     seed = [_ZERO] * m
     seed[seed_pow] = _ONE
-    D = [Jet(seed)]
+    D = [Series(seed)]
     plain = [False]  # D_j has complex entries only
     # (j + r) and (j + r)(j + r - 1) jets for all j
-    x = [Jet.variable(base + j, jet_order) for j in range(N)]
+    x = [Series.variable(base + j, jet_order) for j in range(N)]
     p1 = [xj.coeffs for xj in x]
     if f.order == 3:
-        p2 = [(xj * Jet.variable(base + j - 1, jet_order)).coeffs for j, xj in enumerate(x)]
+        p2 = [(xj * Series.variable(base + j - 1, jet_order)).coeffs for j, xj in enumerate(x)]
     rows = []  # (k, a_k, b_k, c_k, their complex values, a_k != 0), k descending
     for k in range(N, 0, -1):
         ak = f.a[k] if f.order == 3 else _ZERO
@@ -198,20 +197,20 @@ def _recurrence_jets(
             acc = term if acc is None else [u + v for u, v in zip(acc, term)]
         if acc is None:
             acc = [_ZERO] * m
-        dn = Jet([-u for u in acc]).div(q_at(n), scale=running)
+        dn = Series([-u for u in acc]).div(q_at(n), scale=running)
         D.append(dn)
         plain.append(all(u.__class__ is complex for u in dn.coeffs))
         running = max(running, dn.magnitude(), max(abs(to_complex(u)) for u in acc))
     return D
 
 
-def _q_jet(roots: Sequence[Scalar], base: Scalar, n: int, jet_order: int) -> Jet:
-    out = Jet.constant(_ONE, jet_order)
+def _q_jet(roots: Sequence[Scalar], base: Scalar, n: int, jet_order: int) -> Series:
+    out = Series([_ONE], trunc=jet_order)
     for r in roots:
         d = base + n - r
         if integer_difference(base + n, r) == 0:
             d = _ZERO if is_exact(d) else 0j
-        out = out * Jet.variable(d, jet_order)
+        out = out * Series.variable(d, jet_order)
     return out
 
 
@@ -235,7 +234,7 @@ def _recurrence_exact(
     jet_order: int,
     N: int,
     qpoly: Sequence[GaussianRational],
-) -> list[Jet]:
+) -> list[Series]:
     """`_recurrence_jets` for exact data, on Gaussian integers.
 
     a, b, c, base and q (low power first; the divisor is q(n + base + eps))
@@ -334,11 +333,11 @@ def _recurrence_exact(
         re, im = [0] * ell, [0] * ell
         for t, u, w in num:
             re[t], im[t] = u, w
-        D.append(Jet([_gr(re[t], im[t], d) for t in range(ell)]))
+        D.append(Series([_gr(re[t], im[t], d) for t in range(ell)]))
     return D
 
 
-def _emit_solution(base: Scalar, D: list[Jet], j: int, N: int) -> GeneralizedSeries:
+def _emit_solution(base: Scalar, D: list[Series], j: int, N: int) -> GeneralizedSeries:
     """The j-th r-derivative of x^r sum D_n(r) x^n at r = base, as a
     GeneralizedSeries: sum_t C(j,t) (log x)^t x^base sum_n D_n^{(j-t)} x^n."""
     terms = []
@@ -354,35 +353,8 @@ def _emit_solution(base: Scalar, D: list[Jet], j: int, N: int) -> GeneralizedSer
 # ---------------------------------------------------------------------------
 
 
-def solve_euler(f: FrobeniusForm, N: int = 32) -> FundamentalSystem:
-    """Closed-form basis for a constant-coefficient (Euler) Frobenius form:
-    powers x^r with log-powers up to the root multiplicity."""
-    ind = analyze(f)
-    groups: list[tuple[Scalar, int]] = []
-    for r in ind.roots:
-        if groups and integer_difference(r, groups[-1][0]) == 0 and _same_root(r, groups[-1][0]):
-            groups[-1] = (groups[-1][0], groups[-1][1] + 1)
-        else:
-            groups.append((r, 1))
-    sols = []
-    for r, mult in groups:
-        for t in range(mult):
-            sols.append(
-                GeneralizedSeries([GSTerm(r, t, Series([_ONE], trunc=N))])
-            )
-    return FundamentalSystem(tuple(sols), ind, N)
-
-
-def _same_root(a: Scalar, b: Scalar) -> bool:
-    if is_exact(a) and is_exact(b):
-        return a == b
-    return abs(to_complex(a) - to_complex(b)) <= 1e-8
-
-
 def frobenius_solve(f: FrobeniusForm, N: int = 32) -> FundamentalSystem:
     """Fundamental system at a regular singular (or ordinary) chart origin."""
-    if f.is_constant():
-        return solve_euler(f, N)
     ind = analyze(f)
     roots = ind.roots
     classes = congruence_classes(roots)
@@ -447,7 +419,7 @@ def _subordinate_solutions(
     )
 
 
-def _read_log_constants(jets: list[Jet], roots, base, s: int, N: int) -> dict:
+def _read_log_constants(jets: list[Series], roots, base, s: int, N: int) -> dict:
     """The c / c_tilde constants: the eps^0 coefficient of D at the first
     resonant index, which multiplies the leading exponent of the higher
     solution in the log term."""
@@ -639,11 +611,8 @@ class WronskianResult:
 
 
 def wronskian_ode_solution(e: Ode) -> WronskianResult:
-    """Solve a W' + b W = 0 for an order-2 equation (rows a, b, c)."""
-    if e.order != 2:
-        raise ValueError("wronskian_ode_solution applies to order 2")
-    from .series import laurent_ratio
-
+    """Abel's identity: solve A_n W' + A_(n-1) W = 0 from the two leading
+    rows, for an equation of order 2 or 3."""
     a, b = e.coeffs[0], e.coeffs[1]
     if b.valuation() is None:
         return WronskianResult(False, _ZERO, Series([_ZERO], trunc=e.trunc))

@@ -10,7 +10,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .ode import FrobeniusForm
-from .scalars import GaussianRational, Scalar, gr_sqrt, is_exact, to_complex
+from .scalars import (INT_TOL, GaussianRational, Scalar, gr_sqrt, integer_difference,
+                      is_exact, to_complex)
 
 __all__ = [
     "IndicialData",
@@ -19,11 +20,9 @@ __all__ = [
     "solve_roots",
     "classify_case",
     "integer_difference",
+    "INT_TOL",
     "congruence_classes",
 ]
-
-#: integer-difference and root-merging tolerance for floating roots
-INT_TOL = 1e-8
 
 #: most exact Newton steps spent refining one numpy root towards a
 #: rational root; a converging start stops after two or three
@@ -192,19 +191,6 @@ def solve_roots(poly: Sequence[Scalar]) -> tuple[tuple, bool]:
                 z = z - _poly_eval(cpoly, z) / dp
         out.append(z)
     return tuple(sorted(out, key=_order_key)), False
-
-
-def integer_difference(a: Scalar, b: Scalar, tol: float = INT_TOL) -> Optional[int]:
-    """a - b when it is a (near-)integer, else None."""
-    if is_exact(a) and is_exact(b):
-        d = a - b
-        if d.is_rational_integer:
-            return int(d.re)
-        return None
-    d = to_complex(a) - to_complex(b)
-    if abs(d.imag) <= tol and abs(d.real - round(d.real)) <= tol:
-        return int(round(d.real))
-    return None
 
 
 def classify_case(roots: Sequence[Scalar], order: int | None = None) -> CaseTag:

@@ -5,9 +5,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .frobenius import FundamentalSystem, residual, wronskian_of_system
+from .frobenius import FundamentalSystem, residual, wronskian_ode_solution, wronskian_of_system
 from .ode import Ode
-from .scalars import GaussianRational
+from .scalars import GaussianRational, integer_difference
 from .series import (
     GeneralizedSeries,
     Series,
@@ -15,8 +15,6 @@ from .series import (
     gs_div_single,
     gs_from_series,
     gs_integrate,
-    laurent_ratio,
-    series_exp,
 )
 
 __all__ = [
@@ -97,8 +95,6 @@ def reduce_order(e: Ode, phi: GeneralizedSeries, check_tol: float = 1e-6) -> Ode
 
 def _gs_rows_to_series(rows_gs: list[GeneralizedSeries]) -> tuple:
     """Strip a common exponent so all rows become plain Series."""
-    from .indicial import integer_difference
-
     for r in rows_gs:
         if not r.log_free():
             raise ValueError("logarithmic coefficient rows are out of scope")
@@ -141,19 +137,8 @@ def third_from_two(
         raise ValueError("third_from_two starts from an order-3 equation")
     _require_solution(e, y1, check_tol)
     _require_solution(e, y2, check_tol)
-    shift, unit = laurent_ratio(e.coeffs[1], e.coeffs[0])
-    T = unit.trunc
-    residue = _ZERO
-    arg = [_ZERO] * (T + 2)
-    for j, u in enumerate(unit.coeffs):
-        p = shift + j
-        if p < -1:
-            raise ValueError("a1/a0 has a pole of order >= 2: wronskian not a series")
-        if p == -1:
-            residue = u
-        else:
-            arg[p + 1] = -u / (p + 1)
-    Ws = gs_from_series(series_exp(Series(arg, trunc=T + 1)), -residue)
+    # a ValueError when a1/a0 has a pole of order >= 2
+    Ws = wronskian_ode_solution(e).as_generalized_series()
     dy1, dy2 = gs_differentiate(y1), gs_differentiate(y2)
     W12 = y1 * dy2 - y2 * dy1
     if W12.is_zero():

@@ -106,14 +106,6 @@ class FrobeniusForm:
     def as_ode(self, rhs: Optional[Series] = None) -> Ode:
         return Ode(self.order, self.rows(), _ZERO, rhs)
 
-    def is_constant(self) -> bool:
-        """Euler detection: a, b, c constant through trunc."""
-        rows = [self.b, self.c] + ([self.a] if self.a is not None else [])
-        scale = max(1.0, max(r.magnitude() for r in rows))
-        return all(
-            scalar_is_zero(cf, scale) for r in rows for cf in r.coeffs[1:]
-        )
-
 
 # ---------------------------------------------------------------------------
 # polynomial helpers (plain scalar lists, lowest power first)
@@ -210,8 +202,9 @@ def transform_to_infinity(e: Ode) -> Ode:
     # Laurent rows as dicts: power of t -> scalar
     def laurent(row: Series, tpow: int, factor: Scalar) -> dict:
         out: dict[int, Scalar] = {}
+        scale = row.magnitude()
         for j, c in enumerate(row.coeffs):
-            if _is_hard_zero(c, row):
+            if scalar_is_zero(c, scale):
                 continue
             p = tpow - j
             out[p] = out.get(p, _ZERO) + factor * c
@@ -264,12 +257,6 @@ def transform_to_infinity(e: Ode) -> Ode:
     return Ode(e.order, tuple(out_rows), new_chart, None)
 
 
-def _is_hard_zero(c: Scalar, row: Series) -> bool:
-    if is_exact(c):
-        return not bool(c)
-    return scalar_is_zero(c, max(1.0, row.magnitude()))
-
-
 def moebius_pullback(e: Ode, mmap: tuple) -> Ode:
     """Pull back an order-2 polynomial equation along z = (alpha w + beta)/(gamma w + delta).
 
@@ -293,9 +280,10 @@ def moebius_pullback(e: Ode, mmap: tuple) -> Ode:
     def comp(row: Series, extra: int) -> list:
         """(gamma w + delta)^(D+extra) * row(z(w)) as a polynomial in w."""
         out = [_ZERO]
+        scale = row.magnitude()
         for j in range(poly_degree(row) + 1):
             cj = row.coeffs[j]
-            if _is_hard_zero(cj, row):
+            if scalar_is_zero(cj, scale):
                 continue
             term = _pscale(_pmul(_ppow(num, j), _ppow(den, D - j + extra)), cj)
             out = _padd(out, term)

@@ -23,11 +23,16 @@ __all__ = [
     "conjugate",
     "frac_sqrt",
     "gr_sqrt",
+    "integer_difference",
     "ZERO_TOL",
+    "INT_TOL",
 ]
 
 #: relative zero tolerance for floating coefficients
 ZERO_TOL = 1e-12
+
+#: integer-difference and root-merging tolerance for floating roots
+INT_TOL = 1e-8
 
 _RAT = (int, Fraction)
 
@@ -200,6 +205,19 @@ def structural_zero(s: Scalar) -> bool:
     if isinstance(s, GaussianRational):
         return not s
     return s == 0
+
+
+def integer_difference(a: Scalar, b: Scalar, tol: float = INT_TOL) -> Optional[int]:
+    """a - b when it is a (near-)integer, else None."""
+    if is_exact(a) and is_exact(b):
+        d = a - b
+        if d.is_rational_integer:
+            return int(d.re)
+        return None
+    d = to_complex(a) - to_complex(b)
+    if abs(d.imag) <= tol and abs(d.real - round(d.real)) <= tol:
+        return int(round(d.real))
+    return None
 
 
 def frac_sqrt(f: Fraction) -> Optional[Fraction]:

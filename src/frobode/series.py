@@ -1,12 +1,11 @@
-"""Truncated power series, nilpotent jets, and generalized log-power series.
+"""Truncated power series and generalized log-power series.
 
-Three layers of calculus:
+Two layers of calculus:
 
-* :class:`Series` — a plain truncated power series ``sum d_n x^n`` with explicit
-  truncation order.
-* :class:`Jet` — a truncated Taylor expansion in a nilpotent parameter epsilon,
-  used to push derivatives with respect to the indicial root through the
-  coefficient recurrences.
+* :class:`Series` — a truncated power series ``sum d_n t^n`` with explicit
+  truncation order.  It serves both as a series in x and as a jet in a
+  nilpotent parameter epsilon, which pushes derivatives with respect to the
+  indicial root through the coefficient recurrences.
 * :class:`GeneralizedSeries` — a finite sum of terms ``x^rho (log x)^m series(x)``,
   the universal representation for solutions near a regular singular point.
 """
@@ -23,6 +22,7 @@ from .scalars import (
     GaussianRational,
     Scalar,
     as_exact,
+    integer_difference,
     is_exact,
     scalar_is_zero,
     structural_zero,
@@ -31,11 +31,9 @@ from .scalars import (
 
 __all__ = [
     "Series",
-    "Jet",
     "JetValuationError",
     "GSTerm",
     "GeneralizedSeries",
-    "series_arith",
     "series_inverse",
     "series_div",
     "series_exp",
@@ -87,6 +85,12 @@ class Series:
             cs = (_ZERO,)
         self.coeffs = cs
 
+    @classmethod
+    def variable(cls, base: Scalar, order: int) -> "Series":
+        """base + t, truncated at t^order."""
+        one = GaussianRational(1) if is_exact(base) else 1.0 + 0j
+        return cls([base, one], trunc=order)
+
     @property
     def trunc(self) -> int:
         return len(self.coeffs) - 1
@@ -95,6 +99,12 @@ class Series:
         if 0 <= n < len(self.coeffs):
             return self.coeffs[n]
         return _ZERO
+
+    def coeff(self, n: int) -> Scalar:
+        """Coefficient n; unlike indexing, raises IndexError beyond trunc."""
+        if n < len(self.coeffs):
+            return self.coeffs[n]
+        raise IndexError(f"coefficient {n} beyond the known order {self.trunc}")
 
     def magnitude(self) -> float:
         return max((abs(to_complex(c)) for c in self.coeffs), default=0.0)
@@ -144,6 +154,36 @@ class Series:
     def scale(self, k: Scalar) -> "Series":
         return Series([k * c for c in self.coeffs])
 
+    def div(self, other: "Series", scale: float = 1.0) -> "Series":
+        """Valuation-cancelling division; the result's trunc drops by the
+        divisor's valuation.  The divisor's zero test is relative to its own
+        magnitude; `scale` (the caller's running magnitude) only bounds the
+        numerator's cancellation check."""
+        v = other.valuation(other.magnitude())
+        if v is None:
+            raise ZeroDivisionError("jet division by zero")
+        if v > 0:
+            nv = self.valuation(max(scale, self.magnitude(), 1.0))
+            if nv is None:
+                # identically zero numerator divides cleanly
+                return Series([_ZERO] * max(1, len(self.coeffs) - v))
+            if nv < v:
+                raise JetValuationError(
+                    f"numerator valuation {nv} < divisor valuation {v}"
+                )
+        num = self.coeffs[v:] if v < len(self.coeffs) else (_ZERO,)
+        den = other.coeffs[v:]
+        # invert the unit series den
+        d0 = den[0]
+        inv0 = (GaussianRational(1) / d0) if is_exact(d0) else (1.0 / to_complex(d0))
+        out = []
+        for k in range(min(len(num), len(den))):
+            acc = num[k]
+            for j in range(1, k + 1):
+                acc = acc - den[j] * out[k - j]
+            out.append(inv0 * acc)
+        return Series(out)
+
     def shift(self, k: int) -> "Series":
         """Multiply by x^k (k >= 0) or divide by x^{-k}, keeping trunc."""
         if k >= 0:
@@ -176,17 +216,6 @@ class Series:
 
     def __repr__(self) -> str:
         return f"Series({list(self.coeffs)!r})"
-
-
-def series_arith(a: Series, b: Series, op: str) -> Series:
-    """Public add/mul with the strict equal-truncation contract."""
-    if a.trunc != b.trunc:
-        raise ValueError(f"truncation mismatch: {a.trunc} != {b.trunc}")
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
 
 
 def series_inverse(a: Series) -> Series:
@@ -356,121 +385,24 @@ def laurent_ratio(num: Series, den: Series) -> tuple[int, Series]:
 
 
 class JetValuationError(ArithmeticError):
-    """Jet division where the numerator vanishes to lower order than the divisor.
+    """Series division where the numerator vanishes to lower order than the
+    divisor.
 
     Signals a resonance-bookkeeping mismatch; never silently absorbed.
     """
 
 
-class Jet:
-    """Truncated expansion sum_t c_t eps^t with eps nilpotent."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Sequence):
-        self.coeffs = tuple(_as_scalar_list(coeffs)) or (_ZERO,)
-
-    @classmethod
-    def constant(cls, value: Scalar, order: int) -> "Jet":
-        return cls([value] + [_ZERO] * order)
-
-    @classmethod
-    def variable(cls, base: Scalar, order: int) -> "Jet":
-        """base + eps."""
-        one = GaussianRational(1) if is_exact(base) else 1.0 + 0j
-        cs = [base] + [_ZERO] * order
-        if order >= 1:
-            cs[1] = one
-        return cls(cs)
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def magnitude(self) -> float:
-        return max((abs(to_complex(c)) for c in self.coeffs), default=0.0)
-
-    def valuation(self, scale: float = 1.0) -> int | None:
-        for t, c in enumerate(self.coeffs):
-            if not scalar_is_zero(c, scale):
-                return t
-        return None
-
-    def __add__(self, other: "Jet") -> "Jet":
-        n = min(len(self.coeffs), len(other.coeffs))
-        return Jet([self.coeffs[i] + other.coeffs[i] for i in range(n)])
-
-    def __sub__(self, other: "Jet") -> "Jet":
-        n = min(len(self.coeffs), len(other.coeffs))
-        return Jet([self.coeffs[i] - other.coeffs[i] for i in range(n)])
-
-    def __neg__(self) -> "Jet":
-        return Jet([-c for c in self.coeffs])
-
-    def __mul__(self, other: "Jet") -> "Jet":
-        n = min(len(self.coeffs), len(other.coeffs))
-        out = [_ZERO] * n
-        for i in range(n):
-            a = self.coeffs[i]
-            if isinstance(a, GaussianRational) and not a:
-                continue
-            for j in range(n - i):
-                out[i + j] = out[i + j] + a * other.coeffs[j]
-        return Jet(out)
-
-    def scale(self, k: Scalar) -> "Jet":
-        return Jet([k * c for c in self.coeffs])
-
-    def div(self, other: "Jet", scale: float = 1.0) -> "Jet":
-        """Valuation-cancelling division; the result's order drops by the
-        divisor's valuation.  The divisor's zero test is relative to its own
-        magnitude; `scale` (the caller's running magnitude) only bounds the
-        numerator's cancellation check."""
-        v = other.valuation(other.magnitude())
-        if v is None:
-            raise ZeroDivisionError("jet division by zero")
-        if v > 0:
-            nv = self.valuation(max(scale, self.magnitude(), 1.0))
-            if nv is None:
-                # identically zero numerator divides cleanly
-                return Jet([_ZERO] * max(1, len(self.coeffs) - v))
-            if nv < v:
-                raise JetValuationError(
-                    f"numerator valuation {nv} < divisor valuation {v}"
-                )
-        num = Jet(self.coeffs[v:] if v < len(self.coeffs) else [_ZERO])
-        den = Jet(other.coeffs[v:])
-        # invert the unit jet den
-        d0 = den.coeffs[0]
-        inv0 = (GaussianRational(1) / d0) if is_exact(d0) else (1.0 / to_complex(d0))
-        n = min(len(num.coeffs), len(den.coeffs))
-        out = []
-        for k in range(n):
-            acc = num.coeffs[k] if k < len(num.coeffs) else _ZERO
-            for j in range(1, k + 1):
-                acc = acc - den.coeffs[j] * out[k - j]
-            out.append(inv0 * acc)
-        return Jet(out)
-
-    def coeff(self, t: int) -> Scalar:
-        if t < len(self.coeffs):
-            return self.coeffs[t]
-        raise IndexError(f"jet coefficient {t} beyond reliable order {self.order}")
-
-    def derivative_value(self, t: int) -> Scalar:
-        """t-th derivative value: t! times the eps^t coefficient."""
-        return math.factorial(t) * self.coeff(t)
-
-    def __repr__(self) -> str:
-        return f"Jet({list(self.coeffs)!r})"
+#: The jet class is `Series`; the name stays because the benchmark's layer
+#: tracer (perfbench/layers.py) resolves ``Jet.__mul__`` and ``Jet.div``.
+Jet = Series
 
 
-def poly_eval_jet(poly: Sequence[Scalar], point: Scalar, order: int) -> Jet:
+def poly_eval_jet(poly: Sequence[Scalar], point: Scalar, order: int) -> Series:
     """Evaluate a scalar polynomial (coeff list, low to high) at point + eps."""
-    x = Jet.variable(point, order)
-    acc = Jet.constant(_ZERO, order)
+    x = Series.variable(point, order)
+    acc = Series([_ZERO], trunc=order)
     for c in reversed(list(poly)):
-        acc = acc * x + Jet.constant(c, order)
+        acc = acc * x + Series([c], trunc=order)
     return acc
 
 
@@ -486,19 +418,6 @@ class GSTerm:
     exponent: Scalar
     logpow: int
     body: Series
-
-
-def _exp_diff_integer(a: Scalar, b: Scalar) -> int | None:
-    """If a - b is a (near-)integer, return it, else None."""
-    if is_exact(a) and is_exact(b):
-        d = a - b
-        if d.is_rational_integer:
-            return int(d.re)
-        return None
-    d = to_complex(a) - to_complex(b)
-    if abs(d.imag) <= EXP_TOL and abs(d.real - round(d.real)) <= EXP_TOL:
-        return int(round(d.real))
-    return None
 
 
 class GeneralizedSeries:
@@ -592,7 +511,7 @@ def _normalize_terms(terms: tuple[GSTerm, ...]) -> tuple[GSTerm, ...]:
     for t in terms:
         placed = False
         for i, r in enumerate(reps):
-            k = _exp_diff_integer(t.exponent, r)
+            k = integer_difference(t.exponent, r, EXP_TOL)
             if k is not None:
                 if k < 0:
                     reps[i] = t.exponent
@@ -606,7 +525,7 @@ def _normalize_terms(terms: tuple[GSTerm, ...]) -> tuple[GSTerm, ...]:
     trunc = min(t.body.trunc for t in terms)
     for t in terms:
         for i, r in enumerate(reps):
-            k = _exp_diff_integer(t.exponent, r)
+            k = integer_difference(t.exponent, r, EXP_TOL)
             if k is not None:
                 key = (i, t.logpow)
                 body = t.body.truncate(trunc).shift(k)

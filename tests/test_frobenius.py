@@ -17,14 +17,13 @@ from frobode.frobenius import (
     residual,
     residual_valuation,
     solve,
-    solve_euler,
     wronskian_of_system,
     wronskian_ode_solution,
 )
 from frobode.indicial import analyze, indicial_polynomial
 from frobode.ode import FrobeniusForm, Ode, to_frobenius_form
 from frobode.scalars import GaussianRational, to_complex
-from frobode.series import Jet, JetValuationError, Series, poly_eval_jet
+from frobode.series import JetValuationError, Series, poly_eval_jet
 
 G = GaussianRational
 
@@ -133,12 +132,12 @@ def test_case_ii_logs():
 def test_euler_closed_form():
     # x^2 y'' - 2 y = 0: roots 2, -1
     f = to_frobenius_form(Ode.from_rows([[0, 0, 1], [0], [-2]], trunc=8))
-    fs = solve_euler(f)
+    fs = frobenius_solve(f, 8)
     exps = [s.terms[0].exponent for s in fs.solutions]
     assert exps == [G(2), G(-1)]
     # x^2 y'' - x y' + y = 0: double root 1 -> x and x log x
     f2 = to_frobenius_form(Ode.from_rows([[0, 0, 1], [0, -1], [1]], trunc=8))
-    fs2 = solve_euler(f2)
+    fs2 = frobenius_solve(f2, 8)
     assert fs2.solutions[0].max_logpow() == 0
     assert fs2.solutions[1].max_logpow() == 1
 
@@ -462,12 +461,12 @@ def test_irrational_roots_take_the_float_recurrence():
 
 
 # ---------------------------------------------------------------------------
-# the float and mixed recurrence against the `Jet` loop it replaced
+# the float and mixed recurrence against the `Series` loop it replaced
 # ---------------------------------------------------------------------------
 
 
 def _jet_loop(f, base, seed_pow, jet_order, N, q_at):
-    """The recurrence in `Jet` arithmetic, as float and mixed data ran it
+    """The recurrence in `Series` arithmetic, as float and mixed data ran it
     before the list loop: the reference that loop must match bit for bit."""
 
     def zero(*cs):
@@ -476,10 +475,10 @@ def _jet_loop(f, base, seed_pow, jet_order, N, q_at):
     a, b, c = f.a, f.b, f.c
     seed = [G(0)] * (jet_order + 1)
     seed[seed_pow] = G(1)
-    D = [Jet(seed)]
-    p1 = [Jet.variable(base + j, jet_order) for j in range(N)]
+    D = [Series(seed)]
+    p1 = [Series.variable(base + j, jet_order) for j in range(N)]
     if f.order == 3:
-        p2 = [p1[j] * Jet.variable(base + j - 1, jet_order) for j in range(N)]
+        p2 = [p1[j] * Series.variable(base + j - 1, jet_order) for j in range(N)]
     running = max(1.0, f.b.magnitude(), f.c.magnitude(),
                   f.a.magnitude() if f.a is not None else 0.0)
     for n in range(1, N + 1):
@@ -496,7 +495,7 @@ def _jet_loop(f, base, seed_pow, jet_order, N, q_at):
             term = w * D[j] + D[j].scale(ck)
             acc = term if acc is None else acc + term
         if acc is None:
-            acc = Jet([G(0)] * (jet_order + 1))
+            acc = Series([G(0)] * (jet_order + 1))
         dn = (-acc).div(q_at(n), scale=running)
         D.append(dn)
         running = max(running, dn.magnitude(), acc.magnitude())

@@ -1,6 +1,8 @@
 """Variation of parameters, reduction of order, and completing a basis."""
 
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -9,9 +11,10 @@ from frobode.frobenius import (
     residual,
     residual_valuation,
     wronskian_of_system,
+    wronskian_ode_solution,
 )
 from frobode.nonhom import reduce_order, third_from_two, variation_of_parameters
-from frobode.ode import FrobeniusForm, Ode
+from frobode.ode import FrobeniusForm, Ode, to_frobenius_form
 from frobode.scalars import GaussianRational
 from frobode.series import Series, gs_differentiate, gs_div_single
 
@@ -110,8 +113,16 @@ def test_reduce_order_rejects_non_solutions():
         reduce_order(e, gs_from_series(Series([1, 5, 5], trunc=12)))
 
 
+#: x^3 y''' + x^2 y'' + x y' + x^3 y = 0: roots 1 + i, 1 - i, 0
+_THIRD_ROWS = [[0, 0, 0, 1], [0, 0, 1], [0, 1], [0, 0, 0, 1]]
+
+#: x^3 y''' + x^4 y'' + x (5/9 + x) y' + (-5/9 + x) y = 0: roots 5/3, 1, 1/3,
+#: and a1/a0 = x vanishes at 0
+_A1_VANISHES = [[0, 0, 0, 1], [0, 0, 0, 0, 1], [0, Fraction(5, 9), 1], [Fraction(-5, 9), 1]]
+
+
 def test_third_from_two_completes_the_system():
-    e = Ode.from_rows([[0, 0, 0, 1], [0, 0, 1], [0, 1], [0, 0, 0, 1]], trunc=20)
+    e = Ode.from_rows(_THIRD_ROWS, trunc=20)
     fs = frobenius_solve(
         FrobeniusForm(
             3,
@@ -126,3 +137,27 @@ def test_third_from_two_completes_the_system():
     rv = residual_valuation(residual(Ode(3, e.coeffs, G(0), None), y3), G(0), _scale_of(e, y3))
     assert rv >= 14
     assert not wronskian_of_system([y1, y2, y3]).is_zero()
+
+
+def test_third_from_two_when_a1_over_a0_vanishes_at_zero():
+    e = Ode.from_rows(_A1_VANISHES, trunc=16)
+    fs = frobenius_solve(to_frobenius_form(e), 16)
+    y1, y2 = fs.solutions[0], fs.solutions[1]
+    y3 = third_from_two(e, y1, y2)
+    assert residual_valuation(residual(e, y3), G(0)) == math.inf
+    assert not wronskian_of_system([y1, y2, y3]).is_zero()
+
+
+@pytest.mark.parametrize("rows, N", [(_A1_VANISHES, 16), (_THIRD_ROWS, 20)])
+def test_abel_wronskian_matches_the_determinant_at_order_3(rows, N):
+    """Abel's identity from the two leading rows equals the 3x3 determinant
+    of the solver's fundamental system over its leading coefficient, exactly,
+    through the determinant's known order."""
+    e = Ode.from_rows(rows, trunc=N)
+    (det,) = wronskian_of_system(frobenius_solve(to_frobenius_form(e), N)).terms
+    (abel,) = wronskian_ode_solution(e).as_generalized_series().terms
+    assert (det.exponent, det.logpow) == (abel.exponent, abel.logpow)
+    n = len(det.body.coeffs)
+    assert n <= len(abel.body.coeffs)
+    lead = det.body[0]
+    assert [c / lead for c in det.body.coeffs] == list(abel.body.coeffs[:n])

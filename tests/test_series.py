@@ -1,4 +1,4 @@
-"""Truncated series, jets and generalized (log-power) series."""
+"""Truncated series (also as jets) and generalized (log-power) series."""
 
 import math
 from fractions import Fraction
@@ -10,7 +10,6 @@ from frobode.scalars import GaussianRational, to_complex
 from frobode.series import (
     GeneralizedSeries,
     GSTerm,
-    Jet,
     JetValuationError,
     Series,
     gs_differentiate,
@@ -19,7 +18,6 @@ from frobode.series import (
     gs_integrate,
     laurent_ratio,
     poly_eval_jet,
-    series_arith,
     series_div,
     series_exp,
     series_inverse,
@@ -42,11 +40,6 @@ def test_indexing_and_truncation():
     assert s[1] == GaussianRational(2)
     assert s[99] == GaussianRational(0)
     assert Series([1, 2, 3], trunc=5).coeffs[5] == GaussianRational(0)
-
-
-def test_strict_arith_requires_equal_trunc():
-    with pytest.raises(ValueError):
-        series_arith(Series([1]), Series([1, 2]), "add")
 
 
 @settings(max_examples=60)
@@ -216,14 +209,14 @@ def test_derivative_drops_trunc():
 
 
 # ---------------------------------------------------------------------------
-# Jets
+# Series as jets
 # ---------------------------------------------------------------------------
 
 
 @settings(max_examples=60)
 @given(st.lists(small_ints, min_size=3, max_size=5), st.lists(small_ints, min_size=3, max_size=5))
 def test_jet_div_mul_roundtrip(a, b):
-    num, den = Jet(a), Jet(b)
+    num, den = Series(a), Series(b)
     if den.valuation() is None or num.valuation() is None:
         return
     if num.valuation() < den.valuation():
@@ -236,12 +229,12 @@ def test_jet_div_mul_roundtrip(a, b):
 
 def test_jet_division_valuation_guard():
     with pytest.raises(JetValuationError):
-        Jet([1, 1, 1]).div(Jet([0, 1, 1]))
+        Series([1, 1, 1]).div(Series([0, 1, 1]))
 
 
 def test_jet_division_shrinks_reliable_order():
-    q = Jet([0, 1, 2, 3]).div(Jet([0, 1, 1]))
-    assert q.order == 1
+    q = Series([0, 1, 2, 3]).div(Series([0, 1, 1]))
+    assert q.trunc == 1
     with pytest.raises(IndexError):
         q.coeff(2)
 
@@ -251,8 +244,8 @@ def test_poly_eval_jet_matches_derivatives():
     p = [GaussianRational(1), GaussianRational(-2), GaussianRational(0), GaussianRational(1)]
     j = poly_eval_jet(p, GaussianRational(2), 2)
     assert j.coeff(0) == GaussianRational(5)
-    assert j.derivative_value(1) == GaussianRational(10)  # 3r^2 - 2
-    assert j.derivative_value(2) == GaussianRational(12)  # 6r
+    assert math.factorial(1) * j.coeff(1) == GaussianRational(10)  # 3r^2 - 2
+    assert math.factorial(2) * j.coeff(2) == GaussianRational(12)  # 6r
 
 
 # ---------------------------------------------------------------------------
