@@ -297,12 +297,18 @@ def cmd_holonomy(ctx: dict, args) -> dict:
         raise DocumentError("holonomy requires an order-2 document")
     m = riccati_model(e)
     opts = ctx["raw"].get("options", {}).get("holonomy", {})
+    specs = opts.get("loops", []) if isinstance(opts, dict) else None
+    if not isinstance(specs, list) or not all(isinstance(spec, dict) for spec in specs):
+        raise DocumentError("options.holonomy.loops must be a list of loop objects")
     loops = []
-    for spec in opts.get("loops", []):
+    for spec in specs:
         c = parse_scalar(spec.get("center", 0), "loop center")
-        loops.append(
-            Circle(to_complex(c), float(spec.get("radius", 1.0)), int(spec.get("turns", 1)))
-        )
+        radius, turns = spec.get("radius", 1.0), spec.get("turns", 1)
+        if type(radius) not in (int, float) or not 0 < radius < float("inf"):
+            raise DocumentError(f"loop radius must be a finite number > 0, got {radius!r}")
+        if type(turns) is not int or not turns:
+            raise DocumentError(f"loop turns must be a non-zero integer, got {turns!r}")
+        loops.append(Circle(to_complex(c), float(radius), turns))
     if not loops:
         finite = [s for s in m.ramification if s != "infinity"]
         for s in finite:

@@ -34,9 +34,9 @@ from .series import (
     JetValuationError,
     Series,
     _all_exact,
-    _common_denominator,
     _convolve,
-    _gr,
+    _int_series,
+    _to_int,
     _unit_inverse,
     gs_differentiate,
     gs_from_series,
@@ -128,7 +128,7 @@ def recurrence_coefficients(f: FrobeniusForm, r: Scalar, N: int) -> list[Scalar]
 
 def _form_exact(f: FrobeniusForm) -> bool:
     rows = (f.b, f.c) + ((f.a,) if f.order == 3 else ())
-    return all(_all_exact(row.coeffs) for row in rows)
+    return all(row._ints() for row in rows)
 
 
 def _recurrence_jets(
@@ -251,10 +251,9 @@ def _recurrence_exact(
     deg = len(qpoly) - 1
     rows = (f.a, f.b, f.c) if f.order == 3 else (f.b, f.c)
     data = [base, *qpoly] + [row[k] for row in rows for k in range(1, N + 1)]
-    L, support, real = _common_denominator(data)
-    g = [(0, 0)] * len(data)
-    for i, u, v in support:
-        g[i] = (u, v)
+    L, re, im = _to_int(data)
+    real = im is None
+    g = list(zip(re, im or [0] * len(re)))
     beta, Q, coef = g[0], g[1 : deg + 2], g[deg + 2 :]
     L2 = L * L
     weights = []  # (k, A, L B, L^2 C) for the rows with a non-zero entry
@@ -333,17 +332,25 @@ def _recurrence_exact(
         re, im = [0] * ell, [0] * ell
         for t, u, w in num:
             re[t], im[t] = u, w
-        D.append(Series([_gr(re[t], im[t], d) for t in range(ell)]))
+        D.append(_int_series(d, re, None if real else im))
     return D
 
 
 def _emit_solution(base: Scalar, D: list[Series], j: int, N: int) -> GeneralizedSeries:
     """The j-th r-derivative of x^r sum D_n(r) x^n at r = base, as a
-    GeneralizedSeries: sum_t C(j,t) (log x)^t x^base sum_n D_n^{(j-t)} x^n."""
+    GeneralizedSeries: sum_t C(j,t) (log x)^t x^base sum_n D_n^{(j-t)} x^n.
+    Exact jets give bodies in integer form over the lcm of their denominators."""
     terms = []
+    forms = [D[n]._ints() for n in range(N + 1)]
+    lam = math.lcm(*(d for d, _, _ in forms)) if all(forms) else None
     for t in range(j + 1):
         fac = math.comb(j, t) * math.factorial(j - t)
-        body = Series([fac * D[n].coeff(j - t) for n in range(N + 1)])
+        i = j - t
+        if lam and all(i < len(re) for _, re, _ in forms):
+            body = _int_series(lam, [fac * (lam // d) * re[i] for d, re, _ in forms],
+                               [fac * (lam // d) * im[i] if im else 0 for d, _, im in forms])
+        else:
+            body = Series([fac * D[n].coeff(i) for n in range(N + 1)])
         terms.append(GSTerm(base, t, body))
     return GeneralizedSeries(terms)
 
@@ -695,8 +702,9 @@ def residual_valuation(
         if off is None:
             off_c = to_complex(t.exponent) - to_complex(base)
             off = off_c.real
-        for k, c in enumerate(t.body.coeffs):
-            if (bool(c) if is_exact(c) else abs(to_complex(c)) > thresh):
-                best = min(best, k + off)
-                break
+        k = t.body.valuation() if t.body._ints() else next(
+            (k for k, c in enumerate(t.body.coeffs)
+             if (bool(c) if is_exact(c) else abs(to_complex(c)) > thresh)), None)
+        if k is not None:
+            best = min(best, k + off)
     return best

@@ -20,7 +20,6 @@ __all__ = [
     "is_exact",
     "scalar_is_zero",
     "structural_zero",
-    "conjugate",
     "frac_sqrt",
     "gr_sqrt",
     "integer_difference",
@@ -49,10 +48,6 @@ class GaussianRational:
     # -- conversions -------------------------------------------------------
     def __complex__(self) -> complex:
         return complex(float(self.re), float(self.im))
-
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0
 
     @property
     def is_rational_integer(self) -> bool:
@@ -183,10 +178,6 @@ def to_complex(s: Scalar) -> complex:
 
 def is_exact(s: Scalar) -> bool:
     return isinstance(s, GaussianRational)
-
-
-def conjugate(s: Scalar) -> Scalar:
-    return s.conjugate()
 
 
 def scalar_is_zero(s: Scalar, scale: float = 1.0) -> bool:

@@ -73,9 +73,13 @@ def _as_scalar_list(coeffs: Iterable) -> tuple:
 
 
 class Series:
-    """Truncated power series: coefficients for x^0 .. x^trunc."""
+    """Truncated power series: coefficients for x^0 .. x^trunc.
 
-    __slots__ = ("coeffs",)
+    An exact series is also held in integer form (d, re, im): Gaussian-integer
+    numerators over one positive denominator, reduced by their gcd, im None
+    when real.  Exact arithmetic reads and returns that form (`_IntSeries`)."""
+
+    __slots__ = ("coeffs", "_int")
 
     def __init__(self, coeffs: Sequence, trunc: int | None = None):
         cs = _as_scalar_list(coeffs)
@@ -84,6 +88,8 @@ class Series:
         elif not cs:
             cs = (_ZERO,)
         self.coeffs = cs
+        # the integer form, built when an exact kernel first needs it
+        self._int = None if _EXACT_TYPES.issuperset(map(type, cs)) else False
 
     @classmethod
     def variable(cls, base: Scalar, order: int) -> "Series":
@@ -91,9 +97,17 @@ class Series:
         one = GaussianRational(1) if is_exact(base) else 1.0 + 0j
         return cls([base, one], trunc=order)
 
+    def _ints(self) -> tuple | None:
+        """The integer form (d, re, im), or None unless every coefficient is exact."""
+        t = self._int
+        if t is None:
+            t = self._int = _to_int(self.coeffs)
+        return t or None
+
     @property
     def trunc(self) -> int:
-        return len(self.coeffs) - 1
+        t = self._int
+        return len(t[1] if t else self.coeffs) - 1
 
     def __getitem__(self, n: int) -> Scalar:
         if 0 <= n < len(self.coeffs):
@@ -107,6 +121,11 @@ class Series:
         raise IndexError(f"coefficient {n} beyond the known order {self.trunc}")
 
     def magnitude(self) -> float:
+        t = self._ints()
+        if t:  # int true division is correctly rounded: the bits of float(Fraction)
+            d, re, im = t
+            return max((abs(complex(u / d, v / d)) for u, v in zip(re, im or [0] * len(re))),
+                       default=0.0)
         return max((abs(to_complex(c)) for c in self.coeffs), default=0.0)
 
     def is_zero(self, scale: float | None = None) -> bool:
@@ -114,10 +133,14 @@ class Series:
         return all(scalar_is_zero(c, s) for c in self.coeffs)
 
     def valuation(self, scale: float | None = None) -> int | None:
-        """Index of the first non-negligible coefficient, or None if all vanish."""
+        """Index of the first non-negligible coefficient, or None if all vanish.
+        Exact coefficients are tested exactly, whatever the scale."""
+        t = self._ints()
+        if t:
+            _, re, im = t
+            return next((n for n, u in enumerate(re) if u or (im and im[n])), None)
         if scale is None:
-            # exact coefficients are tested exactly, whatever the scale
-            scale = 1.0 if _all_exact(self.coeffs) else max(1.0, self.magnitude())
+            scale = max(1.0, self.magnitude())
         for n, c in enumerate(self.coeffs):
             if not scalar_is_zero(c, scale):
                 return n
@@ -125,23 +148,33 @@ class Series:
 
     # -- arithmetic (truncates to the shorter operand) ---------------------
     def __add__(self, other: "Series") -> "Series":
-        a, b = self.coeffs, other.coeffs
-        if _all_exact(a) and _all_exact(b):
-            return Series([(x + y if x else y) if y else x for x, y in zip(a, b)])
-        return Series([x + y for x, y in zip(a, b)])
+        b = self._int is not False and other._ints()
+        if b:
+            return _int_sum(self._ints(), b, 1)
+        return Series([x + y for x, y in zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other: "Series") -> "Series":
-        n = min(len(self.coeffs), len(other.coeffs))
-        return Series([self.coeffs[i] - other.coeffs[i] for i in range(n)])
+        b = self._int is not False and other._ints()
+        if b:
+            return _int_sum(self._ints(), b, -1)
+        return Series([x - y for x, y in zip(self.coeffs, other.coeffs)])
 
     def __neg__(self) -> "Series":
+        t = self._ints()
+        if t:
+            return _int_series(t[0], [-u for u in t[1]], t[2] and [-v for v in t[2]])
         return Series([-c for c in self.coeffs])
 
     def __mul__(self, other: "Series") -> "Series":
+        b = self._int is not False and other._ints()
+        if b:
+            a = self._ints()
+            n = min(len(a[1]), len(b[1]))
+            real = a[2] is None and b[2] is None
+            re, im = _convolve(_int_support(a, n), _int_support(b, n), n, real)
+            return _int_series(a[0] * b[0], re, im)
         n = min(len(self.coeffs), len(other.coeffs))
         a, b = self.coeffs[:n], other.coeffs[:n]
-        if _all_exact(a) and _all_exact(b):
-            return Series(_mul_exact(a, b))
         out = [_ZERO] * n
         for i in range(n):
             ai = a[i]
@@ -152,6 +185,8 @@ class Series:
         return Series(out)
 
     def scale(self, k: Scalar) -> "Series":
+        if self._ints() and isinstance(k, (GaussianRational, int)):
+            return self * Series([k], trunc=self.trunc)
         return Series([k * c for c in self.coeffs])
 
     def div(self, other: "Series", scale: float = 1.0) -> "Series":
@@ -184,14 +219,24 @@ class Series:
             out.append(inv0 * acc)
         return Series(out)
 
+    def window(self, lo: int, n: int) -> "Series":
+        """Coefficients lo .. lo + n - 1 as a series of n terms; indices
+        outside 0 .. trunc read as exact zeros."""
+        t = self._ints()
+        if t:
+            d, re, im = t
+            return _int_series(d, _cut(re, lo, n), im and _cut(im, lo, n))
+        cs = self.coeffs
+        return Series(cs[lo:] if lo >= 0 else (_ZERO,) * -lo + cs, trunc=n - 1)
+
     def shift(self, k: int) -> "Series":
         """Multiply by x^k (k >= 0) or divide by x^{-k}, keeping trunc."""
-        if k >= 0:
-            return Series(([_ZERO] * k) + list(self.coeffs), trunc=self.trunc)
-        return Series(list(self.coeffs[-k:]), trunc=self.trunc)
+        return self.window(-k, self.trunc + 1)
 
     def truncate(self, n: int) -> "Series":
-        return Series(self.coeffs, trunc=n)
+        if n < 0:  # no coefficient at all
+            return Series(self.coeffs, trunc=n)
+        return self.window(0, n + 1)
 
     def derivative(self) -> "Series":
         """d/dx as a plain series; trunc drops by one."""
@@ -220,16 +265,17 @@ class Series:
 
 def series_inverse(a: Series) -> Series:
     """Multiplicative inverse of a series with invertible constant term."""
-    if _all_exact(a.coeffs):
-        return Series(_inverse_exact(a.coeffs))
+    if a._ints():
+        return _inverse_exact(a)
     a0 = a.coeffs[0]
     if scalar_is_zero(a0, max(1.0, a.magnitude())):
         raise ZeroDivisionError("series has no invertible constant term")
     n = len(a.coeffs)
     inv0 = (GaussianRational(1) / a0) if is_exact(a0) else (1.0 / to_complex(a0))
-    # exact-zero a_j are skipped: each added an exact zero, or a complex zero
-    # to a sum that the complex terms make complex anyway
-    support = [(j, c) for j, c in enumerate(a.coeffs) if j and not (is_exact(c) and not c)]
+    # exact-zero a_j only add complex zeros to a sum with no -0 part, so they are
+    # skipped, unless an exact a_j != 0 makes them decide when the sum turns complex
+    skip = not any(is_exact(c) and c for c in a.coeffs)
+    support = [(j, c) for j, c in enumerate(a.coeffs) if j and not (skip and is_exact(c) and not c)]
     out = [inv0]
     for k in range(1, n):
         acc = _ZERO
@@ -250,23 +296,63 @@ def _all_exact(coeffs: Sequence) -> bool:
     return _EXACT_TYPES.issuperset(map(type, coeffs))
 
 
-def _common_denominator(coeffs: Sequence[GaussianRational]) -> tuple[int, list, bool]:
-    """(d, support, real) with c_k = (u + v i)/d for each (k, u, v) in
-    support, which lists the non-zero coefficients in increasing k; `real`
-    says that every v is 0."""
-    d = 1
-    for c in coeffs:
-        d = math.lcm(d, c.re.denominator, c.im.denominator)
-    support = []
-    real = True
-    for k, c in enumerate(coeffs):
-        u, v = c.re, c.im
-        if v:
-            real = False
-        elif not u:
-            continue
-        support.append((k, u.numerator * (d // u.denominator), v.numerator * (d // v.denominator)))
-    return d, support, real
+def _to_int(coeffs: Sequence[GaussianRational]) -> tuple:
+    """The integer form of exact coefficients: d is the lcm of their
+    denominators, so the triple is reduced."""
+    d = math.lcm(*(c.re.denominator for c in coeffs), *(c.im.denominator for c in coeffs))
+    re = [c.re.numerator * (d // c.re.denominator) for c in coeffs]
+    im = [c.im.numerator * (d // c.im.denominator) for c in coeffs]
+    return d, re, im if any(im) else None
+
+
+def _int_series(d: int, re: list, im: list | None) -> Series:
+    """The series (re + im i)/d, d != 0, reduced by one gcd to a positive denominator."""
+    im = im if im and any(im) else None
+    g = math.gcd(d, *re, *(im or ())) * (1 if d > 0 else -1)
+    if g != 1:
+        d, re, im = d // g, [u // g for u in re], im and [v // g for v in im]
+    s = _IntSeries.__new__(_IntSeries)
+    s._int = (d, re, im)
+    return s
+
+
+class _IntSeries(Series):
+    """A series made in integer form; its `coeffs` are built on first read, by a
+    `__getattr__` that would slow every attribute read of a float `Series`."""
+
+    __slots__ = ()
+
+    def __getattr__(self, name: str):
+        if name != "coeffs":
+            raise AttributeError(name)
+        d, re, im = self._int
+        cs = self.coeffs = tuple(_gr(u, im[k] if im else 0, d) for k, u in enumerate(re))
+        return cs
+
+
+def _int_sum(a: tuple, b: tuple, sign: int) -> Series:
+    """a + sign b on integer forms, truncated to the shorter operand."""
+    (da, ra, ia), (db, rb, ib) = a, b
+    d = math.lcm(da, db)
+    fa, fb = d // da, sign * (d // db)
+    re = [fa * x + fb * y for x, y in zip(ra, rb)]
+    if ia is None and ib is None:
+        return _int_series(d, re, None)
+    zeros = [0] * len(re)
+    return _int_series(d, re, [fa * x + fb * y for x, y in zip(ia or zeros, ib or zeros)])
+
+
+def _int_support(t: tuple, n: int) -> list:
+    """The non-zero (k, u, v), c_k = (u + v i)/d, among the first n of an integer form."""
+    _, re, im = t
+    return [(k, u, v) for k, (u, v) in enumerate(zip(re[:n], im[:n] if im else [0] * n)) if u or v]
+
+
+def _cut(xs: list, lo: int, n: int) -> list:
+    """xs[lo : lo + n] as a list of n entries, 0 where an index leaves xs."""
+    out = [0] * min(max(-lo, 0), n)
+    out += xs[lo + len(out) : lo + n]
+    return out + [0] * (n - len(out))
 
 
 def _gr(u: int, v: int, d: int) -> GaussianRational:
@@ -274,17 +360,6 @@ def _gr(u: int, v: int, d: int) -> GaussianRational:
     if not v:
         return GaussianRational(Fraction(u, d)) if u else _ZERO
     return GaussianRational(Fraction(u, d), Fraction(v, d))
-
-
-def _mul_exact(a: Sequence[GaussianRational], b: Sequence[GaussianRational]) -> list:
-    """Truncated product of two equal-length exact coefficient lists, with
-    one integer convolution over the non-zero supports."""
-    n = len(a)
-    da, sa, ra = _common_denominator(a)
-    db, sb, rb = _common_denominator(b)
-    re, im = _convolve(sa, sb, n, ra and rb)
-    d = da * db
-    return [_gr(re[k], im[k], d) for k in range(n)]
 
 
 def _convolve(sa: Sequence, sb: Sequence, n: int, real: bool) -> tuple[list, list]:
@@ -311,19 +386,19 @@ def _convolve(sa: Sequence, sb: Sequence, n: int, real: bool) -> tuple[list, lis
     return re, im
 
 
-def _inverse_exact(a: Sequence[GaussianRational]) -> list:
+def _inverse_exact(a: Series) -> Series:
     """Fraction-free inverse: with a = A/d for integers A_j,
-    1/a = d C_k / A_0^(k+1) (see `_unit_inverse`).  A complex a is inverted
-    as conj(a) / (a conj(a)), whose divisor is real."""
-    d, support, real = _common_denominator(a)
-    if not real:
-        conj = [c.conjugate() for c in a]
-        return _mul_exact(conj, _inverse_exact(_mul_exact(a, conj)))
-    if not support or support[0][0] != 0:
+    1/a = d C_k / A_0^(k+1) (see `_unit_inverse`), written over A_0^n.  A
+    complex a is inverted as conj(a) / (a conj(a)), whose divisor is real."""
+    d, re, im = a._ints()
+    if im is not None:
+        conj = _int_series(d, re, [-v for v in im])
+        return conj * _inverse_exact(a * conj)
+    if not re[0]:
         raise ZeroDivisionError("series has no invertible constant term")
-    n = len(a)
-    C, pw = _unit_inverse(support, n)
-    return [_gr(d * C[k], 0, pw[k + 1]) for k in range(n)]
+    n = len(re)
+    C, pw = _unit_inverse([(k, u, 0) for k, u in enumerate(re) if u], n)
+    return _int_series(pw[n], [d * C[k] * pw[n - 1 - k] for k in range(n)], None)
 
 
 def _unit_inverse(support: Sequence, n: int) -> tuple[list, list]:
@@ -378,8 +453,8 @@ def laurent_ratio(num: Series, den: Series) -> tuple[int, Series]:
     if vn is None:
         return 0, Series([_ZERO], trunc=num.trunc)
     v = max(vn, vd)
-    nn = Series(num.coeffs[vn:])
-    dd = Series(den.coeffs[vd:])
+    nn = num.window(vn, num.trunc + 1 - vn)
+    dd = den.window(vd, den.trunc + 1 - vd)
     q = series_div(nn.truncate(num.trunc - v), dd.truncate(den.trunc - v))
     return vn - vd, q
 
@@ -451,7 +526,7 @@ class GeneralizedSeries:
 
     def __sub__(self, other: "GeneralizedSeries") -> "GeneralizedSeries":
         # a float body keeps (-1+0j)*c, which differs from -c in the sign of zeros
-        neg = [GSTerm(t.exponent, t.logpow, -t.body if _all_exact(t.body.coeffs)
+        neg = [GSTerm(t.exponent, t.logpow, -t.body if t.body._ints()
                       else t.body.scale(GaussianRational(-1))) for t in other.terms]
         return GeneralizedSeries(self.terms + tuple(neg))
 
@@ -467,12 +542,6 @@ class GeneralizedSeries:
     def scale(self, k: Scalar) -> "GeneralizedSeries":
         return GeneralizedSeries(
             [GSTerm(t.exponent, t.logpow, t.body.scale(k)) for t in self.terms],
-            normalize=False,
-        )
-
-    def shift_exponent(self, delta: Scalar) -> "GeneralizedSeries":
-        return GeneralizedSeries(
-            [GSTerm(t.exponent + delta, t.logpow, t.body) for t in self.terms],
             normalize=False,
         )
 
@@ -501,61 +570,46 @@ class GeneralizedSeries:
 
 
 def _normalize_terms(terms: tuple[GSTerm, ...]) -> tuple[GSTerm, ...]:
-    """Fold integer exponent offsets into bodies, merge, drop zero terms."""
+    """Fold integer exponent offsets into bodies, merge, drop zero terms.
+    Each term is placed once, at its offset in its class; a class is
+    represented by its member of smallest offset (the first one met)."""
     if not terms:
         return ()
-    exact = all(_all_exact(t.body.coeffs) for t in terms)
+    exact = all(t.body._ints() for t in terms)
     scale = 1.0 if exact else max(1.0, max(t.body.magnitude() for t in terms))
-    # choose class representatives: smallest real part within each integer class
-    reps: list[Scalar] = []
+    classes: list[list] = []  # [first exponent, smallest offset, its exponent]
+    placed = []  # (class index, offset) per term
     for t in terms:
-        placed = False
-        for i, r in enumerate(reps):
-            k = integer_difference(t.exponent, r, EXP_TOL)
+        for i, cl in enumerate(classes):
+            k = integer_difference(t.exponent, cl[0], EXP_TOL)
             if k is not None:
-                if k < 0:
-                    reps[i] = t.exponent
-                placed = True
+                if k < cl[1]:
+                    cl[1], cl[2] = k, t.exponent
                 break
-        if placed:
-            continue
-        reps.append(t.exponent)
-    merged: dict[tuple[int, int], Series] = {}
-    rep_of: dict[tuple[int, int], Scalar] = {}
+        else:
+            i, k = len(classes), 0
+            classes.append([t.exponent, 0, t.exponent])
+        placed.append((i, k))
     trunc = min(t.body.trunc for t in terms)
-    for t in terms:
-        for i, r in enumerate(reps):
-            k = integer_difference(t.exponent, r, EXP_TOL)
-            if k is not None:
-                key = (i, t.logpow)
-                body = t.body.truncate(trunc).shift(k)
-                if key in merged:
-                    merged[key] = merged[key] + body
-                else:
-                    merged[key] = body
-                    rep_of[key] = r
-                break
+    merged: dict[tuple[int, int], Series] = {}
+    for t, (i, k) in zip(terms, placed):
+        key = (i, t.logpow)
+        body = t.body.truncate(trunc).shift(k - classes[i][1])
+        merged[key] = merged[key] + body if key in merged else body
+    where = [complex(cl[2]) for cl in classes]
     out = []
-    for key in sorted(
-        merged,
-        key=lambda k: (
-            to_complex(rep_of[k]).real,
-            to_complex(rep_of[k]).imag,
-            k[1],
-        ),
-    ):
-        body = merged[key]
-        if not any(body.coeffs) if exact else body.is_zero(scale):
+    for i, m in sorted(merged, key=lambda key: (where[key[0]].real, where[key[0]].imag, key[1])):
+        body = merged[i, m]
+        v = body.valuation() if exact else None if body.is_zero(scale) else next(
+            n for n, c in enumerate(body.coeffs) if not structural_zero(c))
+        if v is None:
             continue
-        rho, k2 = rep_of[key], key[1]
-        # compact: strip exactly-zero leading coefficients into the exponent
-        v = 0
-        while v < len(body.coeffs) and structural_zero(body.coeffs[v]):
-            v += 1
-        if v and v <= body.trunc:
-            body = Series(body.coeffs[v:])
+        rho = classes[i][2]
+        if v:
+            # compact: exactly-zero leading coefficients go into the exponent
+            body = body.window(v, body.trunc + 1 - v)
             rho = rho + v
-        out.append(GSTerm(rho, k2, body))
+        out.append(GSTerm(rho, m, body))
     return tuple(out)
 
 
@@ -569,8 +623,9 @@ def gs_differentiate(g: GeneralizedSeries) -> GeneralizedSeries:
     for t in g.terms:
         rho, m = t.exponent, t.logpow
         body = t.body.truncate(max(t.body.trunc - 1, 0))
-        if isinstance(rho, GaussianRational) and _all_exact(body.coeffs):
-            power_body, log_body = _differentiate_exact(rho, m, body.coeffs)
+        exact = body._ints()
+        if isinstance(rho, GaussianRational) and exact:
+            power_body, log_body = _differentiate_exact(rho, m, exact)
         else:
             power_body = Series([(rho + n) * c for n, c in enumerate(body.coeffs)])
             log_body = body.scale(m) if m else None
@@ -580,21 +635,21 @@ def gs_differentiate(g: GeneralizedSeries) -> GeneralizedSeries:
     return GeneralizedSeries(out)
 
 
-def _differentiate_exact(rho: GaussianRational, m: int, cs: Sequence) -> tuple:
-    """The bodies (rho + n) c_n and m c_n, with rho = (p + q i)/e and
-    c_n = (u + v i)/d, as Gaussian-integer products over e d and d."""
-    e = math.lcm(rho.re.denominator, rho.im.denominator)
-    p = rho.re.numerator * (e // rho.re.denominator)
-    q = rho.im.numerator * (e // rho.im.denominator)
-    d, support, _ = _common_denominator(cs)
-    power = [_ZERO] * len(cs)
-    log = [_ZERO] * len(cs)
-    for n, u, v in support:
-        a = p + n * e
-        power[n] = _gr(a * u - q * v, a * v + q * u, d * e)
-        if m:
-            log[n] = _gr(m * u, m * v, d)
-    return Series(power), Series(log) if m else None
+def _differentiate_exact(rho: GaussianRational, m: int, body: tuple) -> tuple:
+    """The bodies (rho + n) c_n and m c_n, with rho = (p + q i)/e and c_n = (u + v i)/d
+    in integer form, as Gaussian-integer products over e d and d."""
+    e, (p,), q = _to_int([rho])
+    q = q[0] if q else 0
+    d, re, im = body
+    a = [p + n * e for n in range(len(re))]
+    if im is None and not q:
+        power = _int_series(d * e, [x * u for x, u in zip(a, re)], None)
+    else:
+        im = im or [0] * len(re)
+        power = _int_series(d * e, [x * u - q * v for x, u, v in zip(a, re, im)],
+                            [x * v + q * u for x, u, v in zip(a, re, im)])
+    log = _int_series(d, [m * u for u in re], im and [m * v for v in im]) if m else None
+    return power, log
 
 
 def gs_integrate(g: GeneralizedSeries) -> GeneralizedSeries:
@@ -661,7 +716,7 @@ def gs_div_single(g: GeneralizedSeries, d: GeneralizedSeries) -> GeneralizedSeri
     v = dt.body.valuation()
     if v is None:
         raise ZeroDivisionError("divisor vanishes through trunc")
-    unit = Series(dt.body.coeffs[v:])
+    unit = dt.body.window(v, dt.body.trunc + 1 - v)
     inv = series_inverse(unit)
     out = []
     for t in g.terms:

@@ -209,3 +209,31 @@ def test_infinity_chart_keeps_the_requested_terms(tmp_path, capsys, terms):
     report = json.loads(capsys.readouterr().out)
     assert report["case"] == "o2_integer_diff(1)"
     assert report["residual_valuations"] == ["clean", "clean"]
+
+
+HOLONOMY_DOC = {"format": 1, "order": 2, "coeffs": [[0, 0, 1], [0], [1]], "options": {"terms": 8}}
+
+
+@pytest.mark.parametrize(
+    "holonomy",
+    [
+        {"loops": [5]},
+        {"loops": "x"},
+        {"loops": [{"center": [2, 0], "radius": "abc"}]},
+        {"loops": [{"center": [2, 0], "radius": -1}]},
+        {"loops": [{"center": [2, 0], "radius": 1.0, "turns": 0}]},
+    ],
+    ids=["loop-not-object", "loops-not-list", "radius-not-number", "radius-negative", "turns-zero"],
+)
+def test_holonomy_rejects_malformed_loops(tmp_path, capsys, holonomy):
+    doc = {**HOLONOMY_DOC, "options": {"terms": 8, "holonomy": holonomy}}
+    assert main(["holonomy", _write(tmp_path, doc)]) == 2
+    assert "loop" in capsys.readouterr().err
+
+
+def test_holonomy_accepts_a_valid_loop(tmp_path, capsys):
+    loop = {"loops": [{"center": [2, 0], "radius": 1.0, "turns": 1}]}
+    doc = {**HOLONOMY_DOC, "options": {"terms": 8, "holonomy": loop}}
+    assert main(["holonomy", _write(tmp_path, doc)]) == 0
+    (g,) = json.loads(capsys.readouterr().out)["generators"]
+    assert g["identity_defect"] < 1e-6

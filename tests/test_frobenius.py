@@ -610,3 +610,25 @@ def test_float_and_mixed_recurrence_on_resonant_and_irrational_forms():
         for jet_order in range(3):
             got = _same_as_jet_loop(f, roots, G(1), jet_order // 2, jet_order, 12)
             assert all(t is complex for t, _ in got[2])
+
+
+def test_certificates_build_few_gaussian_rationals(monkeypatch):
+    """The wronskian and the residuals of criterion 1's exact third-order
+    Bessel system run on integer-form bodies: building them makes a few
+    hundred `GaussianRational`s (exponents and zero tests), not one per
+    coefficient (1460 when every product and sum made its coefficients)."""
+    e = Ode.from_rows([[0, 0, 0, 1], [0, 0, 3], [0, 1], [0, 0, 0, 1]], trunc=26)
+    fs = solve(e, N=26)
+    made = [0]
+    init = GaussianRational.__init__
+
+    def counting(self, *args):
+        made[0] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(GaussianRational, "__init__", counting)
+    W = wronskian_of_system(fs)
+    residuals = [residual(e, s) for s in fs.solutions]
+    monkeypatch.undo()
+    assert made[0] <= 400
+    assert len(W.terms) == 1 and all(r.is_zero() for r in residuals)

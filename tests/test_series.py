@@ -344,6 +344,17 @@ def test_float_inverse_matches_the_full_recurrence(a0, tail):
     assert [(type(c), repr(c)) for c in got.coeffs] == [(type(c), repr(c)) for c in want]
 
 
+def test_mixed_inverse_converts_exact_terms_where_the_full_recurrence_does():
+    # exact i at x^2 and x^4 beside 0j at x^5: skipping the exact zeros summed
+    # the exact products before converting them, 0.04320000000000001 for 0.0432
+    a = Series([GaussianRational(1, 2), 0, GaussianRational(0, 1), 0, GaussianRational(0, 1), 0j],
+               trunc=14)
+    want = _float_inverse_reference(a)
+    assert [(type(c), repr(c)) for c in series_inverse(a).coeffs] == [
+        (type(c), repr(c)) for c in want]
+    assert repr(want[6]) == "(0.1376-0.0432j)"
+
+
 # -- exact generalized-series operations against a naive GaussianRational oracle
 
 
@@ -539,3 +550,224 @@ def test_exact_zero_tests_compute_no_magnitude(monkeypatch):
     assert [t.exponent for t in g.terms] == [GaussianRational(3), GaussianRational(4)]
     with pytest.raises(AssertionError):
         Series([0, 1e-13 + 0j, 1.0 + 0j]).valuation()
+
+
+# -- the integer form against naive GaussianRational operations --------------
+
+
+def _int_form(d: int, re: list, im: list | None) -> Series:
+    from frobode.series import _int_series
+
+    return _int_series(d, list(re), None if im is None else list(im))
+
+
+def _eager(d: int, re: list, im: list | None) -> Series:
+    return Series([GaussianRational(Fraction(u, d), Fraction(im[k] if im else 0, d))
+                   for k, u in enumerate(re)])
+
+
+@st.composite
+def integer_forms(draw, min_size=1):
+    """(d, re, im) triples, often unreduced (a common factor in d and every
+    numerator), real (im None, or a list of zeros) or complex, sparse,
+    all-zero or of length 1; some numerators exceed 2^53."""
+    n = draw(st.integers(min_size, 9))
+    big = draw(st.booleans())
+    num = (st.one_of(st.integers(2**53, 2**66), st.integers(-(2**66), -(2**53))) if big
+           else st.integers(-12, 12))
+    zero_or = lambda s: st.one_of(st.just(0), s)  # noqa: E731
+    re = draw(st.lists(zero_or(num), min_size=n, max_size=n))
+    kind = draw(st.sampled_from(["real", "zeros", "complex"]))
+    im = {"real": None, "zeros": [0] * n,
+          "complex": draw(st.lists(zero_or(num), min_size=n, max_size=n))}[kind]
+    g = draw(st.sampled_from([1, 1, 2, 6, 35]))
+    d = draw(st.integers(1, 40)) * g
+    re = [g * u for u in re]
+    im = im and [g * v for v in im]
+    return d, re, im
+
+
+def _assert_reduced(s: Series):
+    d, re, im = s._int
+    assert d > 0 and math.gcd(d, *re, *(im or ())) == 1
+    assert im is None or any(im)
+
+
+def _assert_same(got: Series, want: Series):
+    """Equal by repr to the eager series, with reduced Fractions, in integer form."""
+    _assert_reduced(got)
+    assert repr(got) == repr(want)
+    assert [(c.re.numerator, c.re.denominator, c.im.numerator, c.im.denominator)
+            for c in got.coeffs] == [(c.re.numerator, c.re.denominator,
+                                      c.im.numerator, c.im.denominator) for c in want.coeffs]
+
+
+def _naive_mul(a, b):
+    n = min(len(a), len(b))
+    return Series([sum((a[i] * b[k - i] for i in range(k + 1)), GaussianRational(0))
+                   for k in range(n)])
+
+
+def _naive_shift(cs, k):
+    padded = [GaussianRational(0)] * max(k, 0) + list(cs[max(-k, 0):])
+    return Series(padded, trunc=len(cs) - 1)
+
+
+@settings(max_examples=150)
+@given(integer_forms(), integer_forms(), small_exponents, st.integers(-4, 12))
+def test_integer_form_operations_match_naive_gaussian_rationals(ta, tb, k, m):
+    a, b = _int_form(*ta), _int_form(*tb)
+    ea, eb = _eager(*ta).coeffs, _eager(*tb).coeffs
+    _assert_same(a, Series(ea))
+    _assert_same(a * b, _naive_mul(ea, eb))
+    _assert_same(a + b, Series([x + y for x, y in zip(ea, eb)]))
+    _assert_same(a - b, Series([x - y for x, y in zip(ea, eb)]))
+    _assert_same(-a, Series([-x for x in ea]))
+    _assert_same(a.scale(k), Series([k * x for x in ea]))
+    _assert_same(a.scale(m), Series([m * x for x in ea]))
+    if m >= 0:
+        _assert_same(a.truncate(m), Series(ea, trunc=m))
+    _assert_same(a.shift(m), _naive_shift(ea, m))
+    assert a.valuation() == next((n for n, c in enumerate(ea) if c), None)
+    assert a.trunc == len(ea) - 1
+
+
+@settings(max_examples=150)
+@given(integer_forms())
+def test_integer_form_inverse_and_magnitude(t):
+    a = _int_form(*t)
+    cs = _eager(*t).coeffs
+    # the parent's formula, bit for bit
+    want = max(abs(to_complex(c)) for c in cs)
+    got = a.magnitude()
+    assert (got == want and repr(got) == repr(want))
+    if cs[0]:
+        inv = series_inverse(a)
+        _assert_reduced(inv)
+        assert _pairs(inv) == _naive_inverse(_pairs(Series(cs)))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            series_inverse(a)
+
+
+def test_integer_form_magnitude_is_correctly_rounded():
+    # float(u) / d rounds twice and misses float(Fraction(u, d)) here
+    for d, re, im in ((3, [2**53 + 1], None), (14, [0, 218639182639853878], None),
+                      (7, [1, 2**53 + 1], [2**53 + 1, -5])):
+        want = max(abs(to_complex(c)) for c in _eager(d, re, im).coeffs)
+        assert repr(_int_form(d, re, im).magnitude()) == repr(want)
+
+
+@settings(max_examples=100)
+@given(integer_forms(), small_exponents, st.integers(0, 2))
+def test_integer_form_differentiate_matches_naive(t, rho, m):
+    g = GeneralizedSeries([GSTerm(rho, m, _int_form(*t))], normalize=False)
+    naive = _naive_differentiate(GeneralizedSeries([GSTerm(rho, m, _eager(*t))], normalize=False))
+    got = gs_differentiate(g)
+    assert repr(got) == repr(naive)
+    for term in got.terms:
+        _assert_reduced(term.body)
+
+
+@settings(max_examples=60)
+@given(integer_forms(), integer_forms())
+def test_integer_form_coefficients_are_built_once(ta, tb):
+    a = _int_form(*ta)
+    first = a.coeffs
+    assert a.coeffs is first
+    assert repr(Series(first)) == repr(_eager(*ta))
+    # arithmetic on a read series still reads and returns the integer form
+    _assert_same(a * _int_form(*tb), _naive_mul(_eager(*ta).coeffs, _eager(*tb).coeffs))
+
+
+def test_integer_form_stays_unmaterialized(monkeypatch):
+    import frobode.series as series_mod
+
+    a = _int_form(6, [3, 0, -2, 12], [0, 4, 0, 6])
+    b = _int_form(35, [7, 5, 0, 0], None)
+    c = Series([Fraction(1, 3), GaussianRational(0, 1), 2, 0])
+
+    def refuse(*args):
+        raise AssertionError("a coefficient was built from the integer form")
+
+    monkeypatch.setattr(series_mod, "_gr", refuse)
+    out = [a * b, a + b, a - b, -a, a.scale(GaussianRational(2, 1)), a.truncate(2),
+           a.shift(2), a.shift(-1), series_inverse(b), c * a, c + a]
+    g = GeneralizedSeries([GSTerm(GaussianRational(Fraction(1, 2)), 1, a),
+                           GSTerm(GaussianRational(Fraction(3, 2)), 1, b)])
+    out += [t.body for t in gs_differentiate(g).terms]
+    assert a.valuation() == 0 and b.shift(-2).valuation() is None
+    assert a.magnitude() > 0 and all(s._int for s in out)
+
+
+def test_integer_form_with_float_operands_takes_the_float_path():
+    a = _int_form(6, [3, 0, -2], [0, 4, 0])
+    f = Series([0.5 + 0j, -0.0 + 0j, 2.0 - 1j])
+    ea = _eager(6, [3, 0, -2], [0, 4, 0]).coeffs
+    for got, want in (
+        (a * f, Series([sum((ea[i] * f.coeffs[k - i] for i in range(k + 1)), GaussianRational(0))
+                        for k in range(3)])),
+        (f * a, Series([sum((f.coeffs[i] * ea[k - i] for i in range(k + 1)), GaussianRational(0))
+                        for k in range(3)])),
+        (a + f, Series([x + y for x, y in zip(ea, f.coeffs)])),
+        (f - a, Series([y - x for x, y in zip(ea, f.coeffs)])),
+        (a.scale(0.5 + 0j), Series([(0.5 + 0j) * x for x in ea])),
+    ):
+        assert all(isinstance(c, complex) for c in got.coeffs)
+        assert repr(got) == repr(want)
+
+
+def _two_pass_normalize(terms):
+    """The earlier `_normalize_terms`: representatives chosen in one pass over
+    the terms, every term matched against them again in a second."""
+    from frobode.scalars import integer_difference, structural_zero
+    from frobode.series import EXP_TOL
+
+    scale = max(1.0, max(t.body.magnitude() for t in terms))
+    reps = []
+    for t in terms:
+        for i, r in enumerate(reps):
+            k = integer_difference(t.exponent, r, EXP_TOL)
+            if k is not None:
+                if k < 0:
+                    reps[i] = t.exponent
+                break
+        else:
+            reps.append(t.exponent)
+    merged, rep_of = {}, {}
+    trunc = min(t.body.trunc for t in terms)
+    for t in terms:
+        for i, r in enumerate(reps):
+            k = integer_difference(t.exponent, r, EXP_TOL)
+            if k is not None:
+                body = t.body.truncate(trunc).shift(k)
+                key = (i, t.logpow)
+                merged[key] = merged[key] + body if key in merged else body
+                rep_of.setdefault(key, r)
+                break
+    out = []
+    for key in sorted(merged, key=lambda k: (to_complex(rep_of[k]).real,
+                                             to_complex(rep_of[k]).imag, k[1])):
+        body, rho = merged[key], rep_of[key]
+        if body.is_zero(scale):
+            continue
+        v = next(n for n, c in enumerate(body.coeffs) if not structural_zero(c))
+        if v:
+            body, rho = Series(body.coeffs[v:]), rho + v
+        out.append(GSTerm(rho, key[1], body))
+    return tuple(out)
+
+
+@settings(max_examples=150)
+@given(st.lists(
+    st.builds(GSTerm,
+              st.sampled_from([0.5 + 0j, 1.5 + 0j, -0.5 + 0j, 1.5 + 2e-10j, 2.5 - 3e-10 + 0j,
+                               0.25 + 1j, 2.25 + 1j, GaussianRational(Fraction(1, 2)),
+                               GaussianRational(Fraction(5, 2))]),
+              st.integers(0, 1),
+              st.lists(st.sampled_from([0j, -0.0 + 0j, 1.5 + 0j, -2.0 + 0.25j, 1e-14 + 0j,
+                                        GaussianRational(0), GaussianRational(3)]),
+                       min_size=1, max_size=6).map(Series)),
+    min_size=1, max_size=6))
+def test_float_normalization_matches_the_two_pass_merge(terms):
+    assert repr(GeneralizedSeries(terms).terms) == repr(_two_pass_normalize(tuple(terms)))
