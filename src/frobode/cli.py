@@ -44,7 +44,7 @@ from .ode import (
     transform_to_infinity,
 )
 from .riccati import Circle, global_holonomy, riccati_model
-from .scalars import GaussianRational, Scalar, is_exact, structural_zero, to_complex
+from .scalars import VALUATION_TOL, GaussianRational, Scalar, is_exact, structural_zero, to_complex
 from .series import (
     GeneralizedSeries,
     GSTerm,
@@ -136,7 +136,9 @@ def parse_gs(obj, where: str = "solution") -> GeneralizedSeries:
             )
             for t in obj["terms"]
         ]
-    except (KeyError, TypeError) as exc:
+    except DocumentError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
         raise DocumentError(f"{where}: malformed generalized series: {exc}")
     return GeneralizedSeries(terms, normalize=False)
 
@@ -360,7 +362,7 @@ def cmd_eval(ctx_or_bundle, args) -> dict:
     """Two-column evaluation table of a solve-bundle solution."""
     bundle = ctx_or_bundle
     sols = bundle.get("solutions")
-    if not sols:
+    if not isinstance(sols, list) or not sols:
         raise DocumentError("eval expects a solve bundle with 'solutions'")
     idx = args.solution
     if not (0 <= idx < len(sols)):
@@ -381,13 +383,15 @@ def cmd_eval(ctx_or_bundle, args) -> dict:
 
 def cmd_residual(bundle: dict, args) -> dict:
     """Re-validate a solve bundle: recompute each residual valuation."""
-    if "input" not in bundle or "solutions" not in bundle:
-        raise DocumentError("residual expects a solve bundle")
+    indicial = bundle.get("indicial")
+    roots = indicial.get("roots") if isinstance(indicial, dict) else None
+    if "input" not in bundle or "solutions" not in bundle or not isinstance(roots, list):
+        raise DocumentError("residual expects a solve bundle with 'indicial.roots'")
     ctx = parse_document(bundle["input"])
     e = ctx["ode"]
     hom = Ode(e.order, e.coeffs, e.chart, None)
     scale = max(1.0, max(r.magnitude() for r in e.coeffs))
-    roots = [parse_scalar(r, "roots") for r in bundle["indicial"]["roots"]]
+    roots = [parse_scalar(r, "roots") for r in roots]
     recomputed = []
     for obj, root in zip(bundle["solutions"], roots):
         g = parse_gs(obj)
@@ -397,7 +401,8 @@ def cmd_residual(bundle: dict, args) -> dict:
         )
     reported = bundle.get("residual_valuations", [])
     ok = len(reported) == len(recomputed) and all(
-        a == b or (isinstance(a, (int, float)) and isinstance(b, (int, float)) and abs(a - b) < 1e-9)
+        a == b or (isinstance(a, (int, float)) and isinstance(b, (int, float))
+                   and abs(a - b) < VALUATION_TOL)
         for a, b in zip(reported, recomputed)
     )
     out = {"recomputed": recomputed, "reported": reported, "matches": ok}
@@ -456,6 +461,20 @@ def _load_json(path: str):
         raise DocumentError(f"cannot read document: {exc}")
 
 
+def _apply_overrides(obj: dict, args) -> None:
+    """Write --point, --terms and --mode into the document."""
+    if args.point is not None:
+        try:
+            obj["point"] = json.loads(args.point) if args.point != "infinity" else "infinity"
+        except json.JSONDecodeError:
+            raise DocumentError(f"--point: cannot parse {args.point!r}")
+    options = {k: v for k, v in (("terms", args.terms), ("mode", args.mode)) if v is not None}
+    if options:
+        if not isinstance(obj.setdefault("options", {}), dict):
+            raise DocumentError("'options' must be an object")
+        obj["options"].update(options)
+
+
 def _emit(report: dict, output: Optional[str]) -> None:
     text = json.dumps(report, indent=2)
     if output:
@@ -470,17 +489,12 @@ def main(argv=None) -> int:
     func, kind = _COMMANDS[args.command]
     try:
         obj = _load_json(args.document)
+        if not isinstance(obj, dict):
+            raise DocumentError("the input must be a JSON object")
         if kind == "doc":
-            if args.point is not None:
-                obj["point"] = json.loads(args.point) if args.point != "infinity" else "infinity"
-            if args.terms is not None:
-                obj.setdefault("options", {})["terms"] = args.terms
-            if args.mode is not None:
-                obj.setdefault("options", {})["mode"] = args.mode
-            payload = parse_document(obj)
-        else:
-            payload = obj
-        report = func(payload, args)
+            _apply_overrides(obj, args)
+            obj = parse_document(obj)
+        report = func(obj, args)
     except DocumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -27,7 +27,8 @@ from .indicial import (
     integer_difference,
 )
 from .ode import FrobeniusForm, Ode, to_frobenius_form
-from .scalars import GaussianRational, Scalar, is_exact, scalar_is_zero, structural_zero, to_complex
+from .scalars import (DIVERGENT_RADIUS, PIVOT_TOL, RESIDUAL_TOL, GaussianRational, Scalar,
+                      is_exact, poly_mul, scalar_is_zero, structural_zero, to_complex)
 from .series import (
     GSTerm,
     GeneralizedSeries,
@@ -61,6 +62,12 @@ __all__ = [
 
 _ZERO = GaussianRational(0)
 _ONE = GaussianRational(1)
+
+#: ratios |a_(k+1)/a_k| a formal probe reports
+_TRACE_LEN = 10
+
+#: last non-zero coefficients a radius estimate reads
+_RADIUS_TAIL = 8
 
 
 @dataclass(frozen=True)
@@ -98,9 +105,7 @@ def recurrence_jets(
     if _all_exact([base, *roots]) and _form_exact(f):
         qpoly = [_ONE]  # prod (z - r_i), low power first
         for r in roots:
-            qpoly = [_ZERO] + qpoly
-            for i in range(len(qpoly) - 1):
-                qpoly[i] = qpoly[i] - r * qpoly[i + 1]
+            qpoly = poly_mul(qpoly, [-r, _ONE])
         return _recurrence_exact(f, base, seed_pow, jet_order, N, qpoly)
     return _recurrence_jets(
         f, base, seed_pow, jet_order, N, lambda n: _q_jet(roots, base, n, jet_order)
@@ -465,12 +470,13 @@ class FormalProbe:
     radius_estimate: float  # may be 0.0 or math.inf
 
 
-def formal_probe(e: Ode, N: int = 32, trace_len: int = 10) -> FormalProbe:
+def formal_probe(e: Ode, N: int = 32) -> FormalProbe:
     """Plain power-series ansatz in the raw equation; reports whether
     nontrivial formal solutions exist and estimates their radius."""
     rows = []
     order = e.order
     exact = all(is_exact(c) for row in e.coeffs for c in row.coeffs)
+    scale = 1.0 if exact else max(1.0, max(r.magnitude() for r in e.coeffs))
     for k in range(N + order + 1):
         row = [_ZERO] * (N + 1)
         support_ok = True
@@ -482,10 +488,8 @@ def formal_probe(e: Ode, N: int = 32, trace_len: int = 10) -> FormalProbe:
                 if 0 <= idx <= arow.trunc:
                     cc = arow[idx]
                     if not structural_zero(cc):
-                        coef = coef + _falling(n, deriv) * cc
-            if structural_zero(coef):
-                continue
-            if not is_exact(coef) and scalar_is_zero(coef, max(1.0, _row_mag(e))):
+                        coef = coef + math.perm(n, deriv) * cc
+            if scalar_is_zero(coef, scale):
                 continue
             if n > N:
                 support_ok = False
@@ -499,11 +503,11 @@ def formal_probe(e: Ode, N: int = 32, trace_len: int = 10) -> FormalProbe:
     candidates = tuple(_monic_leading(Series(v)) for v in basis)
     primary = candidates[0]
     trace = []
-    for k in range(min(trace_len, N)):
+    for k in range(min(_TRACE_LEN, N)):
         a0, a1 = to_complex(primary[k]), to_complex(primary[k + 1])
         trace.append(abs(a1 / a0) if a0 != 0 else math.inf)
     radius = min(_radius_estimate(c) for c in candidates)
-    status = "divergent_formal" if radius < 1e-3 else "solutions"
+    status = "divergent_formal" if radius < DIVERGENT_RADIUS else "solutions"
     return FormalProbe(status, candidates, tuple(trace), radius)
 
 
@@ -515,17 +519,6 @@ def _monic_leading(s: Series) -> Series:
     if is_exact(lead):
         return s.scale(GaussianRational(1) / lead)
     return s.scale(1.0 / to_complex(lead))
-
-
-def _row_mag(e: Ode) -> float:
-    return max(r.magnitude() for r in e.coeffs)
-
-
-def _falling(n: int, i: int) -> int:
-    out = 1
-    for t in range(i):
-        out *= n - t
-    return out
 
 
 def _nullspace(rows: list[list], ncols: int, exact: bool) -> list[list]:
@@ -551,7 +544,7 @@ def _nullspace(rows: list[list], ncols: int, exact: bool) -> list[list]:
             continue
         if not exact:
             rowscale = max(abs(to_complex(c)) for c in mat[best])
-            if bestmag <= 1e-10 * max(1.0, rowscale):
+            if bestmag <= PIVOT_TOL * max(1.0, rowscale):
                 continue
         used[best] = True
         pivots[col] = best
@@ -576,15 +569,15 @@ def _nullspace(rows: list[list], ncols: int, exact: bool) -> list[list]:
     return basis
 
 
-def _radius_estimate(s: Series, tail: int = 8) -> float:
-    """1 / limsup |a_n|^(1/n) from the last `tail` terms, with a growth-trend
+def _radius_estimate(s: Series) -> float:
+    """1 / limsup |a_n|^(1/n) from the last `_RADIUS_TAIL` terms, with a growth-trend
     test: steadily increasing |a_n|^(1/n) (super-geometric coefficients)
     reports radius 0."""
     mags = [abs(to_complex(c)) for c in s.coeffs]
     idx = [n for n in range(1, len(mags)) if mags[n] > 0]
     if not idx:
         return math.inf
-    last = idx[-tail:]
+    last = idx[-_RADIUS_TAIL:]
     if len(last) < 3:
         return math.inf
     rho = [mags[n] ** (1.0 / n) for n in last]
@@ -685,18 +678,13 @@ def residual(e: Ode, g: GeneralizedSeries) -> GeneralizedSeries:
     return out
 
 
-def residual_valuation(
-    res: GeneralizedSeries,
-    base: Scalar,
-    scale: float = 1.0,
-    tol: float = 1e-9,
-) -> float:
+def residual_valuation(res: GeneralizedSeries, base: Scalar, scale: float = 1.0) -> float:
     """How deeply the residual vanishes, graded by x^base: the smallest
     k + offset over non-negligible coefficients (math.inf if none).  An exact
-    coefficient is negligible only when it is zero; `scale` and `tol` apply
-    to floating coefficients."""
+    coefficient is negligible only when it is zero; a floating one when it is
+    at most RESIDUAL_TOL * scale."""
     best = math.inf
-    thresh = tol * max(1.0, scale)
+    thresh = RESIDUAL_TOL * max(1.0, scale)
     for t in res.terms:
         off = integer_difference(t.exponent, base)
         if off is None:

@@ -10,8 +10,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .ode import FrobeniusForm
-from .scalars import (INT_TOL, GaussianRational, Scalar, gr_sqrt, integer_difference,
-                      is_exact, to_complex)
+from .scalars import (INT_TOL, NEWTON_TOL, GaussianRational, Scalar, gr_sqrt,
+                      integer_difference, is_exact, poly_derivative, poly_divide_linear,
+                      poly_eval, to_complex)
 
 __all__ = [
     "IndicialData",
@@ -64,13 +65,6 @@ def indicial_polynomial(f: FrobeniusForm) -> tuple:
     return (c0, GaussianRational(2) - a0 + b0, a0 - GaussianRational(3), _ONE)
 
 
-def _poly_eval(poly: Sequence[Scalar], z):
-    acc = poly[-1] if poly else 0
-    for c in reversed(poly[:-1]):
-        acc = acc * z + c
-    return acc
-
-
 def _rational_root(poly: Sequence[GaussianRational]) -> Optional[GaussianRational]:
     """A rational root of a monic cubic with real-rational coefficients, or None.
 
@@ -88,7 +82,7 @@ def _rational_root(poly: Sequence[GaussianRational]) -> Optional[GaussianRationa
     fracs = [c.re for c in poly]
     if fracs[0] == 0:
         return GaussianRational(0)
-    dfracs = [k * fracs[k] for k in range(1, len(fracs))]
+    dfracs = poly_derivative(fracs)
     g = _poly_gcd(fracs, dfracs)
     if len(g) == 2:
         return GaussianRational(-g[0] / g[1])
@@ -100,15 +94,15 @@ def _rational_root(poly: Sequence[GaussianRational]) -> Optional[GaussianRationa
     for z in np.roots([float(f) for f in reversed(fracs)]):
         x = Fraction(float(z.real))
         for _ in range(_NEWTON_STEPS):
-            dp = _poly_eval(dfracs, x)
+            dp = poly_eval(dfracs, x)
             if dp == 0:
                 break
-            step = _poly_eval(fracs, x) / dp
+            step = poly_eval(fracs, x) / dp
             x = Fraction(round((x - step) * grid), grid)
             if abs(step) < tol:
                 break
         cand = x.limit_denominator(lead)
-        if _poly_eval(fracs, cand) == 0:
+        if poly_eval(fracs, cand) == 0:
             return GaussianRational(cand)
     return None
 
@@ -130,16 +124,6 @@ def _poly_gcd(p: list, q: list) -> list:
     return p
 
 
-def _deflate(poly: list, root: Scalar) -> list:
-    """Synthetic division of a monic polynomial by (r - root)."""
-    n = len(poly) - 1
-    out = [None] * n
-    out[n - 1] = poly[n]
-    for i in range(n - 1, 0, -1):
-        out[i - 1] = poly[i] + root * out[i]
-    return out
-
-
 def _exact_quadratic(poly: Sequence[GaussianRational]) -> Optional[list]:
     c, b, a = poly
     disc = b * b - GaussianRational(4) * a * c
@@ -159,7 +143,6 @@ def solve_roots(poly: Sequence[Scalar]) -> tuple[tuple, bool]:
     """All roots of a degree-2/3 monic polynomial, ordered by decreasing real
     part (ties: decreasing imaginary part).  Returns (roots, exact_flag)."""
     poly = list(poly)
-    deg = len(poly) - 1
     exact_in = all(is_exact(c) for c in poly)
     if exact_in:
         roots: list[Scalar] = []
@@ -169,7 +152,7 @@ def solve_roots(poly: Sequence[Scalar]) -> tuple[tuple, bool]:
             if r is None:
                 break
             roots.append(r)
-            work = _deflate(work, r)
+            work, _ = poly_divide_linear(work, r)
         if len(work) - 1 == 2:
             quad = _exact_quadratic(work)
             if quad is not None:
@@ -181,14 +164,14 @@ def solve_roots(poly: Sequence[Scalar]) -> tuple[tuple, bool]:
     # floating fallback: companion matrix + two Newton polish steps
     cpoly = [to_complex(c) for c in poly]
     arr = np.roots(list(reversed(cpoly)))
-    dpoly = [k * cpoly[k] for k in range(1, deg + 1)]
+    dpoly = poly_derivative(cpoly)
     out = []
     for z in arr:
         z = complex(z)
         for _ in range(2):
-            dp = _poly_eval(dpoly, z)
-            if abs(dp) > 1e-14:
-                z = z - _poly_eval(cpoly, z) / dp
+            dp = poly_eval(dpoly, z)
+            if abs(dp) > NEWTON_TOL:
+                z = z - poly_eval(cpoly, z) / dp
         out.append(z)
     return tuple(sorted(out, key=_order_key)), False
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from .frobenius import FundamentalSystem, residual, wronskian_ode_solution, wronskian_of_system
 from .ode import Ode
-from .scalars import GaussianRational, integer_difference
+from .scalars import SOLUTION_TOL, GaussianRational, integer_difference
 from .series import (
     GeneralizedSeries,
     Series,
@@ -69,7 +69,7 @@ def variation_of_parameters(e: Ode, fs: FundamentalSystem) -> ParticularSolution
     return ParticularSolution(y_p, tuple(c_primes))
 
 
-def reduce_order(e: Ode, phi: GeneralizedSeries, check_tol: float = 1e-6) -> Ode:
+def reduce_order(e: Ode, phi: GeneralizedSeries) -> Ode:
     """Order-2 equation for v = u' where the full solution is psi = mu * phi.
 
     Coefficients a0*phi, 3*a0*phi' + a1*phi, 3*a0*phi'' + 2*a1*phi' + a2*phi,
@@ -77,7 +77,7 @@ def reduce_order(e: Ode, phi: GeneralizedSeries, check_tol: float = 1e-6) -> Ode
     """
     if e.order != 3:
         raise ValueError("reduce_order starts from an order-3 equation")
-    _require_solution(e, phi, check_tol)
+    _require_solution(e, phi)
     a0 = gs_from_series(e.coeffs[0])
     a1 = gs_from_series(e.coeffs[1])
     a2 = gs_from_series(e.coeffs[2])
@@ -124,19 +124,14 @@ def _gs_rows_to_series(rows_gs: list[GeneralizedSeries]) -> tuple:
     return tuple(out)
 
 
-def third_from_two(
-    e: Ode,
-    y1: GeneralizedSeries,
-    y2: GeneralizedSeries,
-    check_tol: float = 1e-6,
-) -> GeneralizedSeries:
+def third_from_two(e: Ode, y1: GeneralizedSeries, y2: GeneralizedSeries) -> GeneralizedSeries:
     """Complete {y1, y2} to a fundamental system:
     y3 = y2 * int(y1 W / W12^2) - y1 * int(y2 W / W12^2),
     with W = exp(-int a1/a0) the order-3 wronskian solution."""
     if e.order != 3:
         raise ValueError("third_from_two starts from an order-3 equation")
-    _require_solution(e, y1, check_tol)
-    _require_solution(e, y2, check_tol)
+    _require_solution(e, y1)
+    _require_solution(e, y2)
     # a ValueError when a1/a0 has a pole of order >= 2
     Ws = wronskian_ode_solution(e).as_generalized_series()
     dy1, dy2 = gs_differentiate(y1), gs_differentiate(y2)
@@ -149,10 +144,10 @@ def third_from_two(
     return y2 * f1 - y1 * f2
 
 
-def _require_solution(e: Ode, g: GeneralizedSeries, tol: float) -> None:
+def _require_solution(e: Ode, g: GeneralizedSeries) -> None:
     hom = Ode(e.order, e.coeffs, e.chart, None)
     res = residual(hom, g)
     scale = max(1.0, g.magnitude()) * max(r.magnitude() for r in e.coeffs)
     lead = max((t.body.magnitude() for t in res.terms), default=0.0)
-    if lead > tol * scale:
+    if lead > SOLUTION_TOL * scale:
         raise ValueError("the supplied series is not a solution within tolerance")

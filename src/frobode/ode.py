@@ -10,10 +10,11 @@ consumes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .scalars import GaussianRational, Scalar, is_exact, scalar_is_zero, to_complex
+from .scalars import (GaussianRational, Scalar, is_exact, poly_divide_linear, poly_mul,
+                      scalar_is_zero, structural_zero, to_complex)
 from .series import Series, laurent_ratio
 
 __all__ = [
@@ -107,11 +108,6 @@ class FrobeniusForm:
         return Ode(self.order, self.rows(), _ZERO, rhs)
 
 
-# ---------------------------------------------------------------------------
-# polynomial helpers (plain scalar lists, lowest power first)
-# ---------------------------------------------------------------------------
-
-
 def poly_degree(s: Series) -> int:
     """Degree of a series viewed as a polynomial (last non-negligible index)."""
     scale = max(1.0, s.magnitude())
@@ -120,37 +116,6 @@ def poly_degree(s: Series) -> int:
         if not scalar_is_zero(c, scale):
             deg = n
     return deg
-
-
-def _padd(p: list, q: list) -> list:
-    n = max(len(p), len(q))
-    out = [_ZERO] * n
-    for i, c in enumerate(p):
-        out[i] = out[i] + c
-    for i, c in enumerate(q):
-        out[i] = out[i] + c
-    return out
-
-
-def _pmul(p: list, q: list) -> list:
-    if not p or not q:
-        return [_ZERO]
-    out = [_ZERO] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] = out[i + j] + a * b
-    return out
-
-
-def _ppow(p: list, k: int) -> list:
-    out = [_ONE]
-    for _ in range(k):
-        out = _pmul(out, p)
-    return out
-
-
-def _pscale(p: list, k: Scalar) -> list:
-    return [k * c for c in p]
 
 
 # ---------------------------------------------------------------------------
@@ -188,142 +153,91 @@ def shift_to_origin(e: Ode, x0: Scalar) -> Ode:
 
 
 def transform_to_infinity(e: Ode) -> Ode:
-    """Substitute x = 1/t and clear denominators to polynomial rows.
-
-    Order 3 derivative stack: y' = -t^2 w', y'' = t^4 w'' + 2 t^3 w',
-    y''' = -t^6 w''' - 6 t^5 w'' - 6 t^4 w'.
-    """
-    if e.rhs is not None and e.rhs.valuation() is not None:
-        raise ValueError("infinity transform of a non-homogeneous equation is not supported")
-    rows = e.coeffs
-    degs = [poly_degree(r) for r in rows]
-    D = max(degs)
-
-    # Laurent rows as dicts: power of t -> scalar
-    def laurent(row: Series, tpow: int, factor: Scalar) -> dict:
-        out: dict[int, Scalar] = {}
-        scale = row.magnitude()
-        for j, c in enumerate(row.coeffs):
-            if scalar_is_zero(c, scale):
-                continue
-            p = tpow - j
-            out[p] = out.get(p, _ZERO) + factor * c
-        return out
-
-    def merge(*ds: dict) -> dict:
-        out: dict[int, Scalar] = {}
-        for d in ds:
-            for p, c in d.items():
-                out[p] = out.get(p, _ZERO) + c
-        return out
-
-    one, m1 = _ONE, GaussianRational(-1)
-    if e.order == 3:
-        a, b, c, d = rows
-        new = [
-            laurent(a, 6, one),
-            merge(laurent(a, 5, GaussianRational(6)), laurent(b, 4, m1)),
-            merge(
-                laurent(a, 4, GaussianRational(6)),
-                laurent(b, 3, GaussianRational(-2)),
-                laurent(c, 2, one),
-            ),
-            laurent(d, 0, m1),
-        ]
-    else:
-        a, b, c = rows
-        new = [
-            laurent(a, 4, one),
-            merge(laurent(a, 3, GaussianRational(2)), laurent(b, 2, m1)),
-            laurent(c, 0, one),
-        ]
-    # clear denominators: lift so the minimum power across rows is zero
-    lo = min((min(d) for d in new if d), default=0)
-    hi = max((max(d) for d in new if d), default=0)
-    shift = -lo
-    T = hi + shift
-    out_rows = []
-    scale = max(
-        (abs(to_complex(v)) for d in new for v in d.values()), default=1.0
-    )
-    for d in new:
-        coeffs = [_ZERO] * (T + 1)
-        for p, v in d.items():
-            if not scalar_is_zero(v, scale):
-                coeffs[p + shift] = v
-        out_rows.append(Series(coeffs, trunc=max(T, e.trunc)))
-    # the original chart's point swaps with infinity
-    new_chart = "infinity" if not isinstance(e.chart, str) else _ZERO
-    return Ode(e.order, tuple(out_rows), new_chart, None)
+    """Substitute x = 1/t: the pullback along the inversion (0, 1, 1, 0),
+    whose origin is the other chart's point (infinity or 0)."""
+    rows = moebius_pullback(e, (0, 1, 1, 0)).coeffs
+    return Ode(e.order, rows, "infinity" if not isinstance(e.chart, str) else _ZERO, None)
 
 
 def moebius_pullback(e: Ode, mmap: tuple) -> Ode:
-    """Pull back an order-2 polynomial equation along z = (alpha w + beta)/(gamma w + delta).
+    """Pull an equation of order 2 or 3 with polynomial rows back along
+    z = (alpha w + beta)/(gamma w + delta).
 
-    Denominators are cleared minimally: common (gamma w + delta) factors are
-    cancelled from all rows.
+    With u = gamma w + delta and det = alpha delta - beta gamma,
+    y^(k)(z) = det^-k sum_j L(k, j) gamma^(k-j) u^(k+j) Y^(j)(w), where
+    L(k, j) = C(k-1, j-1) k!/j! are the Lah numbers.  The rows are multiplied
+    through by det^order u^D, D the largest row degree; every common factor
+    (w + delta/gamma) is cancelled, and floating entries negligible against
+    the largest one become exact zeros.
     """
-    if e.order != 2:
-        raise ValueError("moebius_pullback is defined for order 2")
+    if e.rhs is not None and e.rhs.valuation() is not None:
+        raise ValueError("the pullback of a non-homogeneous equation is not supported")
     alpha, beta, gamma, delta = [
-        x if isinstance(x, (GaussianRational, complex)) else GaussianRational(x)
-        for x in mmap
-    ]
+        x if isinstance(x, (GaussianRational, complex)) else GaussianRational(x) for x in mmap]
     det = alpha * delta - beta * gamma
     if scalar_is_zero(det, max(1.0, *(abs(to_complex(v)) for v in (alpha, beta, gamma, delta)))):
         raise ValueError("degenerate Moebius map")
-    a, b, c = e.coeffs
-    num = [beta, alpha]   # alpha w + beta
-    den = [delta, gamma]  # gamma w + delta
-    D = max(poly_degree(r) for r in (a, b, c))
-
-    def comp(row: Series, extra: int) -> list:
-        """(gamma w + delta)^(D+extra) * row(z(w)) as a polynomial in w."""
-        out = [_ZERO]
-        scale = row.magnitude()
-        for j in range(poly_degree(row) + 1):
-            cj = row.coeffs[j]
-            if scalar_is_zero(cj, scale):
-                continue
-            term = _pscale(_pmul(_ppow(num, j), _ppow(den, D - j + extra)), cj)
-            out = _padd(out, term)
-        return out
-
-    row2 = comp(a, 4)
-    row1 = _padd(_pscale(comp(a, 3), 2 * gamma), comp(b, 2))
-    row0 = comp(c, 0)
-    rows = [row2, row1, row0]
-    # minimal clearing: cancel common (gamma w + delta) factors
+    n = e.order
+    rows = []
+    for r in e.coeffs:
+        scale = r.magnitude()
+        rows.append(_trimmed([_ZERO if scalar_is_zero(c, scale) else c for c in r.coeffs]))
+    D = max(map(len, rows)) - 1
+    upow, npow = [[_ONE]], [[_ONE]]  # powers of u and of alpha w + beta
+    for i in range(max(D, 2 * n)):
+        upow.append(poly_mul(upow[-1], [delta, gamma]))
+        if i < D:
+            npow.append(poly_mul(npow[-1], [beta, alpha]))
+    # u^D A_i(z(w)) = sum_m A_im (alpha w + beta)^m u^(D-m)
+    basis = [poly_mul(npow[m], upow[D - m]) for m in range(D + 1)]
+    lifted = [_sum_products([([c], basis[m]) for m, c in enumerate(row)]) for row in rows]
+    out = []
+    for j in range(n, -1, -1):  # the row of Y^(j)
+        terms = []
+        for k in range(n, j - 1, -1) if j else (0,):
+            lah = math.comb(k - 1, j - 1) * math.perm(k, k - j) if j else 1
+            f = det ** (n - k) * gamma ** (k - j) * lah
+            terms.append((lifted[n - k], [f * c for c in upow[k + j]]))
+        out.append(_trimmed(_sum_products(terms)))
     if not scalar_is_zero(gamma, 1.0):
-        root = -delta / gamma
-        while True:
-            divided = []
-            ok = True
-            for r in rows:
-                q, rem = _synth_div(r, root)
-                sc = max(1.0, *(abs(to_complex(v)) for v in r))
-                if not scalar_is_zero(rem, sc):
-                    ok = False
-                    break
-                divided.append(_pscale(q, _ONE / gamma))
-            if not ok:
-                break
-            rows = divided
-    T = max(len(r) for r in rows) - 1
-    return Ode(2, tuple(Series(r, trunc=T) for r in rows), e.chart, None)
+        out = _cancel_root(out, -delta / gamma)
+    T = max(map(len, out)) - 1
+    if not all(is_exact(c) for r in out for c in r):
+        scale = max(abs(to_complex(c)) for r in out for c in r)
+        out = [[_ZERO if scalar_is_zero(c, scale) else c for c in r] for r in out]
+    return Ode(n, tuple(Series(r, trunc=max(T, e.trunc)) for r in out), e.chart, None)
 
 
-def _synth_div(p: list, root: Scalar) -> tuple[list, Scalar]:
-    """Divide polynomial p by (w - root); returns (quotient, remainder)."""
-    n = len(p) - 1
-    if n <= 0:
-        return [_ZERO], (p[0] if p else _ZERO)
-    b = [_ZERO] * n
-    b[n - 1] = p[n]
-    for i in range(n - 1, 0, -1):
-        b[i - 1] = p[i] + root * b[i]
-    rem = p[0] + root * b[0]
-    return b, rem
+def _cancel_root(rows: list, root: Scalar) -> list:
+    """The rows divided by (w - root) for as long as all of them vanish there;
+    the leading row stops the division when it is constant."""
+    while len(rows[0]) > 1:
+        quotients = []
+        for r in rows:
+            q, rem = poly_divide_linear(r, root)
+            scale = 1.0 if is_exact(rem) else max(abs(to_complex(c)) for c in r)
+            if not scalar_is_zero(rem, scale):
+                return rows
+            quotients.append(q or [_ZERO])
+        rows = quotients
+    return rows
+
+
+def _trimmed(row: list) -> list:
+    """The row without its top zeros, down to one coefficient."""
+    while len(row) > 1 and structural_zero(row[-1]):
+        row.pop()
+    return row
+
+
+def _sum_products(terms: list) -> list:
+    """sum p q over the (p, q) pairs of polynomials; exact zeros add nothing."""
+    out = [_ZERO] * max(len(p) + len(q) - 1 for p, q in terms)
+    for p, q in terms:
+        for i, c in enumerate(poly_mul(p, q)):
+            if not (c.__class__ is GaussianRational and not c):
+                out[i] = out[i] + c
+    return out
 
 
 def to_frobenius_form(e: Ode) -> FrobeniusForm:

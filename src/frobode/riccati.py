@@ -16,8 +16,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .classify import classify_infinity
 from .ode import Ode, poly_degree
-from .scalars import to_complex
+from .scalars import poly_derivative, poly_eval, to_complex
 
 __all__ = [
     "RiccatiModel",
@@ -32,6 +33,13 @@ __all__ = [
 ]
 
 INFINITY = "infinity"
+
+#: relative and absolute error per Dormand-Prince step
+_RTOL, _ATOL = 1e-10, 1e-12
+#: nearest distance a continuation path may pass to a ramification point
+_CLEARANCE = 1e-3
+#: relative Riccati residual within which a rational gamma is accepted
+_GAMMA_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -106,20 +114,13 @@ class RiccatiModel:
     ramification: tuple  # finite sigma values, possibly plus the string "infinity"
 
     def rhs_t(self, z: complex, t: complex) -> complex:
-        az = _peval(self.a, z)
-        return -(az * t * t + _peval(self.b, z) * t + _peval(self.c, z)) / az
+        az = poly_eval(self.a, z)
+        return -(az * t * t + poly_eval(self.b, z) * t + poly_eval(self.c, z)) / az
 
     def rhs_w(self, z: complex, w: complex) -> complex:
         # w = 1/t:  dw/dz = (a + b w + c w^2)/a
-        az = _peval(self.a, z)
-        return (az + _peval(self.b, z) * w + _peval(self.c, z) * w * w) / az
-
-
-def _peval(p: Sequence[complex], z: complex) -> complex:
-    acc = 0j
-    for c in reversed(p):
-        acc = acc * z + c
-    return acc
+        az = poly_eval(self.a, z)
+        return (az + poly_eval(self.b, z) * w + poly_eval(self.c, z) * w * w) / az
 
 
 def riccati_model(e: Ode) -> RiccatiModel:
@@ -137,16 +138,9 @@ def riccati_model(e: Ode) -> RiccatiModel:
             z = complex(z)
             if all(abs(z - s) > 1e-9 for s in sigma):
                 sigma.append(z)
-    if _singular_at_infinity(e):
+    if classify_infinity(e).tag != "ordinary":
         sigma.append(INFINITY)
     return RiccatiModel(a, b, c, tuple(sigma))
-
-
-def _singular_at_infinity(e: Ode) -> bool:
-    from .classify import classify_point
-    from .ode import transform_to_infinity
-
-    return classify_point(transform_to_infinity(e)).tag != "ordinary"
 
 
 # ---------------------------------------------------------------------------
@@ -170,22 +164,15 @@ _DP_B4 = (
 _DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 
 
-def continue_along_path(
-    m: RiccatiModel,
-    t0,
-    path,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-    clearance: float = 1e-3,
-) -> ProjectivePoint:
+def continue_along_path(m: RiccatiModel, t0, path) -> ProjectivePoint:
     """Continue the Riccati solution with initial value t0 (complex or
     "infinity") along the path; returns the endpoint as a projective point."""
     for s in np.linspace(0.0, 1.0, 257):
         z = path.point(float(s))
         for sig in m.ramification:
-            if sig != INFINITY and abs(z - sig) < clearance:
+            if sig != INFINITY and abs(z - sig) < _CLEARANCE:
                 raise ValueError(
-                    f"path passes within clearance {clearance} of sigma point {sig}"
+                    f"path passes within clearance {_CLEARANCE} of sigma point {sig}"
                 )
     if t0 == INFINITY or (isinstance(t0, float) and math.isinf(t0)):
         chart, val = "w", 0j
@@ -212,7 +199,7 @@ def continue_along_path(
         y5 = val + h * sum(b * ki for b, ki in zip(_DP_B5, k))
         y4 = val + h * sum(b * ki for b, ki in zip(_DP_B4, k))
         err = abs(y5 - y4)
-        tol = atol + rtol * max(abs(val), abs(y5))
+        tol = _ATOL + _RTOL * max(abs(val), abs(y5))
         if err <= tol:
             s += h
             val = y5
@@ -294,22 +281,17 @@ def _moebius_through(p1: ProjectivePoint, p2: ProjectivePoint, p3: ProjectivePoi
     )
 
 
-def holonomy_of_loop(
-    m: RiccatiModel,
-    path,
-    verify_tol: float = 1e-6,
-    **kw,
-) -> MoebiusMap:
+def holonomy_of_loop(m: RiccatiModel, path, verify_tol: float = 1e-6) -> MoebiusMap:
     """Continue t in {0, 1, infinity}, fit the Moebius map, verify on t = -1
     (or t = i when -1 is too close to the probe set)."""
     probes = [0j, 1.0 + 0j, INFINITY]
     ins = [ProjectivePoint.of(p) for p in probes]
-    outs = [continue_along_path(m, p, path, **kw) for p in probes]
+    outs = [continue_along_path(m, p, path) for p in probes]
     fit = _moebius_through(outs[0], outs[1], outs[2]).inverse().compose(
         _moebius_through(ins[0], ins[1], ins[2])
     )
     fourth = -1.0 + 0j
-    got = continue_along_path(m, fourth, path, **kw)
+    got = continue_along_path(m, fourth, path)
     want = fit.apply(ProjectivePoint.of(fourth))
     defect = got.chordal_distance(want)
     if defect > verify_tol:
@@ -319,10 +301,10 @@ def holonomy_of_loop(
     return fit
 
 
-def global_holonomy(m: RiccatiModel, loops: Sequence, **kw) -> list[MoebiusMap]:
+def global_holonomy(m: RiccatiModel, loops: Sequence) -> list[MoebiusMap]:
     """One Moebius map per loop (loops as Circle/Polyline, each through its
     own basepoint)."""
-    return [holonomy_of_loop(m, loop, **kw) for loop in loops]
+    return [holonomy_of_loop(m, loop) for loop in loops]
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +339,6 @@ def liouvillian_solution(
     gamma: tuple[Sequence[complex], Sequence[complex]] | None,
     anchor: complex = 0j,
     grid: Sequence[complex] = (),
-    residual_tol: float = 1e-8,
 ) -> Callable[..., complex]:
     """Closed-form-by-quadrature evaluator from a rational Riccati solution.
 
@@ -379,10 +360,10 @@ def liouvillian_solution(
     c_is_zero = all(abs(x) < 1e-14 for x in c)
 
     def ba(z: complex) -> complex:
-        az = _peval(a, z)
+        az = poly_eval(a, z)
         if abs(az) < 1e-12:
             raise ValueError("quadrature path hits a zero of the leading coefficient")
-        return _peval(b, z) / az
+        return poly_eval(b, z) / az
 
     if c_is_zero:
         def u0(z: complex, k: complex = 1.0, ell: complex = 0.0) -> complex:
@@ -394,26 +375,25 @@ def liouvillian_solution(
     if gamma is None:
         raise ValueError("gamma required unless c is identically zero")
     P, Q = [tuple(complex(x) for x in p) for p in gamma]
-    dP = tuple((i + 1) * P[i + 1] for i in range(len(P) - 1)) or (0j,)
-    dQ = tuple((i + 1) * Q[i + 1] for i in range(len(Q) - 1)) or (0j,)
+    dP, dQ = poly_derivative(P), poly_derivative(Q)
 
     def gam(z: complex) -> complex:
-        qz = _peval(Q, z)
+        qz = poly_eval(Q, z)
         if abs(qz) < 1e-12:
             raise ValueError("quadrature path hits a pole of gamma")
-        return _peval(P, z) / qz
+        return poly_eval(P, z) / qz
 
     def dgam(z: complex) -> complex:
-        qz = _peval(Q, z)
-        return (_peval(dP, z) * qz - _peval(P, z) * _peval(dQ, z)) / (qz * qz)
+        qz = poly_eval(Q, z)
+        return (poly_eval(dP, z) * qz - poly_eval(P, z) * poly_eval(dQ, z)) / (qz * qz)
 
     # residual check: gamma' + (a gamma^2 + b gamma + c)/a must vanish
     check = list(grid) or [anchor + 0.13 + 0.07j * i for i in range(1, 6)]
     for z in check:
-        az = _peval(a, z)
+        az = poly_eval(a, z)
         g = gam(z)
-        res = dgam(z) + (az * g * g + _peval(b, z) * g + _peval(c, z)) / az
-        if abs(res) > residual_tol * max(1.0, abs(g)):
+        res = dgam(z) + (az * g * g + poly_eval(b, z) * g + poly_eval(c, z)) / az
+        if abs(res) > _GAMMA_TOL * max(1.0, abs(g)):
             raise ValueError(
                 f"gamma fails the Riccati residual check at z={z}: {abs(res):.3e}"
             )

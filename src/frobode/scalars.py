@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 __all__ = [
     "GaussianRational",
@@ -23,15 +23,41 @@ __all__ = [
     "frac_sqrt",
     "gr_sqrt",
     "integer_difference",
+    "poly_eval",
+    "poly_mul",
+    "poly_divide_linear",
+    "poly_derivative",
     "ZERO_TOL",
     "INT_TOL",
+    "EXP_TOL",
+    "RESIDUAL_TOL",
+    "PIVOT_TOL",
+    "NEWTON_TOL",
+    "DIVERGENT_RADIUS",
+    "SOLUTION_TOL",
+    "VALUATION_TOL",
 ]
+
+# -- the float tolerance table ----------------------------------------------
 
 #: relative zero tolerance for floating coefficients
 ZERO_TOL = 1e-12
-
 #: integer-difference and root-merging tolerance for floating roots
 INT_TOL = 1e-8
+#: merging tolerance for floating exponents of generalized series
+EXP_TOL = 1e-9
+#: relative size above which a floating residual coefficient is non-zero
+RESIDUAL_TOL = 1e-9
+#: smallest relative pivot of the floating nullspace elimination
+PIVOT_TOL = 1e-10
+#: smallest derivative a floating Newton step divides by
+NEWTON_TOL = 1e-14
+#: radius estimate below which formal solutions are reported divergent
+DIVERGENT_RADIUS = 1e-3
+#: relative residual within which a supplied series counts as a solution
+SOLUTION_TOL = 1e-6
+#: largest gap between a reported and a recomputed residual valuation
+VALUATION_TOL = 1e-9
 
 _RAT = (int, Fraction)
 
@@ -160,6 +186,8 @@ class GaussianRational:
 
 Scalar = Union[GaussianRational, complex]
 
+_ZERO = GaussianRational(0)
+
 
 def as_exact(value) -> GaussianRational:
     """Coerce ints, Fractions, strings like ``"3/4"`` or pairs to a GaussianRational."""
@@ -201,10 +229,10 @@ def structural_zero(s: Scalar) -> bool:
 def integer_difference(a: Scalar, b: Scalar, tol: float = INT_TOL) -> Optional[int]:
     """a - b when it is a (near-)integer, else None."""
     if is_exact(a) and is_exact(b):
-        d = a - b
-        if d.is_rational_integer:
-            return int(d.re)
-        return None
+        if a.im != b.im:
+            return None
+        d = a.re - b.re
+        return int(d) if d.denominator == 1 else None
     d = to_complex(a) - to_complex(b)
     if abs(d.imag) <= tol and abs(d.real - round(d.real)) <= tol:
         return int(round(d.real))
@@ -242,3 +270,46 @@ def gr_sqrt(w: GaussianRational) -> Optional[GaussianRational]:
     if cand * cand == w:
         return cand
     return None
+
+
+# ---------------------------------------------------------------------------
+# polynomial helpers: sequences of scalars, lowest power first
+# ---------------------------------------------------------------------------
+
+
+def poly_eval(p: Sequence, z):
+    """p(z) by Horner's rule from the leading coefficient; 0 for no coefficient.
+    The coefficients and z may be scalars, Fractions or series."""
+    if not p:
+        return 0
+    acc = p[-1]
+    for c in p[-2::-1]:
+        acc = acc * z + c
+    return acc
+
+
+def poly_mul(p: Sequence, q: Sequence) -> list:
+    """The product of two polynomials; exact-zero coefficients add no term."""
+    out = [_ZERO] * (len(p) + len(q) - 1)
+    qs = [(j, b) for j, b in enumerate(q) if not (b.__class__ is GaussianRational and not b)]
+    for i, a in enumerate(p):
+        if a.__class__ is GaussianRational and not a:
+            continue
+        for j, b in qs:
+            out[i + j] = out[i + j] + a * b
+    return out
+
+
+def poly_divide_linear(p: Sequence, root) -> tuple[list, object]:
+    """(q, r) with p(w) = (w - root) q(w) + r, by synthetic division."""
+    if not root:  # division by w
+        return list(p[1:]), p[0]
+    q = list(p[1:])
+    for i in range(len(q) - 2, -1, -1):
+        q[i] = q[i] + root * q[i + 1]
+    return q, (p[0] + root * q[0] if q else p[0])
+
+
+def poly_derivative(p: Sequence) -> list:
+    """The derivative's coefficients; none for a constant."""
+    return [k * p[k] for k in range(1, len(p))]

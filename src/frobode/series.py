@@ -16,14 +16,17 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .scalars import (
+    EXP_TOL,
     GaussianRational,
     Scalar,
     as_exact,
     integer_difference,
     is_exact,
+    poly_derivative,
+    poly_eval,
     scalar_is_zero,
     structural_zero,
     to_complex,
@@ -44,9 +47,6 @@ __all__ = [
     "gs_evaluate",
     "gs_from_series",
 ]
-
-#: merging tolerance for floating exponents in GeneralizedSeries normalization
-EXP_TOL = 1e-9
 
 _ZERO = GaussianRational(0)
 _SCALAR_TYPES = frozenset((GaussianRational, complex))
@@ -240,15 +240,11 @@ class Series:
 
     def derivative(self) -> "Series":
         """d/dx as a plain series; trunc drops by one."""
-        if len(self.coeffs) == 1:
-            return Series([_ZERO])
-        return Series([(n + 1) * self.coeffs[n + 1] for n in range(len(self.coeffs) - 1)])
+        return Series(poly_derivative(self.coeffs))
 
     def evaluate(self, x: complex) -> complex:
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * x + to_complex(c)
-        return acc
+        # a leading 0j makes every step complex arithmetic, the first included
+        return poly_eval((*self.coeffs, 0j), x)
 
     def conjugate(self) -> "Series":
         return Series([c.conjugate() for c in self.coeffs])
@@ -474,11 +470,7 @@ Jet = Series
 
 def poly_eval_jet(poly: Sequence[Scalar], point: Scalar, order: int) -> Series:
     """Evaluate a scalar polynomial (coeff list, low to high) at point + eps."""
-    x = Series.variable(point, order)
-    acc = Series([_ZERO], trunc=order)
-    for c in reversed(list(poly)):
-        acc = acc * x + Series([c], trunc=order)
-    return acc
+    return poly_eval([Series([c], trunc=order) for c in poly], Series.variable(point, order))
 
 
 # ---------------------------------------------------------------------------

@@ -237,3 +237,50 @@ def test_holonomy_accepts_a_valid_loop(tmp_path, capsys):
     assert main(["holonomy", _write(tmp_path, doc)]) == 0
     (g,) = json.loads(capsys.readouterr().out)["generators"]
     assert g["identity_defect"] < 1e-6
+
+
+def _bundle(tmp_path):
+    out = str(tmp_path / "bundle.json")
+    assert main(["solve", _write(tmp_path, DOC), "--output", out]) == 0
+    return json.loads(open(out).read())
+
+
+def _without_indicial(bundle):
+    del bundle["indicial"]
+    return bundle
+
+
+def _without_roots(bundle):
+    del bundle["indicial"]["roots"]
+    return bundle
+
+
+def _text_logpow(bundle):
+    bundle["solutions"][0]["terms"][0]["logpow"] = "x"
+    return bundle
+
+
+@pytest.mark.parametrize(
+    "doc, argv",
+    [
+        ([DOC], ["solve", "--terms", "8"]),
+        ([DOC], ["solve", "--point", "1"]),
+        ([DOC], ["solve", "--mode", "float"]),
+        (DOC, ["solve", "--point", "abc"]),
+        ([1, 2], ["eval"]),
+        ({"solutions": {"a": 1}}, ["eval"]),
+        (_without_indicial, ["residual"]),
+        (_without_roots, ["residual"]),
+        (_text_logpow, ["eval"]),
+    ],
+    ids=["list-terms", "list-point", "list-mode", "point-not-json", "eval-list-bundle",
+         "eval-solutions-not-list", "residual-no-indicial", "residual-no-roots",
+         "logpow-not-integer"],
+)
+def test_malformed_input_exits_2_with_an_error_line(tmp_path, capsys, doc, argv):
+    if callable(doc):
+        doc = doc(_bundle(tmp_path))
+        capsys.readouterr()
+    command, *options = argv
+    assert main([command, _write(tmp_path, doc, "input.json"), *options]) == 2
+    assert capsys.readouterr().err.startswith("error: ")

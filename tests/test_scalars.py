@@ -87,3 +87,13 @@ def test_structural_zero_has_no_tolerance():
     assert structural_zero(0j) and structural_zero(complex(-0.0, 0.0))
     assert not structural_zero(1e-300 + 0j)
     assert not structural_zero(complex(0.0, 1e-300))
+
+
+@given(gaussians, st.one_of(gaussians, st.integers(-5, 5), st.builds(GaussianRational, st.integers(-5, 5), rationals)))
+def test_integer_difference_matches_the_gaussian_difference(a, b):
+    from frobode.scalars import integer_difference
+
+    if isinstance(b, int):  # an integer offset from a
+        b = a - b
+    d = a - b
+    assert integer_difference(a, b) == (int(d.re) if d.is_rational_integer else None)
