@@ -59,6 +59,9 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_MATH = 3
 
+#: largest options.terms, from the time of the exact third-order Bessel solve (README.md)
+MAX_TERMS = 512
+
 
 class DocumentError(ValueError):
     """Malformed or inconsistent input document."""
@@ -164,8 +167,8 @@ def parse_document(obj: dict) -> dict:
     if not isinstance(options, dict):
         raise DocumentError("'options' must be an object")
     terms = options.get("terms", 32)
-    if not isinstance(terms, int) or terms < 4:
-        raise DocumentError("'options.terms' must be an integer >= 4")
+    if not isinstance(terms, int) or not 4 <= terms <= MAX_TERMS:
+        raise DocumentError(f"'options.terms' must be an integer from 4 to {MAX_TERMS}")
     mode = options.get("mode", "exact")
     if mode not in ("exact", "float"):
         raise DocumentError("'options.mode' must be 'exact' or 'float'")

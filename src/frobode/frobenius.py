@@ -10,13 +10,17 @@ nilpotent jet r = base + eps, so that derivatives with respect to r -- which
 produce the logarithmic solutions in the exceptional cases -- come out of the
 same O(N^2) loop.  Repeated roots and positive-integer root gaps make
 q(n + base + eps) vanish to some order in eps at the resonant indices; seeds
-(r - base)^s supply matching eps-valuation so the division cancels.
+(r - base)^s supply matching eps-valuation so the division cancels.  A
+log-free head needs no derivative: at jet order 0 the same recurrence runs
+on plain scalars (one Gaussian-integer numerator and denominator per D_n in
+exact mode), with the operations of the jet loop.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Callable, Optional, Sequence
 
 from .indicial import (
@@ -36,6 +40,7 @@ from .series import (
     Series,
     _all_exact,
     _convolve,
+    _cut,
     _int_series,
     _to_int,
     _unit_inverse,
@@ -91,25 +96,29 @@ def recurrence_jets(
     seed_pow: int,
     jet_order: int,
     N: int,
+    qpoly: Optional[Sequence[GaussianRational]] = None,
 ) -> list[Series]:
     """Run the recurrence with r = base + eps, seed D_0 = eps^seed_pow.
 
     `roots` are the indicial roots; q(n + r) is the product of the
     (n + base - r_i + eps) factors.  Exact data runs on Gaussian integers
-    (`_recurrence_exact`); otherwise near-zero constant parts of the factors
-    are snapped to exact zero, which makes resonance detection structural
-    rather than a floating tolerance question.
+    (`_recurrence_exact`), with q = `qpoly` (low power first) when the
+    caller has it and otherwise the product built from `roots`; float and
+    mixed data snap near-zero constant parts of the factors to exact zero,
+    which makes resonance detection structural rather than a floating
+    tolerance question.
     """
     if seed_pow > jet_order:
         raise ValueError("seed power exceeds jet order")
     if _all_exact([base, *roots]) and _form_exact(f):
-        qpoly = [_ONE]  # prod (z - r_i), low power first
-        for r in roots:
-            qpoly = poly_mul(qpoly, [-r, _ONE])
+        if qpoly is None:  # prod (z - r_i)
+            qpoly = reduce(poly_mul, [[-r, _ONE] for r in roots], [_ONE])
         return _recurrence_exact(f, base, seed_pow, jet_order, N, qpoly)
-    return _recurrence_jets(
-        f, base, seed_pow, jet_order, N, lambda n: _q_jet(roots, base, n, jet_order)
-    )
+    if jet_order == 0:  # `_q_jet` on its one coefficient
+        q_at = lambda n: reduce(_mul0, [_q_factor(r, base, n) for r in roots], _ONE)
+    else:
+        q_at = lambda n: _q_jet(roots, base, n, jet_order)
+    return _recurrence_jets(f, base, seed_pow, jet_order, N, q_at)
 
 
 def recurrence_jets_free(f: FrobeniusForm, r: Scalar, N: int, jet_order: int = 0) -> list[Series]:
@@ -120,9 +129,11 @@ def recurrence_jets_free(f: FrobeniusForm, r: Scalar, N: int, jet_order: int = 0
     qpoly = indicial_polynomial(f)
     if is_exact(r) and _form_exact(f):
         return _recurrence_exact(f, r, 0, jet_order, N, qpoly)
-    return _recurrence_jets(
-        f, r, 0, jet_order, N, lambda n: poly_eval_jet(qpoly, r + n, jet_order)
-    )
+    if jet_order == 0:  # `poly_eval_jet` on its one coefficient
+        q_at = lambda n: reduce(lambda u, c: _mul0(u, r + n) + c, qpoly[-2::-1], qpoly[-1])
+    else:
+        q_at = lambda n: poly_eval_jet(qpoly, r + n, jet_order)
+    return _recurrence_jets(f, r, 0, jet_order, N, q_at)
 
 
 def recurrence_coefficients(f: FrobeniusForm, r: Scalar, N: int) -> list[Scalar]:
@@ -142,10 +153,10 @@ def _recurrence_jets(
     seed_pow: int,
     jet_order: int,
     N: int,
-    q_at: Callable[[int], Series],
+    q_at: Callable[[int], Series | Scalar],
 ) -> list[Series]:
     """The recurrence for float and mixed data; q_at(n) is the jet
-    q(n + base + eps).
+    q(n + base + eps), or at jet order 0 its one coefficient.
 
     E_n is summed on lists of scalars by the operations of the `Series`
     expression sum_j (w D_j + c_k D_j), w = b_k (j + r) + a_k (j + r)(j + r - 1),
@@ -154,9 +165,44 @@ def _recurrence_jets(
     complex one only as complex(scalar): each row coefficient is converted
     once, and a D_j of complex entries only is used in complex arithmetic
     alone.  Exact entries (the seed, the zero jets of cancelled resonances,
-    exact weights when the base is exact) keep exact arithmetic.
+    exact weights when the base is exact) keep exact arithmetic.  At jet
+    order 0 every jet has one coefficient, and the same operations run on
+    plain scalars: D_n = (1/q) (-E_n), with no `Series` until the end.
     """
     m = jet_order + 1
+    rows = []  # (k, a_k, b_k, c_k, their complex values, a_k != 0), k descending
+    get = Series.__getitem__  # through `coeffs`, built once per row
+    for k in range(N, 0, -1):
+        ak = get(f.a, k) if f.order == 3 else _ZERO
+        bk, ck = get(f.b, k), get(f.c, k)
+        if not (structural_zero(ak) and structural_zero(bk) and structural_zero(ck)):
+            rows.append((k, ak, bk, ck, complex(ak), complex(bk), complex(ck),
+                         not structural_zero(ak)))
+    start = len(rows)  # rows[start:] are the rows with k <= n
+    if m == 1:
+        p1 = [base + j for j in range(N)]  # (j + r) and (j + r)(j + r - 1)
+        p2 = [_mul0(v, v - 1) for v in p1]
+        d = [_ONE]
+        for n in range(1, N + 1):
+            while start and rows[start - 1][0] <= n:
+                start -= 1
+            acc = None
+            for k, ak, bk, ck, ac, bc, cc, has_a in rows[start:]:
+                dj, v, v2 = d[n - k], p1[n - k], p2[n - k]
+                w = (bc if v.__class__ is complex else bk) * v
+                if has_a:
+                    w = w + (ac if v2.__class__ is complex else ak) * v2
+                fast = dj.__class__ is complex
+                out = 0j if fast else _ZERO
+                if w.__class__ is not GaussianRational or w:
+                    out = out + w * dj
+                term = out + (cc if fast else ck) * dj
+                acc = term if acc is None else acc + term
+            q = q_at(n)
+            if scalar_is_zero(q, abs(q) if q.__class__ is complex else 0.0):
+                raise ZeroDivisionError("jet division by zero")
+            d.append((_ONE / q if is_exact(q) else 1.0 / q) * -(_ZERO if acc is None else acc))
+        return [Series([u]) for u in d]
     seed = [_ZERO] * m
     seed[seed_pow] = _ONE
     D = [Series(seed)]
@@ -166,14 +212,6 @@ def _recurrence_jets(
     p1 = [xj.coeffs for xj in x]
     if f.order == 3:
         p2 = [(xj * Series.variable(base + j - 1, jet_order)).coeffs for j, xj in enumerate(x)]
-    rows = []  # (k, a_k, b_k, c_k, their complex values, a_k != 0), k descending
-    for k in range(N, 0, -1):
-        ak = f.a[k] if f.order == 3 else _ZERO
-        bk, ck = f.b[k], f.c[k]
-        if not (structural_zero(ak) and structural_zero(bk) and structural_zero(ck)):
-            rows.append((k, ak, bk, ck, complex(ak), complex(bk), complex(ck),
-                         not structural_zero(ak)))
-    start = len(rows)  # rows[start:] are the rows with k <= n
     running = max(1.0, f.b.magnitude(), f.c.magnitude(),
                   f.a.magnitude() if f.a is not None else 0.0)
     for n in range(1, N + 1):
@@ -212,20 +250,26 @@ def _recurrence_jets(
 def _q_jet(roots: Sequence[Scalar], base: Scalar, n: int, jet_order: int) -> Series:
     out = Series([_ONE], trunc=jet_order)
     for r in roots:
-        d = base + n - r
-        if integer_difference(base + n, r) == 0:
-            d = _ZERO if is_exact(d) else 0j
-        out = out * Series.variable(d, jet_order)
+        out = out * Series.variable(_q_factor(r, base, n), jet_order)
     return out
 
 
-def _gmul(p: tuple, q: tuple) -> tuple:
-    """Product of two Gaussian integers (u, v) = u + v i."""
-    return (p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0])
+def _q_factor(r: Scalar, base: Scalar, n: int) -> Scalar:
+    """n + base - r, snapped to an exact zero (or 0j) at an integer gap of 0."""
+    d = base + n - r
+    if integer_difference(base + n, r) == 0:
+        return _ZERO if is_exact(d) else 0j
+    return d
 
 
-def _gadd(*ps: tuple) -> tuple:
-    return (sum(p[0] for p in ps), sum(p[1] for p in ps))
+def _mul0(a: Scalar, b: Scalar) -> Scalar:
+    """a b as `Series.__mul__` forms it for jets of one coefficient."""
+    if a.__class__ is GaussianRational:
+        if b.__class__ is GaussianRational:
+            return a * b
+        if not a:
+            return _ZERO
+    return 0j + a * b  # the bits of `_ZERO + a * b`: complex(_ZERO) is 0j
 
 
 def _support(re: list, im: list) -> list:
@@ -243,64 +287,89 @@ def _recurrence_exact(
     """`_recurrence_jets` for exact data, on Gaussian integers.
 
     a, b, c, base and q (low power first; the divisor is q(n + base + eps))
-    are written over one common denominator L.  With X_j = L (j + base + eps)
-    the row weight a_k x(x - 1) + b_k x + c_k at x = j + base + eps is
-    (A_k X_j (X_j - L) + L B_k X_j + L^2 C_k) / L^3, and q(n + base + eps) is
-    Q_n / L^(deg + 1), Q_n = sum_i Q_i X_n^i L^(deg - i) by Horner's rule.
-    Each D_n is a jet of Gaussian-integer numerators over one positive
-    denominator, reduced by their gcd; E_n is summed over the lcm of the
-    earlier denominators and divided by Q_n with the fraction-free unit
-    inverse, after multiplying both by conj(Q_n) when Q_n is complex.
+    are written over one common denominator L, read from the rows' integer
+    forms.  With X_j = L (j + base + eps) the row weight a_k x(x - 1) + b_k x
+    + c_k at x = j + base + eps is (A_k X_j (X_j - L) + L B_k X_j + L^2 C_k) / L^3,
+    and q(n + base + eps) is Q_n / L^(deg + 1), Q_n = sum_i Q_i X_n^i L^(deg - i)
+    by Horner's rule.  Each D_n is a jet of Gaussian-integer numerators over one
+    positive denominator, reduced by their gcd; E_n is summed over the lcm of
+    the earlier denominators and divided by Q_n with the fraction-free unit
+    inverse, after multiplying both by conj(Q_n) when Q_n is complex.  At jet
+    order 0 each D_n is one numerator over its denominator, Q_n one Gaussian
+    integer, and the same division is a product by conj(Q_n).
     """
     m = jet_order + 1
     deg = len(qpoly) - 1
     rows = (f.a, f.b, f.c) if f.order == 3 else (f.b, f.c)
-    data = [base, *qpoly] + [row[k] for row in rows for k in range(1, N + 1)]
-    L, re, im = _to_int(data)
-    real = im is None
-    g = list(zip(re, im or [0] * len(re)))
-    beta, Q, coef = g[0], g[1 : deg + 2], g[deg + 2 :]
+    forms = [_to_int([base, *qpoly])] + [row._ints() for row in rows]
+    L = math.lcm(*(d for d, _, _ in forms))
+    (beta, *Q), *coef = [  # base, q and the entries 1 .. N of a, b, c over L
+        [(L // d * u, L // d * v) for u, v in zip(_cut(re, lo, n), _cut(im or [], lo, n))]
+        for (d, re, im), lo, n in zip(forms, (0, 1, 1, 1), (deg + 2, N, N, N))]
+    real = not any(im for _, _, im in forms)
     L2 = L * L
-    weights = []  # (k, A, L B, L^2 C) for the rows with a non-zero entry
-    for k in range(1, N + 1):
-        abc = [coef[i * N + k - 1] for i in range(len(rows))]
-        if f.order == 2:
-            abc.insert(0, (0, 0))
-        A, B, C = abc
-        if A != (0, 0) or B != (0, 0) or C != (0, 0):
-            weights.append((k, A, (L * B[0], L * B[1]), (L2 * C[0], L2 * C[1])))
+    weights = []  # (k, A, L B, L^2 C) as integers, for the rows with a non-zero entry
+    for k, abc in enumerate(zip(*coef), 1):
+        A, B, C = abc if f.order == 3 else ((0, 0), *abc)
+        if any(A + B + C):
+            weights.append((k, *A, L * B[0], L * B[1], L2 * C[0], L2 * C[1]))
     # X_j = x_j + L eps, X_j (X_j - L) = x_j (x_j - L) + s_j eps + L^2 eps^2
     x = [(j * L + beta[0], beta[1]) for j in range(N + 1)]
-    xy = [_gmul(xj, (xj[0] - L, xj[1])) for xj in x]
-    s = [(L * (2 * xj[0] - L), L * 2 * xj[1]) for xj in x]
+    xy = [(u * (u - L) - v * v, v * (2 * u - L)) for u, v in x]
+    Qc = [(u * L ** (deg - i), v * L ** (deg - i)) for i, (u, v) in enumerate(Q)]
     lift = L ** (deg - 2)  # L^(deg + 1) of q over the L^3 of the weights
-    nums = [[(seed_pow, 1, 0)]]  # D_n numerators as supports (t, u, v)
-    lens = [m]
-    dens = [1]
-    lam = 1  # lcm of dens
+    if m == 1:
+        D1, lam = [(1, 0, 1)], 1  # D_n = (u + v i) / d; lam is the lcm of the d
+        for n in range(1, N + 1):
+            er = ei = 0
+            for k, ar, ai, br, bi, cr, ci in weights:
+                if k > n:
+                    break
+                (u, v, d), (xr, xi), (yr, yi) = D1[n - k], x[n - k], xy[n - k]
+                wr = ar * yr - ai * yi + br * xr - bi * xi + cr
+                wi = ar * yi + ai * yr + br * xi + bi * xr + ci
+                er += lam // d * (wr * u - wi * v)
+                ei += lam // d * (wr * v + wi * u)
+            (xr, xi), (hr, hi) = x[n], Qc[deg]
+            for cr, ci in reversed(Qc[:deg]):
+                hr, hi = hr * xr - hi * xi + cr, hr * xi + hi * xr + ci
+            if not (hr or hi):
+                raise ZeroDivisionError("jet division by zero")
+            if hi:
+                er, ei, hr = er * hr + ei * hi, ei * hr - er * hi, hr * hr + hi * hi
+            sign = -lift if hr > 0 else lift
+            er, ei, d = sign * er, sign * ei, abs(hr) * lam
+            g = math.gcd(d, er, ei)
+            D1.append((er // g, ei // g, d // g))
+            lam = math.lcm(lam, d // g)
+        return [_int_series(d, [u], None if real else [v]) for u, v, d in D1]
+    s = [(L * (2 * u - L), L * 2 * v) for u, v in x]
+    seed = [int(t == seed_pow) for t in range(m)]
+    D = [_int_series(1, seed, None if real else [0] * m)]
+    nums, lens, dens, lam = [_support(seed, [0] * m)], [m], [1], 1  # lam: lcm of dens
     for n in range(1, N + 1):
         re, im = [0] * m, [0] * m
         ell = m
-        for k, A, LB, L2C in weights:
+        for k, ar, ai, br, bi, cr, ci in weights:
             if k > n:
                 break
             j = n - k
-            w0 = _gadd(_gmul(A, xy[j]), _gmul(LB, x[j]), L2C)
-            w1 = _gadd(_gmul(A, s[j]), (L * LB[0], L * LB[1]))
-            w = [(0, *w0), (1, *w1), (2, L2 * A[0], L2 * A[1])]
+            (xr, xi), (yr, yi), (sr, si) = x[j], xy[j], s[j]
+            w = [(0, ar * yr - ai * yi + br * xr - bi * xi + cr,
+                  ar * yi + ai * yr + br * xi + bi * xr + ci),
+                 (1, ar * sr - ai * si + L * br, ar * si + ai * sr + L * bi),
+                 (2, L2 * ar, L2 * ai)]
             ell = min(ell, lens[j])
             tr, ti = _convolve(w, nums[j], lens[j], real)
             fac = lam // dens[j]
             for t in range(lens[j]):
                 re[t] += fac * tr[t]
                 im[t] += fac * ti[t]
-        h = [Q[deg]] + [(0, 0)] * (m - 1)  # Q_n
-        for i in range(deg - 1, -1, -1):  # h <- h X_n + Q_i L^(deg - i)
-            c = L ** (deg - i)
-            hx = [_gmul(p, x[n]) for p in h]
-            h = [_gadd(hx[0], (Q[i][0] * c, Q[i][1] * c))] + [
-                _gadd(hx[t], (L * h[t - 1][0], L * h[t - 1][1])) for t in range(1, m)
-            ]
+        xr, xi = x[n]
+        h = [Qc[deg]] + [(0, 0)] * (m - 1)  # Q_n
+        for c in reversed(Qc[:deg]):  # h <- h X_n + Q_i L^(deg - i)
+            h = [(u * xr - v * xi + p, u * xi + v * xr + q)
+                 for (u, v), (p, q) in zip(h, [c] + [(L * u, L * v) for u, v in h])]
         v = next((t for t, p in enumerate(h) if p != (0, 0)), None)
         if v is None:
             raise ZeroDivisionError("jet division by zero")
@@ -310,6 +379,7 @@ def _recurrence_exact(
                 nums.append([])
                 lens.append(max(1, ell - v))
                 dens.append(1)
+                D.append(_int_series(1, [0] * lens[-1], None))
                 continue
             if nv < v:
                 raise JetValuationError(f"numerator valuation {nv} < divisor valuation {v}")
@@ -321,23 +391,17 @@ def _recurrence_exact(
             num = _support(*_convolve(num, conj, mm, False))
             den = _support(*_convolve(den, conj, mm, False))
         C, pw = _unit_inverse(den, mm)
-        inv = [(t, C[t] * pw[mm - 1 - t], 0) for t in range(mm) if C[t]]
-        out_re, out_im = _convolve(num, inv, mm, real)
         sign = -lift if pw[mm] > 0 else lift
-        out_re = [sign * u for u in out_re]
-        out_im = [sign * u for u in out_im]
+        inv = [(t, sign * C[t] * pw[mm - 1 - t], 0) for t in range(mm) if C[t]]
+        out_re, out_im = _convolve(num, inv, mm, real)
         d = abs(pw[mm]) * lam
         gcd = math.gcd(d, *out_re, *out_im)
-        nums.append(_support([u // gcd for u in out_re], [u // gcd for u in out_im]))
+        out_re, out_im = [u // gcd for u in out_re], [u // gcd for u in out_im]
+        nums.append(_support(out_re, out_im))
         lens.append(mm)
         dens.append(d // gcd)
+        D.append(_int_series(dens[-1], out_re, None if real else out_im))
         lam = math.lcm(lam, dens[-1])
-    D = []
-    for num, ell, d in zip(nums, lens, dens):
-        re, im = [0] * ell, [0] * ell
-        for t, u, w in num:
-            re[t], im[t] = u, w
-        D.append(_int_series(d, re, None if real else im))
     return D
 
 
@@ -369,6 +433,7 @@ def frobenius_solve(f: FrobeniusForm, N: int = 32) -> FundamentalSystem:
     """Fundamental system at a regular singular (or ordinary) chart origin."""
     ind = analyze(f)
     roots = ind.roots
+    qpoly = ind.poly if ind.exact else None  # prod (z - r_i) for exact roots
     classes = congruence_classes(roots)
     entries = []  # (sort_key, solution)
     constants: dict = {}
@@ -377,11 +442,11 @@ def frobenius_solve(f: FrobeniusForm, N: int = 32) -> FundamentalSystem:
         above = 0  # total multiplicity of class members above the current one
         for idx, (v, mu) in enumerate(cls):
             if idx == 0:
-                jets = recurrence_jets(f, roots, v, 0, mu - 1, N)
+                jets = recurrence_jets(f, roots, v, 0, mu - 1, N, qpoly)
                 for j in range(mu):
                     entries.append(((v, j), _emit_solution(v, jets, j, N)))
             else:
-                sols, info = _subordinate_solutions(f, roots, v, mu, above, N)
+                sols, info = _subordinate_solutions(f, roots, qpoly, v, mu, above, N)
                 for j, s in enumerate(sols):
                     entries.append(((v, j), s))
                 constants.update(info.get("constants", {}))
@@ -396,6 +461,7 @@ def frobenius_solve(f: FrobeniusForm, N: int = 32) -> FundamentalSystem:
 def _subordinate_solutions(
     f: FrobeniusForm,
     roots: Sequence[Scalar],
+    qpoly: Optional[Sequence[GaussianRational]],
     base: Scalar,
     mu: int,
     above: int,
@@ -414,7 +480,7 @@ def _subordinate_solutions(
     for s in range(s_first, above + 1):
         jet_order = s + mu - 1 + above
         try:
-            jets = recurrence_jets(f, roots, base, s, jet_order, N)
+            jets = recurrence_jets(f, roots, base, s, jet_order, N, qpoly)
         except JetValuationError as err:
             last_err = err
             continue

@@ -325,6 +325,17 @@ class _IntSeries(Series):
         cs = self.coeffs = tuple(_gr(u, im[k] if im else 0, d) for k, u in enumerate(re))
         return cs
 
+    def __getitem__(self, n: int) -> Scalar:
+        try:
+            cs = _COEFFS.__get__(self)
+        except AttributeError:  # `coeffs` not built: make coefficient n alone
+            d, re, im = self._int
+            return _gr(re[n], im[n] if im else 0, d) if 0 <= n < len(re) else _ZERO
+        return cs[n] if 0 <= n < len(cs) else _ZERO
+
+
+_COEFFS = Series.coeffs  # the slot, read without falling back to `__getattr__`
+
 
 def _int_sum(a: tuple, b: tuple, sign: int) -> Series:
     """a + sign b on integer forms, truncated to the shorter operand."""

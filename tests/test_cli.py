@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from frobode.cli import (
+    MAX_TERMS,
     DocumentError,
     main,
     parse_document,
@@ -166,6 +167,23 @@ def test_probe_command_on_irregular(tmp_path, capsys):
 def test_validation_exit_code(tmp_path):
     path = _write(tmp_path, {"format": 1, "order": 3, "coeffs": []})
     assert main(["classify", path]) == 2
+
+
+def test_terms_cap(tmp_path, capsys):
+    """The largest truncation order is accepted, from the document or from
+    --terms; one more exits 2 with an error line, either way."""
+    doc = {"format": 1, "order": 2, "coeffs": [[0, 0, 1], [0, 1], [0, 0, 1]]}
+    path = _write(tmp_path, dict(doc, options={"terms": MAX_TERMS}))
+    assert MAX_TERMS >= 128
+    assert main(["indicial", path]) == 0
+    assert json.loads(capsys.readouterr().out)["case"] == "o2_equal"
+    assert main(["indicial", _write(tmp_path, doc, "bare.json"), "--terms", str(MAX_TERMS)]) == 0
+    capsys.readouterr()
+    for argv in (["indicial", _write(tmp_path, dict(doc, options={"terms": MAX_TERMS + 1}))],
+                 ["indicial", path, "--terms", str(MAX_TERMS + 1)]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: 'options.terms' must be an integer from 4 to {MAX_TERMS}\n")
 
 
 def test_holonomy_command(tmp_path, capsys):

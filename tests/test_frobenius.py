@@ -23,7 +23,7 @@ from frobode.frobenius import (
 from frobode.indicial import analyze, indicial_polynomial
 from frobode.ode import FrobeniusForm, Ode, to_frobenius_form
 from frobode.scalars import GaussianRational, to_complex
-from frobode.series import JetValuationError, Series, poly_eval_jet
+from frobode.series import JetValuationError, Series, poly_eval_jet, series_inverse
 
 G = GaussianRational
 
@@ -366,13 +366,25 @@ def _gaussian(parts=(-3, 3), den=4, complex_=True):
     return st.builds(G, u, u if complex_ else st.just(0))
 
 
+def _rows(draw, order, N, coef, unit):
+    """`order` rows through x^N; when a unit 1 + u x is drawn they are
+    divided by it, as `to_frobenius_form` divides by a leading unit, which
+    makes every row a dense series."""
+    rows = [Series(draw(st.lists(coef, min_size=1, max_size=5)), trunc=N) for _ in range(order)]
+    u = draw(st.one_of(st.none(), unit))
+    if u is None:
+        return rows
+    inv = series_inverse(Series([G(1), u], trunc=N))
+    return [r * inv for r in rows]
+
+
 @st.composite
 def _recurrence_case(draw):
     order = draw(st.sampled_from([2, 3]))
     cplx = draw(st.booleans())
     coef = st.one_of(st.just(G(0)), _gaussian(complex_=cplx))
-    N = draw(st.integers(1, 10))
-    rows = [Series(draw(st.lists(coef, min_size=1, max_size=5)), trunc=N) for _ in range(order)]
+    N = draw(st.integers(1, 40))
+    rows = _rows(draw, order, N, coef, _gaussian(complex_=cplx))
     base = draw(_gaussian(complex_=cplx))
     # roots at integer offsets from the base make q(n + base) vanish
     roots = [base - draw(st.integers(-1, 3)) if draw(st.booleans()) else draw(_gaussian((-12, 12)))
@@ -531,8 +543,8 @@ def _float_case(draw):
     cplx = draw(st.booleans())
     # exact zeros are the padding of float rows; exact entries make mixed rows
     coef = st.one_of(st.just(G(0)), st.just(0j), _float(cplx), _gaussian(complex_=cplx))
-    N = draw(st.integers(1, 10))
-    rows = [Series(draw(st.lists(coef, min_size=1, max_size=5)), trunc=N) for _ in range(order)]
+    N = draw(st.integers(1, 40))
+    rows = _rows(draw, order, N, coef, st.one_of(_float(cplx), _gaussian(complex_=cplx)))
     base = draw(st.one_of(_float(cplx), _gaussian(complex_=cplx)))
     # a root at an integer offset from the base: q(n + base) vanishes at
     # n = r - base when the offset is negative; exact roots and an exact base
@@ -562,6 +574,63 @@ def test_float_free_recurrence_matches_the_jet_loop(case):
     want = _bits(lambda: _jet_loop(
         f, r, 0, jet_order, N, lambda n: poly_eval_jet(q, r + n, jet_order)))
     assert got == want
+
+
+@st.composite
+def _irrational_case(draw):
+    """Exact order-3 rows with the roots a and p +- sqrt(s) (s not a square,
+    so the pair is float), run at jet order 0 from any of the three."""
+    N = draw(st.integers(1, 40))
+    coef = st.one_of(st.just(G(0)), _gaussian(complex_=False))
+    rows = _rows(draw, 3, N, coef, _gaussian(complex_=False))
+    p = complex(draw(_gaussian(complex_=False)))
+    s = draw(st.sampled_from([2, 3, 5, 6, 7, 10]))
+    roots = [draw(_gaussian(complex_=False)), p + s ** 0.5, p - s ** 0.5]
+    f = FrobeniusForm(3, b=rows[1], c=rows[2], a=rows[0])
+    return f, roots, draw(st.sampled_from(roots)), 0, 0, N
+
+
+@settings(max_examples=60, deadline=None)
+@given(_irrational_case())
+def test_mixed_recurrence_with_an_irrational_pair_matches_the_jet_loop(case):
+    _same_as_jet_loop(*case)
+
+
+def test_jet_order_zero_runs_on_scalars(monkeypatch):
+    """At jet order 0 the float, mixed and exact recurrences make no `Series`
+    product or division; at jet order 1 the float one does."""
+    calls = []
+
+    def counting(name):
+        orig = getattr(Series, name)
+
+        def wrapped(self, *args, **kw):
+            calls.append(name)
+            return orig(self, *args, **kw)
+        return wrapped
+
+    exact = to_frobenius_form(Ode.from_rows(
+        [[0, 0, 0, 1, 1], [0, 0, 3, "1/2"], [0, 1, 0, 1], [0, 0, 0, 1]], trunc=16))
+    mixed = FrobeniusForm(3, b=Series([-2, 1, 0, "1/5"], trunc=16),
+                          c=Series([2, "-1/3", 1], trunc=16), a=Series([2, "1/7"], trunc=16))
+    floats = FrobeniusForm(3, **{k: Series([complex(c) for c in getattr(exact, k).coeffs])
+                                 for k in "abc"})
+    runs = [
+        lambda: recurrence_jets(exact, analyze(exact).roots, analyze(exact).roots[0], 0, 0, 16),
+        lambda: recurrence_jets(mixed, analyze(mixed).roots, analyze(mixed).roots[1], 0, 0, 16),
+        lambda: recurrence_jets(floats, analyze(floats).roots, analyze(floats).roots[0], 0, 0, 16),
+        lambda: recurrence_jets_free(exact, G(1, 3), 16),
+        lambda: recurrence_jets_free(mixed, 0.5 + 0.25j, 16),
+        lambda: recurrence_jets_free(floats, 0.5 + 0.25j, 16),
+    ]
+    assert not analyze(mixed).exact and analyze(exact).exact
+    monkeypatch.setattr(Series, "__mul__", counting("__mul__"))
+    monkeypatch.setattr(Series, "div", counting("div"))
+    for run in runs:
+        assert len(run()) == 17
+    assert calls == []
+    recurrence_jets_free(floats, 0.5 + 0.25j, 16, jet_order=1)
+    assert calls.count("div") == 16
 
 
 def test_float_and_mixed_recurrence_on_resonant_and_irrational_forms():
