@@ -317,8 +317,7 @@ def cmd_holonomy(ctx: dict, args) -> dict:
     if not loops:
         finite = [s for s in m.ramification if s != "infinity"]
         for s in finite:
-            others = [abs(s - t) for t in finite if t != s]
-            rad = min([1.0] + [d / 2 for d in others if d > 0])
+            rad = min([1.0] + [abs(s - t) / 2 for t in finite if t != s])
             loops.append(Circle(complex(s), rad))
     if not loops:
         raise DocumentError("no ramification points and no loops specified")

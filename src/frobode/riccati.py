@@ -2,9 +2,10 @@
 and the Liouvillian solution formulas.
 
 Setting t = u'/u in a(z)u'' + b(z)u' + c(z)u = 0 gives the Riccati equation
-dt/dz = -(a t^2 + b t + c)/a.  Its solutions live on the projective line, so
-continuation works in a two-chart atlas (t and w = 1/t), and continuing around
-loops avoiding the ramification set yields Moebius maps.
+dt/dz = -(a t^2 + b t + c)/a.  A path carries (u, u') by a linear transition
+matrix T, built from Taylor steps, so t moves by the Moebius map of T; the map
+of a loop avoiding the ramification set is its holonomy, certified by Abel's
+identity on det T.
 """
 
 from __future__ import annotations
@@ -18,7 +19,9 @@ import numpy as np
 
 from .classify import classify_infinity
 from .ode import Ode, poly_degree
-from .scalars import poly_derivative, poly_eval, to_complex
+from .indicial import _poly_gcd
+from .scalars import (as_exact, is_exact, poly_derivative, poly_divide_linear, poly_eval,
+                      to_complex)
 
 __all__ = [
     "RiccatiModel",
@@ -34,10 +37,14 @@ __all__ = [
 
 INFINITY = "infinity"
 
-#: relative and absolute error per Dormand-Prince step
-_RTOL, _ATOL = 1e-10, 1e-12
 #: nearest distance a continuation path may pass to a ramification point
 _CLEARANCE = 1e-3
+#: step length, in z, along a path where a has no finite root
+_FREE_STEP = 0.5
+#: most terms one Taylor step sums before it gives up
+_TERM_CAP = 400
+#: relative size of the last terms at which a Taylor step stops
+_EPS = 2.0 ** -53
 #: relative Riccati residual within which a rational gamma is accepted
 _GAMMA_TOL = 1e-8
 
@@ -60,13 +67,6 @@ class ProjectivePoint:
             return complex(math.inf, 0.0)
         return self.num / self.den
 
-    def chordal_distance(self, other: "ProjectivePoint") -> float:
-        """Fubini-Study chordal metric; bounded, infinity-safe."""
-        n1 = math.hypot(abs(self.num), abs(self.den))
-        n2 = math.hypot(abs(other.num), abs(other.den))
-        cross = self.num * other.den - self.den * other.num
-        return abs(cross) / (n1 * n2)
-
 
 @dataclass(frozen=True)
 class Circle:
@@ -78,30 +78,26 @@ class Circle:
         return self.center + self.radius * cmath.exp(2j * math.pi * self.turns * s)
 
     def velocity(self, s: float) -> complex:
-        return (
-            2j * math.pi * self.turns * self.radius
-            * cmath.exp(2j * math.pi * self.turns * s)
-        )
+        return 2j * math.pi * self.turns * (self.point(s) - self.center)
 
 
 @dataclass(frozen=True)
 class Polyline:
     points: tuple
 
-    def point(self, s: float) -> complex:
-        pts = self.points
-        nseg = len(pts) - 1
+    def _locate(self, s: float) -> tuple[int, float, int]:
+        nseg = len(self.points) - 1
         u = min(max(s, 0.0), 1.0) * nseg
         i = min(int(u), nseg - 1)
-        f = u - i
-        return pts[i] * (1 - f) + pts[i + 1] * f
+        return i, u - i, nseg
+
+    def point(self, s: float) -> complex:
+        i, f, _ = self._locate(s)
+        return self.points[i] * (1 - f) + self.points[i + 1] * f
 
     def velocity(self, s: float) -> complex:
-        pts = self.points
-        nseg = len(pts) - 1
-        u = min(max(s, 0.0), 1.0 - 1e-12) * nseg
-        i = min(int(u), nseg - 1)
-        return (pts[i + 1] - pts[i]) * nseg
+        i, _, nseg = self._locate(s)
+        return (self.points[i + 1] - self.points[i]) * nseg
 
 
 @dataclass(frozen=True)
@@ -127,92 +123,113 @@ def riccati_model(e: Ode) -> RiccatiModel:
     """Riccati model of an order-2 polynomial-coefficient equation."""
     if e.order != 2:
         raise ValueError("riccati_model applies to order 2")
-    rows = []
-    for r in e.coeffs:
-        deg = poly_degree(r)
-        rows.append(tuple(to_complex(c) for c in r.coeffs[: deg + 1]))
-    a, b, c = rows
-    sigma: list = []
-    if len(a) > 1:
-        for z in np.roots(list(reversed(a))):
-            z = complex(z)
-            if all(abs(z - s) > 1e-9 for s in sigma):
-                sigma.append(z)
+    rows = [r.coeffs[: poly_degree(r) + 1] for r in e.coeffs]
+    a, b, c = (tuple(to_complex(x) for x in row) for row in rows)
+    # the distinct roots of a are those of a / gcd(a, a'), the gcd taken over
+    # Q(i): a float coefficient is a dyadic rational and converts exactly
+    exact = [as_exact(x if is_exact(x) else (x.real, x.imag)) for x in rows[0]]
+    g = _poly_gcd(exact, poly_derivative(exact))
+    free = np.polydiv(a[::-1], [to_complex(x) for x in g[::-1]])[0]
+    sigma: list = [complex(z) for z in np.roots(free)]
     if classify_infinity(e).tag != "ordinary":
         sigma.append(INFINITY)
     return RiccatiModel(a, b, c, tuple(sigma))
 
 
 # ---------------------------------------------------------------------------
-# adaptive Dormand-Prince 5(4) continuation with chart switching
+# transition matrices by Taylor steps
 # ---------------------------------------------------------------------------
 
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_DP_B4 = (
-    5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
-    -92097 / 339200, 187 / 2100, 1 / 40,
-)
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+
+def _shift(p: Sequence, z0: complex) -> list:
+    """Coefficients of p(z0 + h) in h, low power first: the remainders of
+    repeated synthetic division by h - z0."""
+    out = []
+    while p:
+        p, r = poly_divide_linear(p, z0)
+        out.append(r)
+    return out
+
+
+def _taylor_step(m: RiccatiModel, z0: complex, h: complex):
+    """(T, I) over the straight step z0 -> z0 + h: T maps (u, u') at z0 to
+    (u, u') at z0 + h, and I is the integral of b/a, both summed from the
+    Taylor series at z0.  The terms are kept scaled, v_n = u_n h^n, so that
+    |h| <= rho/2 makes them fall at least like 2^-n."""
+    if h == 0:
+        return np.eye(2, dtype=complex), 0j
+    sa, sb, sc = (_shift(p, z0) for p in (m.a, m.b, m.c))
+    # al_0 t(t-1) v_t = -sum_j (al_j s(s-1) + be_j s + ga_j) v_s over s = t - j,
+    # j = 1..w, where al_j, be_j, ga_j are a_j, b_(j-1), c_(j-2) times h^j;
+    # q_t = (b/a)_t h^(t+1) solves al_0 q_t = be_(t+1) - sum_j al_j q_(t-j)
+    w = max(len(sa) - 1, len(sb), len(sc) + 1)
+    al = [sa[j] * h ** j if j < len(sa) else 0j for j in range(w + 1)]
+    be = [sb[j - 1] * h ** j if 0 < j <= len(sb) else 0j for j in range(w + 1)]
+    ga = [sc[j - 2] * h ** j if 1 < j < len(sc) + 2 else 0j for j in range(w + 1)]
+    u, p, q, rel = [1 + 0j, 0j], [0j, 1 + 0j], [], []  # u, p: columns (1, 0), (0, 1)
+    su = du = sp = dp = integral = 0j
+    for t in range(_TERM_CAP):
+        cu = cp = cq = 0j
+        for j in range(1, min(w, t) + 1):
+            k = al[j] * (t - j) * (t - j - 1) + be[j] * (t - j) + ga[j]
+            cu, cp, cq = cu + k * u[t - j], cp + k * p[t - j], cq + al[j] * q[t - j]
+        if t >= 2:
+            d = -al[0] * t * (t - 1)
+            u.append(cu / d)
+            p.append(cp / d)
+        q.append(((be[t + 1] if t < w else 0j) - cq) / al[0])
+        su, du, sp, dp = su + u[t], du + t * u[t], sp + p[t], dp + t * p[t]
+        integral += q[t] / (t + 1)
+        # how far the term moves the sums; w small terms in a row end the series
+        scale = max(abs(su), abs(du), abs(sp), abs(dp))
+        rel.append(max(max(abs(u[t]), abs(p[t])) * max(t, 1) / scale,
+                       abs(q[t]) / (t + 1) / max(1.0, abs(integral))))
+        if t >= w and max(rel[-w:]) <= _EPS:
+            break
+    else:
+        raise ArithmeticError(f"Taylor step at z = {z0} did not converge in {_TERM_CAP} terms")
+    return np.array([[su, h * sp], [du / h, dp]]), integral
+
+
+def _transition(m: RiccatiModel, path):
+    """(T, I) along the path: T maps (u, u') at its start to (u, u') at its
+    end, and I is the integral of b/a along it.  A step from z0 covers at most
+    rho/2 of arc length (rho the distance to the nearest root of a, else
+    _FREE_STEP), at the speed at z0: exact on a circle and on each segment of
+    a polyline.  k turns of a circle are the one-turn matrix to the k-th power."""
+    if isinstance(path, Circle) and path.turns != 1:
+        one, i1 = _transition(m, Circle(path.center, path.radius))
+        with np.errstate(all="ignore"):  # an overflow fails Abel's identity
+            return np.linalg.matrix_power(one, path.turns), path.turns * i1
+    pieces = ([Polyline(seg) for seg in zip(path.points, path.points[1:])]
+              if isinstance(path, Polyline) else [path])
+    roots = [sig for sig in m.ramification if sig != INFINITY]
+    T, integral = np.eye(2, dtype=complex), 0j
+    for piece in pieces:
+        s = 0.0
+        while s < 1.0:
+            z0 = piece.point(s)
+            reach = _FREE_STEP
+            if roots:
+                near = min(roots, key=lambda r: abs(z0 - r))
+                if abs(z0 - near) < _CLEARANCE:
+                    raise ValueError(
+                        f"path passes within clearance {_CLEARANCE} of sigma point {near}"
+                    )
+                reach = abs(z0 - near) / 2
+            s1 = min(1.0, s + reach / max(abs(piece.velocity(s)), 1e-300))
+            if s1 == s:
+                raise ArithmeticError(f"path too long to resolve a step at z = {z0}")
+            step, di = _taylor_step(m, z0, piece.point(s1) - z0)
+            T, integral, s = step @ T, integral + di, s1
+    return T, integral
 
 
 def continue_along_path(m: RiccatiModel, t0, path) -> ProjectivePoint:
     """Continue the Riccati solution with initial value t0 (complex or
-    "infinity") along the path; returns the endpoint as a projective point."""
-    for s in np.linspace(0.0, 1.0, 257):
-        z = path.point(float(s))
-        for sig in m.ramification:
-            if sig != INFINITY and abs(z - sig) < _CLEARANCE:
-                raise ValueError(
-                    f"path passes within clearance {_CLEARANCE} of sigma point {sig}"
-                )
-    if t0 == INFINITY or (isinstance(t0, float) and math.isinf(t0)):
-        chart, val = "w", 0j
-    else:
-        chart, val = "t", complex(t0)
-        if abs(val) > 1.0:
-            chart, val = "w", 1.0 / val
-
-    def f(s: float, y: complex, ch: str) -> complex:
-        z = path.point(s)
-        dz = path.velocity(s)
-        return (m.rhs_t(z, y) if ch == "t" else m.rhs_w(z, y)) * dz
-
-    s, h = 0.0, 1e-3
-    min_h = 1e-13
-    while s < 1.0:
-        h = min(h, 1.0 - s)
-        k = []
-        for i in range(7):
-            yi = val
-            for j, aij in enumerate(_DP_A[i]):
-                yi = yi + h * aij * k[j]
-            k.append(f(s + _DP_C[i] * h, yi, chart))
-        y5 = val + h * sum(b * ki for b, ki in zip(_DP_B5, k))
-        y4 = val + h * sum(b * ki for b, ki in zip(_DP_B4, k))
-        err = abs(y5 - y4)
-        tol = _ATOL + _RTOL * max(abs(val), abs(y5))
-        if err <= tol:
-            s += h
-            val = y5
-            if abs(val) > 1.0:
-                val = 1.0 / val
-                chart = "w" if chart == "t" else "t"
-        elif h <= min_h:
-            raise ArithmeticError("step size underflow during continuation")
-        factor = 0.9 * (tol / err) ** 0.2 if err > 0 else 5.0
-        h = max(min_h, h * min(5.0, max(0.2, factor)))
-    if chart == "t":
-        return ProjectivePoint(val, 1.0 + 0j)
-    return ProjectivePoint(1.0 + 0j, val)
+    "infinity") along the path; t = u'/u moves by the transition matrix."""
+    (t11, t12), (t21, t22) = _transition(m, path)[0].tolist()
+    return MoebiusMap.from_matrix(t22, t21, t12, t11).apply(ProjectivePoint.of(t0))
 
 
 # ---------------------------------------------------------------------------
@@ -272,33 +289,16 @@ class MoebiusMap:
         ) / max(n, 1e-300)
 
 
-def _moebius_through(p1: ProjectivePoint, p2: ProjectivePoint, p3: ProjectivePoint) -> MoebiusMap:
-    """The map sending (p1, p2, p3) to (0, 1, infinity)."""
-    alpha = p2.num * p3.den - p3.num * p2.den
-    beta = p2.num * p1.den - p1.num * p2.den
-    return MoebiusMap.from_matrix(
-        p1.den * alpha, -p1.num * alpha, p3.den * beta, -p3.num * beta
-    )
-
-
 def holonomy_of_loop(m: RiccatiModel, path, verify_tol: float = 1e-6) -> MoebiusMap:
-    """Continue t in {0, 1, infinity}, fit the Moebius map, verify on t = -1
-    (or t = i when -1 is too close to the probe set)."""
-    probes = [0j, 1.0 + 0j, INFINITY]
-    ins = [ProjectivePoint.of(p) for p in probes]
-    outs = [continue_along_path(m, p, path) for p in probes]
-    fit = _moebius_through(outs[0], outs[1], outs[2]).inverse().compose(
-        _moebius_through(ins[0], ins[1], ins[2])
-    )
-    fourth = -1.0 + 0j
-    got = continue_along_path(m, fourth, path)
-    want = fit.apply(ProjectivePoint.of(fourth))
-    defect = got.chordal_distance(want)
-    if defect > verify_tol:
-        raise ArithmeticError(
-            f"fourth-trajectory verification failed: defect {defect:.3e}"
-        )
-    return fit
+    """The loop's map t -> (T22 t + T21)/(T12 t + T11) from its transition
+    matrix T, checked by Abel's identity det T = exp(-(integral of b/a))."""
+    T, integral = _transition(m, path)
+    with np.errstate(all="ignore"):  # an overflow makes the defect inf or nan
+        defect = abs(np.linalg.det(T) * np.exp(integral) - 1)
+    if not defect <= verify_tol:
+        raise ArithmeticError(f"Abel's identity fails on the loop: defect {defect:.3e}")
+    (t11, t12), (t21, t22) = T.tolist()
+    return MoebiusMap.from_matrix(t22, t21, t12, t11)
 
 
 def global_holonomy(m: RiccatiModel, loops: Sequence) -> list[MoebiusMap]:

@@ -1,7 +1,9 @@
 """Document parsing, command dispatch and exit-code contract."""
 
 import json
+import math
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -255,6 +257,38 @@ def test_holonomy_accepts_a_valid_loop(tmp_path, capsys):
     assert main(["holonomy", _write(tmp_path, doc)]) == 0
     (g,) = json.loads(capsys.readouterr().out)["generators"]
     assert g["identity_defect"] < 1e-6
+
+
+def test_holonomy_around_a_repeated_root(tmp_path, capsys):
+    # (z - 1/3)^2 u'' + u = 0: one ramification point, so the default loop
+    # is the unit circle and the map is that of z^2 u'' + u = 0
+    doc = {**HOLONOMY_DOC, "coeffs": [["1/9", "-2/3", 1], [0], [1]]}
+    assert main(["holonomy", _write(tmp_path, doc)]) == 0
+    (g,) = json.loads(capsys.readouterr().out)["generators"]
+    want = math.exp(2 * math.pi * math.sqrt(3))
+    mags = sorted(abs(complex(*w)) for w in g["multipliers"])
+    assert mags[1] == pytest.approx(want, rel=1e-6)
+    assert mags[0] == pytest.approx(1 / want, rel=1e-6)
+
+
+@pytest.mark.parametrize("turns", [3, 40])
+def test_holonomy_fails_abel_when_turns_lose_precision(tmp_path, capsys, turns):
+    loop = {"loops": [{"center": [0, 0], "radius": 1.0, "turns": turns}]}
+    doc = {**HOLONOMY_DOC, "options": {"terms": 8, "holonomy": loop}}
+    assert main(["holonomy", _write(tmp_path, doc)]) == 3
+    assert "Abel" in capsys.readouterr().err
+
+
+def test_holonomy_turns_cost_one_turn(tmp_path, capsys):
+    loop = {"loops": [{"center": [2, 0], "radius": 1.0, "turns": 10**9}]}
+    doc = {**HOLONOMY_DOC, "options": {"terms": 8, "holonomy": loop}}
+    path = _write(tmp_path, doc)
+    t0 = time.perf_counter()
+    code = main(["holonomy", path])
+    assert time.perf_counter() - t0 < 1.0
+    # rounding grows with the turns: the identity to 1e-6, or Abel's check fails
+    out = capsys.readouterr().out
+    assert code == 3 or json.loads(out)["generators"][0]["identity_defect"] < 1e-5
 
 
 def _bundle(tmp_path):

@@ -6,8 +6,10 @@ import random
 
 import pytest
 
-from frobode.ode import Ode
+from frobode.indicial import analyze
+from frobode.ode import Ode, to_frobenius_form
 from frobode.riccati import (
+    _transition,
     Circle,
     MoebiusMap,
     Polyline,
@@ -43,10 +45,12 @@ def test_continuation_follows_known_solution():
 
 
 def test_continuation_switches_charts():
-    # start at t = infinity and come back to a finite value
+    # start at t = infinity, i.e. u(0) = 0: u = e^{z^2/2} int_0^z e^{-s^2/2},
+    # so t = u'/u = z + e^{-z^2/2} / (sqrt(pi/2) erf(z/sqrt 2))
     m = riccati_model(Ode.from_rows([[1], [0, -1], [-1]], trunc=4))
     out = continue_along_path(m, "infinity", Polyline((0j, 0.5 + 0j)))
-    assert out.as_complex() is not None
+    want = 0.5 + math.exp(-1 / 8) / _erf_integral(0.5)
+    assert abs(out.as_complex() - want) < 1e-9
 
 
 def test_moebius_fit_and_composition():
@@ -78,6 +82,59 @@ def test_trivial_holonomy_without_singularities():
     m = riccati_model(Ode.from_rows([[1], b, c], trunc=4))
     g = holonomy_of_loop(m, Circle(0.2 + 0.1j, 0.7))
     assert g.identity_defect() < 1e-6
+
+
+def test_trivial_loops_are_the_identity_to_rounding():
+    random.seed(5)
+    for _ in range(3):
+        b = [complex(random.uniform(-1, 1)) for _ in range(4)]
+        c = [complex(random.uniform(-1, 1)) for _ in range(4)]
+        m = riccati_model(Ode.from_rows([[1], b, c], trunc=4))
+        assert holonomy_of_loop(m, Circle(0.2 + 0.1j, 0.8)).identity_defect() <= 1e-12
+
+
+def test_holonomy_multipliers_are_the_frobenius_exponent_gap():
+    # z u'' + u'/3 + u = 0 at 0 has exponents 0 and 2/3: the loop multiplies
+    # z^rho by e^{2 pi i rho}, and Abel gives det T = exp(-2 pi i/3)
+    e = Ode.from_rows([[0, 1], ["1/3"], [1]], trunc=8)
+    r1, r2 = (complex(r) for r in analyze(to_frobenius_form(e)).roots)
+    assert {r1, r2} == {0, 2 / 3}
+    m = riccati_model(e)
+    for turns in (1, 2, -1):
+        mult = holonomy_of_loop(m, Circle(0j, 0.5, turns)).multipliers()
+        for sign in (1, -1):
+            want = cmath.exp(2j * math.pi * turns * sign * (r1 - r2))
+            assert min(abs(w - want) for w in mult) < 1e-9
+    T, _ = _transition(m, Circle(0j, 0.5))
+    assert abs(complex(T[0, 0] * T[1, 1] - T[0, 1] * T[1, 0]) - cmath.exp(-2j * math.pi / 3)) < 1e-9
+
+
+def test_log_case_holonomy_is_parabolic():
+    # Bessel of order 0, z^2 u'' + z u' + z^2 u = 0: a double exponent, so the
+    # loop map is a non-identity map with both multipliers 1
+    m = riccati_model(Ode.from_rows([[0, 0, 1], [0, 1], [0, 0, 1]], trunc=4))
+    g = holonomy_of_loop(m, Circle(0j, 1.0))
+    assert all(abs(w - 1) < 1e-6 for w in g.multipliers())
+    assert g.identity_defect() > 0.1
+
+
+def test_turns_power_the_one_turn_map():
+    m = riccati_model(Ode.from_rows([[0, 0, 1], [0], [1]], trunc=4))
+    g = holonomy_of_loop(m, Circle(0j, 1.0, 2))
+    want = math.exp(4 * math.pi * math.sqrt(3))
+    mult = sorted(abs(w) for w in g.multipliers())
+    assert mult[1] == pytest.approx(want, rel=1e-6)
+    assert mult[0] == pytest.approx(1 / want, rel=1e-6)
+    # three turns lose det T to cancellation, which Abel's identity sees
+    with pytest.raises(ArithmeticError):
+        holonomy_of_loop(m, Circle(0j, 1.0, 3))
+
+
+def test_repeated_root_of_a_is_one_ramification_point():
+    for rows in ([["1/9", "-2/3", 1], [0], [1]], [[1, -3, 3, -1], [0], [1]]):
+        m = riccati_model(Ode.from_rows(rows, trunc=4))
+        finite = [s for s in m.ramification if s != "infinity"]
+        assert len(finite) == 1
 
 
 def test_loop_through_singularity_is_rejected():
