@@ -31,7 +31,7 @@ from .indicial import (
     integer_difference,
 )
 from .ode import FrobeniusForm, Ode, to_frobenius_form
-from .scalars import (DIVERGENT_RADIUS, PIVOT_TOL, RESIDUAL_TOL, GaussianRational, Scalar,
+from .scalars import (DIVERGENT_RADIUS, RESIDUAL_TOL, ZERO_TOL, GaussianRational, Scalar,
                       is_exact, poly_mul, scalar_is_zero, structural_zero, to_complex)
 from .series import (
     GSTerm,
@@ -537,119 +537,147 @@ class FormalProbe:
 
 
 def formal_probe(e: Ode, N: int = 32) -> FormalProbe:
-    """Plain power-series ansatz in the raw equation; reports whether
-    nontrivial formal solutions exist and estimates their radius."""
-    rows = []
+    """Plain power-series ansatz y = sum a_n x^n in the raw equation: whether
+    nontrivial formal solutions exist, and an estimate of their radius.  With
+    A_i multiplying y^(d_i) at valuation v_i, the x^k coefficient (k <= N +
+    order) involves a_n for n <= k + s, s = max(d_i - v_i), with P(k + s) at
+    n = k + s.  Walking n upward, a_n is a vector over free parameters: a
+    column no coefficient reaches, or where P(n) = 0, opens one; where
+    P(n) != 0 the coefficient solves for a_n; one whose top entry vanishes is
+    a constraint that eliminates a parameter; one reaching past a_N is
+    dropped.  The candidates are the canonical basis, each vector's last
+    non-zero entry in a column where the others vanish, ordered by that
+    column and scaled to a monic lowest term.  A float coefficient is zero
+    when negligible against the largest, a float sum when negligible against
+    its terms, and a float pivot is the largest entry."""
     order = e.order
     exact = all(is_exact(c) for row in e.coeffs for c in row.coeffs)
-    scale = 1.0 if exact else max(1.0, max(r.magnitude() for r in e.coeffs))
-    for k in range(N + order + 1):
-        row = [_ZERO] * (N + 1)
-        support_ok = True
-        for n in range(0, k + order + 1):
-            coef = _ZERO
-            for i, arow in enumerate(e.coeffs):  # arow multiplies y^(order-i)
-                deriv = order - i
-                idx = k - n + deriv
-                if 0 <= idx <= arow.trunc:
-                    cc = arow[idx]
-                    if not structural_zero(cc):
-                        coef = coef + math.perm(n, deriv) * cc
-            if scalar_is_zero(coef, scale):
-                continue
-            if n > N:
-                support_ok = False
-                break
-            row[n] = coef
-        if support_ok and any(not structural_zero(c) for c in row):
-            rows.append(row)
-    basis = _nullspace(rows, N + 1, exact)
+    zero, one = (_ZERO, _ONE) if exact else (0j, 1.0 + 0j)
+    scale = 1.0 if exact else max(r.magnitude() for r in e.coeffs)
+    rows = []  # (d_i, the non-zero (j, A_i[j])) of each row A_i
+    for i, r in enumerate(e.coeffs):
+        nz = [(j, c if exact else to_complex(c)) for j, c in enumerate(r.coeffs)
+              if not scalar_is_zero(c, scale)]
+        rows.append((order - i, nz))
+    s = max(d - nz[0][0] for d, nz in rows if nz)
+    # a_n grows like (n!)^gevrey: the steepest slope of the recurrence's Newton
+    # polygon, positive only where Fuchs' criterion fails (top < order)
+    top = max(d for d, nz in rows if nz and d - nz[0][0] == s)
+    gevrey = max(((d - top) / (s - d + j) for d, nz in rows for j, _ in nz if d - j < s),
+                 default=0.0)
+
+    def equation(k: int) -> list:
+        """[(n, coefficient of a_n)] of the x^k coefficient, zeros left out."""
+        cols: dict = {}
+        for d, nz in rows:
+            for j, c in nz:
+                if j <= k:
+                    cols.setdefault(k + d - j, []).append(math.perm(k + d - j, d) * c)
+        eq = [(n, _sum(ts, exact)) for n, ts in sorted(cols.items())]
+        return [(n, c) for n, c in eq if not structural_zero(c)]
+
+    def apply(eq: list, v: list) -> Scalar:
+        return _sum([c * v[n] for n, c in eq if not structural_zero(v[n])], exact)
+
+    basis: list = []  # a_0 .. a_N of each free parameter, known through a_n
+    for n in range(max(N, N + order + s) + 1):
+        eq = equation(n - s) if 0 <= n - s <= N + order else []
+        if eq and eq[-1][0] == n and n <= N:
+            pn = eq.pop()[1]
+            for v in basis:
+                v[n] = -apply(eq, v) / pn
+            continue
+        if not eq or eq[-1][0] <= N:
+            p = _pivot(basis, [apply(eq, v) for v in basis], exact)
+            if p is not None:
+                del basis[p]
+        if n <= N:
+            basis.append([zero] * n + [one] + [zero] * (N - n))
     if not basis:
         return FormalProbe("trivial_only", (), (), math.inf)
-    candidates = tuple(_monic_leading(Series(v)) for v in basis)
+    column: dict = {}  # vector index -> the column of its last non-zero entry
+    for col in range(N, -1, -1):
+        p = _pivot(basis, [v[col] for v in basis], exact, skip=column)
+        if p is not None:
+            column[p] = col
+    candidates = tuple(_monic_leading(Series(basis[q])) for q in sorted(column, key=column.get))
     primary = candidates[0]
     trace = []
     for k in range(min(_TRACE_LEN, N)):
         a0, a1 = to_complex(primary[k]), to_complex(primary[k + 1])
         trace.append(abs(a1 / a0) if a0 != 0 else math.inf)
-    radius = min(_radius_estimate(c) for c in candidates)
+    radius = min(_radius_estimate(c, gevrey) for c in candidates)
     status = "divergent_formal" if radius < DIVERGENT_RADIUS else "solutions"
     return FormalProbe(status, candidates, tuple(trace), radius)
 
 
+def _sum(terms: list, exact: bool) -> Scalar:
+    """The sum of the terms; a float sum negligible against their magnitude is 0."""
+    total = sum(terms, _ZERO if exact else 0j)
+    if exact:
+        return total
+    bound = ZERO_TOL * sum(map(abs, terms))
+    if math.isfinite(bound) and abs(total) <= bound:
+        return 0j
+    return total
+
+
+def _pivot(vecs: list, c: list, exact: bool, skip=()) -> Optional[int]:
+    """Pivot on the first non-zero c[p], p not in `skip` (the largest in float
+    mode): subtract c[q]/c[p] times vecs[p] from every other vecs[q], so that
+    c, read as a linear form, vanishes on each of them; return p, or None
+    when those c[p] are all 0."""
+    live = [q for q in range(len(c)) if q not in skip and not structural_zero(c[q])]
+    if not live:
+        return None
+    if exact:
+        p = live[0]
+    else:
+        p = max(live, key=lambda q: abs(c[q]))
+    for q, v in enumerate(vecs):
+        if q != p and not structural_zero(c[q]):
+            f = c[q] / c[p]
+            vecs[q] = [_sum([x, -f * y], exact) for x, y in zip(v, vecs[p])]
+    return p
+
+
 def _monic_leading(s: Series) -> Series:
-    v = s.valuation()
-    if v is None:
+    """s over its first non-zero coefficient, a float one however small."""
+    lead = next((c for c in s.coeffs if not structural_zero(c)), None)
+    if lead is None:
         return s
-    lead = s.coeffs[v]
     if is_exact(lead):
-        return s.scale(GaussianRational(1) / lead)
-    return s.scale(1.0 / to_complex(lead))
+        return s.scale(_ONE / lead)
+    return s.scale(1.0 / lead)
 
 
-def _nullspace(rows: list[list], ncols: int, exact: bool) -> list[list]:
-    """Nullspace basis by Gaussian elimination; exact or floating pivoting."""
-    mat = [list(r) for r in rows]
-    if not exact:
-        mat = [[to_complex(c) for c in r] for r in mat]
-    pivots: dict[int, int] = {}  # col -> row index
-    used = [False] * len(mat)
-    for col in range(ncols):
-        best, bestmag = None, 0.0
-        for ri, row in enumerate(mat):
-            if used[ri]:
-                continue
-            mag = abs(to_complex(row[col]))
-            if exact:
-                if row[col] != 0 and (best is None):
-                    best = ri
-                    break
-            elif mag > bestmag:
-                best, bestmag = ri, mag
-        if best is None:
-            continue
-        if not exact:
-            rowscale = max(abs(to_complex(c)) for c in mat[best])
-            if bestmag <= PIVOT_TOL * max(1.0, rowscale):
-                continue
-        used[best] = True
-        pivots[col] = best
-        prow = mat[best]
-        inv = (_ONE / prow[col]) if exact else (1.0 / prow[col])
-        mat[best] = [inv * c for c in prow]
-        for ri, row in enumerate(mat):
-            if ri == best:
-                continue
-            fac = row[col]
-            if structural_zero(fac):
-                continue
-            mat[ri] = [row[j] - fac * mat[best][j] for j in range(ncols)]
-    free_cols = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free_cols:
-        vec = [_ZERO] * ncols
-        vec[fc] = _ONE if exact else 1.0 + 0j
-        for col, ri in pivots.items():
-            vec[col] = -mat[ri][fc] * (_ONE if exact else (1.0 + 0j))
-        basis.append(vec)
-    return basis
-
-
-def _radius_estimate(s: Series) -> float:
-    """1 / limsup |a_n|^(1/n) from the last `_RADIUS_TAIL` terms, with a growth-trend
-    test: steadily increasing |a_n|^(1/n) (super-geometric coefficients)
-    reports radius 0."""
-    mags = [abs(to_complex(c)) for c in s.coeffs]
-    idx = [n for n in range(1, len(mags)) if mags[n] > 0]
-    if not idx:
+def _radius_estimate(s: Series, gevrey: float) -> float:
+    """1 / limsup |a_n|^(1/n) from the last `_RADIUS_TAIL` non-zero terms, or 0
+    when the series diverges.  At a regular singular or ordinary point
+    (gevrey <= 0) every formal power series converges; at an irregular one
+    a_n grows like (n!)^gevrey R^n unless the series converges, and the test
+    is |a_n|^(1/n) increasing across the tail by a factor 1.10, or by less
+    where n^(gevrey/2) grows by less: far out, (n!)^gevrey gains only about
+    (n_last/n_first)^gevrey over a tail of fixed length.  |a_n|^(1/n) is read
+    from the exact parts when |a_n| is out of the float range; a float a_n
+    that overflowed is left out."""
+    tail = [(n, c) for n, c in enumerate(s.coeffs)
+            if n and not structural_zero(c) and (is_exact(c) or math.isfinite(abs(c)))]
+    tail = tail[-_RADIUS_TAIL:]
+    if len(tail) < 3:
         return math.inf
-    last = idx[-_RADIUS_TAIL:]
-    if len(last) < 3:
-        return math.inf
-    rho = [mags[n] ** (1.0 / n) for n in last]
-    increasing = all(b >= a * (1 - 1e-9) for a, b in zip(rho, rho[1:]))
-    if increasing and rho[-1] > 1.10 * rho[0]:
-        return 0.0
+    rho = []
+    for n, c in tail:
+        if is_exact(c) and not 1e-300 < abs(c.re) + abs(c.im) < 1e300:
+            norm = c.re * c.re + c.im * c.im
+            rho.append(math.exp((math.log(norm.numerator) - math.log(norm.denominator)) / (2 * n)))
+        else:
+            rho.append(abs(to_complex(c)) ** (1.0 / n))
+    if gevrey > 0:
+        increasing = all(b >= a * (1 - 1e-9) for a, b in zip(rho, rho[1:]))
+        growth = min(1.10, (tail[-1][0] / tail[0][0]) ** (gevrey / 2))
+        if increasing and rho[-1] >= rho[0] * growth:
+            return 0.0
     return 1.0 / max(rho)
 
 

@@ -43,6 +43,8 @@ _CLEARANCE = 1e-3
 _FREE_STEP = 0.5
 #: most terms one Taylor step sums before it gives up
 _TERM_CAP = 400
+#: most Taylor steps one path takes before it gives up
+_STEP_CAP = 10_000
 #: relative size of the last terms at which a Taylor step stops
 _EPS = 2.0 ** -53
 #: relative Riccati residual within which a rational gamma is accepted
@@ -195,8 +197,10 @@ def _transition(m: RiccatiModel, path):
     """(T, I) along the path: T maps (u, u') at its start to (u, u') at its
     end, and I is the integral of b/a along it.  A step from z0 covers at most
     rho/2 of arc length (rho the distance to the nearest root of a, else
-    _FREE_STEP), at the speed at z0: exact on a circle and on each segment of
-    a polyline.  k turns of a circle are the one-turn matrix to the k-th power."""
+    _FREE_STEP), |a/c|^(1/2) and |a/b| at z0, at the speed at z0: exact on a
+    circle and on each segment of a polyline; a path that needs more than
+    _STEP_CAP steps raises ArithmeticError.  k turns of a circle are the
+    one-turn matrix to the k-th power."""
     if isinstance(path, Circle) and path.turns != 1:
         one, i1 = _transition(m, Circle(path.center, path.radius))
         with np.errstate(all="ignore"):  # an overflow fails Abel's identity
@@ -204,10 +208,13 @@ def _transition(m: RiccatiModel, path):
     pieces = ([Polyline(seg) for seg in zip(path.points, path.points[1:])]
               if isinstance(path, Polyline) else [path])
     roots = [sig for sig in m.ramification if sig != INFINITY]
-    T, integral = np.eye(2, dtype=complex), 0j
+    T, integral, steps = np.eye(2, dtype=complex), 0j, 0
     for piece in pieces:
         s = 0.0
         while s < 1.0:
+            steps += 1
+            if steps > _STEP_CAP:
+                raise ArithmeticError(f"path needs more than {_STEP_CAP} Taylor steps")
             z0 = piece.point(s)
             reach = _FREE_STEP
             if roots:
@@ -217,6 +224,11 @@ def _transition(m: RiccatiModel, path):
                         f"path passes within clearance {_CLEARANCE} of sigma point {near}"
                     )
                 reach = abs(z0 - near) / 2
+            az, bz, cz = (abs(poly_eval(p, z0)) for p in (m.a, m.b, m.c))
+            if bz:
+                reach = min(reach, az / bz)
+            if cz:
+                reach = min(reach, math.sqrt(az / cz))
             s1 = min(1.0, s + reach / max(abs(piece.velocity(s)), 1e-300))
             if s1 == s:
                 raise ArithmeticError(f"path too long to resolve a step at z = {z0}")

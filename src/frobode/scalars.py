@@ -31,7 +31,6 @@ __all__ = [
     "INT_TOL",
     "EXP_TOL",
     "RESIDUAL_TOL",
-    "PIVOT_TOL",
     "NEWTON_TOL",
     "DIVERGENT_RADIUS",
     "SOLUTION_TOL",
@@ -48,8 +47,6 @@ INT_TOL = 1e-8
 EXP_TOL = 1e-9
 #: relative size above which a floating residual coefficient is non-zero
 RESIDUAL_TOL = 1e-9
-#: smallest relative pivot of the floating nullspace elimination
-PIVOT_TOL = 1e-10
 #: smallest derivative a floating Newton step divides by
 NEWTON_TOL = 1e-14
 #: radius estimate below which formal solutions are reported divergent

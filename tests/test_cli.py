@@ -291,6 +291,17 @@ def test_holonomy_turns_cost_one_turn(tmp_path, capsys):
     assert code == 3 or json.loads(out)["generators"][0]["identity_defect"] < 1e-5
 
 
+def test_holonomy_step_cap_bounds_a_large_coefficient(tmp_path, capsys):
+    # z u'' + 10^16 u = 0: steps of |a/c|^(1/2) = 10^-8 would take about 6e8
+    # to go round the default loop, so the path gives up at the step cap
+    doc = {**HOLONOMY_DOC, "coeffs": [[0, 1], [0], [10**16]]}
+    path = _write(tmp_path, doc)
+    t0 = time.perf_counter()
+    assert main(["holonomy", path]) == 3
+    assert time.perf_counter() - t0 < 5.0
+    assert "Taylor steps" in capsys.readouterr().err
+
+
 def _bundle(tmp_path):
     out = str(tmp_path / "bundle.json")
     assert main(["solve", _write(tmp_path, DOC), "--output", out]) == 0

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -270,6 +271,153 @@ def test_probe_convergent_solutions():
     p = formal_probe(e)
     assert p.status == "solutions"
     assert p.radius_estimate > 1.0
+
+
+def _probe_oracle(e, N):
+    """The nullspace of the x^0 .. x^(N+order) coefficients of L(sum a_n x^n)
+    that involve no a_n past a_N, by Gauss-Jordan elimination: one vector per
+    free column, scaled to a monic lowest term, in column order."""
+    mat = []
+    for k in range(N + e.order + 1):
+        row = [G(0)] * (N + 1)
+        for n in range(k + e.order + 1):
+            c = G(0)
+            for i, a in enumerate(e.coeffs):
+                d = e.order - i
+                if 0 <= k - n + d <= a.trunc:
+                    c = c + math.perm(n, d) * a[k - n + d]
+            if c and n > N:
+                break
+            if c:
+                row[n] = c
+        else:
+            mat.append(row)
+    pivots = []
+    for col in range(N + 1):
+        r = len(pivots)
+        p = next((i for i in range(r, len(mat)) if mat[i][col]), None)
+        if p is None:
+            continue
+        mat[r], mat[p] = mat[p], mat[r]
+        mat[r] = [x / mat[r][col] for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][col]:
+                f = mat[i][col]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        pivots.append(col)
+    basis = []
+    for free in (c for c in range(N + 1) if c not in pivots):
+        v = [G(0)] * (N + 1)
+        v[free] = G(1)
+        for i, col in enumerate(pivots):
+            v[col] = -mat[i][free]
+        lead = next(x for x in v if x)
+        basis.append([x / lead for x in v])
+    return basis
+
+
+@st.composite
+def _probe_case(draw):
+    order = draw(st.sampled_from([2, 3]))
+    N = draw(st.integers(1, 16))
+    coef = st.one_of(st.just(G(0)), _gaussian(complex_=draw(st.booleans())))
+    dense = draw(st.booleans())
+    # P(n) with integer roots: the rows' lowest terms in the falling-factorial
+    # basis, sum_d perm(n, d) alpha_d = c prod (n - root)
+    s = draw(st.integers(-3, 1))
+    roots = draw(st.lists(st.integers(0, N + 2), min_size=1, max_size=order))
+    vals = [math.prod(n - r for r in roots) for n in range(order + 1)]
+    alpha = []
+    for d in range(order + 1):
+        alpha.append(G(Fraction(vals[0], math.factorial(d))))
+        vals = [b - a for a, b in zip(vals, vals[1:])]
+    rows = []
+    for i in range(order + 1):
+        d = order - i
+        if draw(st.booleans()):
+            v, lead = d - s, alpha[d]
+        else:
+            v, lead = draw(st.integers(0, order + 5)), draw(_gaussian())
+        tail = draw(st.lists(coef, max_size=N + 2 if dense else 3))
+        rows.append([G(0)] * max(v, 0) + [lead if v >= 0 else G(0)] + tail)
+    if not any(rows[0]):
+        rows[0] = [G(0)] * order + [G(1)]
+    trunc = draw(st.sampled_from([None, N, max(1, N - 4), N + 4]))
+    return Ode.from_rows(rows, trunc=trunc), N
+
+
+@settings(max_examples=150, deadline=None)
+@given(_probe_case())
+def test_probe_matches_the_gauss_jordan_nullspace(case):
+    e, N = case
+    p = formal_probe(e, N)
+    want = _probe_oracle(e, N)
+    assert [repr(list(c.coeffs)) for c in p.candidates] == [repr(v) for v in want]
+    assert (p.status == "trivial_only") == (not want)
+
+
+def test_float_probe_keeps_the_exact_candidates():
+    # x^3 y'' + (2x^2 - x/2) y' = 0: a_k = 2(k - 1) a_(k-1) from a_1 = 0, so
+    # the constants are the only power series solutions; every coefficient
+    # is dyadic, so float mode sees the same equation
+    rows = [[0, 0, 0, 1], [0, "-1/2", 2], [0]]
+    exact = formal_probe(Ode.from_rows(rows, trunc=16), 16)
+    fl = formal_probe(Ode.from_rows([[float(Fraction(c)) for c in r] for r in rows], trunc=16), 16)
+    assert [list(c.coeffs) for c in exact.candidates] == [[G(1)] + [G(0)] * 16]
+    assert exact.status == fl.status == "solutions"
+    assert [[to_complex(c) for c in s.coeffs] for s in fl.candidates] == [
+        [to_complex(c) for c in s.coeffs] for s in exact.candidates]
+
+
+def test_float_probe_of_a_divergent_series():
+    # criterion 6's equation in float mode: the candidate is monic at x^0, as
+    # in exact mode, and past n = 170 its coefficients overflow, which the
+    # radius estimate leaves out
+    rows = [[0, 0, 1], [-1], ["-1/2"]]
+    exact = formal_probe(Ode.from_rows(rows, trunc=32), 32).candidates[0]
+    for N in (32, 256):
+        p = formal_probe(Ode.from_rows([[float(Fraction(c)) for c in r] for r in rows]), N)
+        assert p.status == "divergent_formal"
+        got = p.candidates[0]
+        assert all(abs(got[k] - to_complex(exact[k])) <= 1e-9 * abs(to_complex(exact[k]))
+                   for k in range(33))
+
+
+def test_probe_at_512_terms():
+    # criterion 6's x^2 y'' - y' - y/2 = 0: factorial coefficients, at a
+    # length where |a_n| is past the float range and |a_n|^(1/n) grows by
+    # under 2% across the last terms
+    t0 = time.perf_counter()
+    p = formal_probe(Ode.from_rows([[0, 0, 1], [-1], ["-1/2"]], trunc=32), 512)
+    assert time.perf_counter() - t0 < 10
+    assert p.status == "divergent_formal" and p.radius_estimate == 0.0
+    a = p.candidates[0]
+    assert all((k + 1) * a[k + 1] == _gr(2 * k * k - 2 * k - 1, 2) * a[k] for k in range(511))
+    # criterion 1's third-order Bessel equation: an entire solution
+    bessel = Ode.from_rows([[0, 0, 0, 1], [0, 0, 3], [0, 1], [0, 0, 0, 1]], trunc=26)
+    p = formal_probe(bessel, 512)
+    assert p.status == "solutions" and p.radius_estimate > 100
+    b = p.candidates[0]
+    assert b[510] == _gr((-1) ** 170, 27**170 * math.factorial(170) ** 3)
+
+
+def test_probe_at_a_regular_singular_point_reports_solutions():
+    # -(x^2 + x^3) y'' + 10x y' - 30y = 0 is regular singular at 0, so its
+    # formal power series converge (to x = -1), although |a_n|^(1/n) still
+    # grows across the first ten terms
+    p = formal_probe(Ode.from_rows([[0, 0, -1, -1], [0, 10], [-30]]), 10)
+    assert p.status == "solutions" and 0 < p.radius_estimate < math.inf
+
+
+@pytest.mark.parametrize("N", [16, 48, 128])
+def test_probe_sees_gevrey_one_third_divergence(N):
+    # ((-2 - i)x^5 + 2x^7) y'' + (-x + 2x^2 - ix^3) y' + (...) y = 0: the
+    # x^5 y'' term three steps below the recurrence's top makes a_n grow like
+    # (n!)^(1/3), which gains under 10% across the last 8 terms from N = 16
+    rows = [[0, 0, 0, 0, 0, (-2, -1), 0, 2], [0, -1, 2, (0, -1)],
+            [0, 0, 0, 3, "2/3", "-4/3", 0, 1]]
+    p = formal_probe(Ode.from_rows(rows), N)
+    assert p.status == "divergent_formal" and p.radius_estimate == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,26 @@ def test_trivial_holonomy_without_singularities():
     assert g.identity_defect() < 1e-6
 
 
+@pytest.mark.parametrize("rows", [[[1], [0], [10**4]], [[1], [(0, 200)], [1]]])
+def test_steps_are_short_against_large_coefficients(rows):
+    # no singular point, so the holonomy is the identity; a Taylor step longer
+    # than |a/c|^(1/2) = 0.01 or |a/b| = 0.005 sums terms that cancel to
+    # nothing.  The loop is a thin rectangle, along which no solution grows
+    # by more than e^4, so double precision can carry (u, u') round it.
+    m = riccati_model(Ode.from_rows(rows))
+    loop = Polyline((-1 + 0j, 1 + 0j, 1 + 0.02j, -1 + 0.02j, -1 + 0j))
+    assert holonomy_of_loop(m, loop).identity_defect() <= 1e-9
+
+
+@pytest.mark.xfail(strict=True, reason="(u, u') is carried in double precision, and cos 10z, "
+                   "cos 100z grow to cosh 10, cosh 100 on the loop, so digits are lost")
+@pytest.mark.parametrize("c", [100, 10**4])
+def test_unit_circle_without_singular_points_is_the_identity(c):
+    # u'' + c u = 0 has no singular point, so any loop gives the identity
+    m = riccati_model(Ode.from_rows([[1], [0], [c]]))
+    assert holonomy_of_loop(m, Circle(0j, 1.0)).identity_defect() <= 1e-9
+
+
 def test_trivial_loops_are_the_identity_to_rounding():
     random.seed(5)
     for _ in range(3):
