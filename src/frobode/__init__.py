@@ -17,6 +17,7 @@ from .frobenius import (
     residual,
     residual_valuation,
     solve,
+    wronskian,
     wronskian_of_system,
     wronskian_ode_solution,
 )
@@ -69,7 +70,6 @@ from .series import (
     gs_integrate,
     laurent_ratio,
     series_div,
-    series_exp,
     series_inverse,
 )
 

@@ -15,13 +15,15 @@ Document format (version 1)::
     }
 
 Exit codes: 0 success, 2 document/validation failure, 3 mathematical
-precondition failure (e.g. an irregular point handed to `solve`).
+failure (e.g. an irregular point handed to `solve`, or an exact solution whose
+residual does not vanish).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -32,7 +34,7 @@ from .frobenius import (
     frobenius_solve,
     residual,
     residual_valuation,
-    wronskian_of_system,
+    wronskian,
 )
 from .indicial import analyze
 from .nonhom import variation_of_parameters
@@ -255,12 +257,7 @@ def _solve_bundle(ctx: dict, N: int) -> dict:
     except IrregularPointError as exc:
         raise IrregularPointError(f"{exc}; try the `probe` command")
     fs = frobenius_solve(f, N)
-    W = wronskian_of_system(fs.solutions)
-    scale = max(1.0, max(r.magnitude() for r in e.coeffs))
-    vals = []
-    for sol, root in zip(fs.solutions, fs.indicial.roots):
-        res = residual(hom, sol)
-        vals.append(residual_valuation(res, root, scale * max(1.0, sol.magnitude())))
+    vals = _certify(hom, zip(fs.solutions, fs.indicial.roots))
     return {
         "format": 1,
         "input": serialize_document(ctx),
@@ -271,15 +268,34 @@ def _solve_bundle(ctx: dict, N: int) -> dict:
         },
         "case": str(fs.indicial.case),
         "solutions": [dump_gs(s) for s in fs.solutions],
-        "wronskian": dump_gs(W),
+        "wronskian": dump_gs(wronskian(hom, fs.solutions)),
         "constants": {k: dump_scalar(v) for k, v in fs.constants.items()},
-        "residual_valuations": [_finite(v) for v in vals],
+        "residual_valuations": vals,
         "warnings": list(fs.warnings),
     }
 
 
-def _finite(v: float):
-    return v if v != float("inf") else "clean"
+def _certify(e: Ode, pairs, reported: Optional[list] = None) -> list:
+    """Residual valuations, in report form, of (series, base) pairs under e,
+    each graded by x^base and scaled by the rows' and the series' magnitudes.
+    Against a bundle's `reported` valuations a mismatch is a validation
+    failure, tested first; then an exact residual that does not vanish is a
+    measured failure of the solution (ArithmeticError, exit 3)."""
+    scale = max(1.0, max(r.magnitude() for r in e.coeffs))
+    vals, failed = [], False
+    for g, base in pairs:
+        res = residual(e, g)
+        v = residual_valuation(res, base, scale * max(1.0, g.magnitude()))
+        vals.append(v if v < math.inf else "clean")
+        failed = failed or (v < math.inf and all(t.body._ints() for t in res.terms))
+    if reported is not None and not (len(reported) == len(vals) and all(
+            a == b or (isinstance(a, (int, float)) and isinstance(b, (int, float))
+                       and abs(a - b) < VALUATION_TOL) for a, b in zip(reported, vals))):
+        out = {"recomputed": vals, "reported": reported, "matches": False}
+        raise DocumentError(f"bundle failed re-validation: {out}")
+    if failed:
+        raise ArithmeticError(f"exact residual valuations {vals}: a solution fails its certificate")
+    return vals
 
 
 def cmd_solve(ctx: dict, args) -> dict:
@@ -347,16 +363,11 @@ def cmd_particular(ctx: dict, args) -> dict:
     hom = Ode(e.order, e.coeffs, e.chart, None)
     fs = frobenius_solve(to_frobenius_form(hom), N)
     part = variation_of_parameters(e, fs)
-    res = residual(e, part.y_p)
-    scale = max(1.0, max(r.magnitude() for r in e.coeffs)) * max(
-        1.0, part.y_p.magnitude()
-    )
+    (val,) = _certify(e, [(part.y_p, GaussianRational(0))])
     return {
         "y_p": dump_gs(part.y_p),
         "c_primes": [dump_gs(c) for c in part.c_primes],
-        "residual_valuation": _finite(
-            residual_valuation(res, GaussianRational(0), scale)
-        ),
+        "residual_valuation": val,
     }
 
 
@@ -389,28 +400,12 @@ def cmd_residual(bundle: dict, args) -> dict:
     roots = indicial.get("roots") if isinstance(indicial, dict) else None
     if "input" not in bundle or "solutions" not in bundle or not isinstance(roots, list):
         raise DocumentError("residual expects a solve bundle with 'indicial.roots'")
-    ctx = parse_document(bundle["input"])
-    e = ctx["ode"]
-    hom = Ode(e.order, e.coeffs, e.chart, None)
-    scale = max(1.0, max(r.magnitude() for r in e.coeffs))
+    e = parse_document(bundle["input"])["ode"]
     roots = [parse_scalar(r, "roots") for r in roots]
-    recomputed = []
-    for obj, root in zip(bundle["solutions"], roots):
-        g = parse_gs(obj)
-        res = residual(hom, g)
-        recomputed.append(
-            _finite(residual_valuation(res, root, scale * max(1.0, g.magnitude())))
-        )
+    pairs = [(parse_gs(obj), root) for obj, root in zip(bundle["solutions"], roots)]
     reported = bundle.get("residual_valuations", [])
-    ok = len(reported) == len(recomputed) and all(
-        a == b or (isinstance(a, (int, float)) and isinstance(b, (int, float))
-                   and abs(a - b) < VALUATION_TOL)
-        for a, b in zip(reported, recomputed)
-    )
-    out = {"recomputed": recomputed, "reported": reported, "matches": ok}
-    if not ok:
-        raise DocumentError(f"bundle failed re-validation: {out}")
-    return out
+    recomputed = _certify(Ode(e.order, e.coeffs, e.chart, None), pairs, reported)
+    return {"recomputed": recomputed, "reported": reported, "matches": True}
 
 
 # ---------------------------------------------------------------------------

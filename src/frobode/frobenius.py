@@ -41,6 +41,7 @@ from .series import (
     _all_exact,
     _convolve,
     _cut,
+    _gr,
     _int_series,
     _to_int,
     _unit_inverse,
@@ -59,6 +60,7 @@ __all__ = [
     "recurrence_coefficients",
     "recurrence_jets",
     "formal_probe",
+    "wronskian",
     "wronskian_ode_solution",
     "wronskian_of_system",
     "residual",
@@ -688,51 +690,111 @@ def _radius_estimate(s: Series, gevrey: float) -> float:
 
 @dataclass(frozen=True)
 class WronskianResult:
-    """W = K x^exponent exp(series) -- or, when b/a has a pole of order >= 2,
-    an essential singularity described by the principal part of -int b/a."""
+    """W = K x^exponent body, body(0) = 1 -- or, when b/a has a pole of order
+    >= 2, an essential singularity described by the principal part of -int b/a."""
 
     essential: bool
     exponent: Optional[Scalar] = None
-    exp_argument: Optional[Series] = None  # analytic part of -int b/a
+    body: Optional[Series] = None
     principal_part: dict = field(default_factory=dict)  # exponent -> coefficient
 
     def as_generalized_series(self) -> GeneralizedSeries:
         if self.essential:
             raise ValueError("essential-singularity wronskian has no series form")
-        from .series import series_exp
+        return gs_from_series(self.body, self.exponent)
 
-        return gs_from_series(series_exp(self.exp_argument), self.exponent)
+
+def _abel_rows(e: Ode) -> tuple:
+    """(alpha, beta, principal): the two leading rows as a = x^v alpha and
+    b = x^(v-1) beta through the order they are known to; or, when b/a has
+    terms u x^p with p < -1, None, None and the principal part of -int b/a."""
+    a, b = e.coeffs[0], e.coeffs[1]
+    v, vb, T = a.valuation(), b.valuation(), min(a.trunc, b.trunc)
+    if vb is None or vb >= v - 1:
+        return a.window(v, T + 1 - v), b.window(v - 1, T + 2 - v), {}
+    shift, unit = laurent_ratio(b, a)
+    scale = max(1.0, unit.magnitude())
+    return None, None, {shift + j + 1: -u / (shift + j + 1) for j, u in
+                        enumerate(unit.coeffs[: -1 - shift]) if not scalar_is_zero(u, scale)}
+
+
+def _abel_body(alpha: Series, beta: Series, lead: Scalar = _ONE) -> tuple:
+    """(rho, w): x^rho w solves x alpha W' + beta W = 0, with rho = -beta_0/alpha_0,
+    w_0 = lead and alpha_0 m w_m = -sum_{k>=1} (alpha_k (m - k) + gamma_k) w_(m-k),
+    gamma = beta + rho alpha, through gamma's order and at most one past alpha's
+    (w_m reads alpha_k for k < m only).  Exact rows run on Gaussian integers a, b
+    (the rows times one factor that makes a_0 a positive integer): w_m = u_m/E_m,
+    E_m = m! a_0^(2m), u_m = -sum_k (a_0 a_k (m - k) + a_0 b_k - b_0 a_k) u_(m-k)
+    E_(m-1)/E_(m-k).  Other rows run in complex."""
+    t, s = alpha._ints(), beta._ints()
+    if not (t and s):
+        a, b = ([to_complex(c) for c in r.coeffs] for r in (alpha, beta))
+        rho = -b[0] / a[0]
+        M = min(len(a) - bool(rho), len(b) - 1)
+        sup = [(k, x / a[0], (y + rho * x) / a[0]) for k, (x, y) in enumerate(zip(a + [0j], b))
+               if 0 < k <= M and (x or y)]
+        w = [to_complex(lead)]
+        for m in range(1, M + 1):
+            w.append(-sum(((x * (m - k) + y) * w[m - k] for k, x, y in sup if k <= m), 0j) / m)
+        return rho, Series(w)
+    (da, ra, ia), (db, rb, ib) = t, s
+    ia, ib = ia or [0] * len(ra), ib or [0] * len(rb)
+    cr, ci = ra[0], -ia[0]  # both rows times da db conj(alpha_0 da)
+    a = [((u * cr - v * ci) * db, (u * ci + v * cr) * db) for u, v in zip(ra, ia)] + [(0, 0)]
+    b = [((u * cr - v * ci) * da, (u * ci + v * cr) * da) for u, v in zip(rb, ib)]
+    (a0, _), (b0r, b0i) = a[0], b[0]
+    M = min(len(a) - 1 - bool(b0r or b0i), len(b) - 1)
+    sup = [(k, a0 * xr, a0 * xi, a0 * yr - b0r * xr + b0i * xi, a0 * yi - b0r * xi - b0i * xr)
+           for k, ((xr, xi), (yr, yi)) in enumerate(zip(a[1 : M + 1], b[1:]), 1)
+           if xr or xi or yr or yi]
+    (dk, (kr,), ki) = _to_int([lead])
+    E, ur, ui = [1], [kr], [ki[0] if ki else 0]
+    for m in range(1, M + 1):
+        xr = xi = 0
+        for k, pr, pi, gr, gi in sup:
+            if k > m:
+                break
+            f = E[m - 1] // E[m - k]
+            qr, qi, vr, vi = (pr * (m - k) + gr) * f, (pi * (m - k) + gi) * f, ur[m - k], ui[m - k]
+            xr += qr * vr - qi * vi
+            xi += qr * vi + qi * vr
+        E.append(E[-1] * m * a0 * a0)
+        ur.append(-xr)
+        ui.append(-xi)
+    return _gr(-b0r, -b0i, a0), _int_series(E[M] * dk, [u * (E[M] // d) for u, d in zip(ur, E)],
+                                            [v * (E[M] // d) for v, d in zip(ui, E)])
 
 
 def wronskian_ode_solution(e: Ode) -> WronskianResult:
-    """Abel's identity: solve A_n W' + A_(n-1) W = 0 from the two leading
-    rows, for an equation of order 2 or 3."""
-    a, b = e.coeffs[0], e.coeffs[1]
-    if b.valuation() is None:
-        return WronskianResult(False, _ZERO, Series([_ZERO], trunc=e.trunc))
-    shift, unit = laurent_ratio(b, a)
-    if shift < -1:
-        principal = {}
-        for j, u in enumerate(unit.coeffs):
-            p = shift + j
-            if p >= -1:
-                break
-            if not scalar_is_zero(u, max(1.0, unit.magnitude())):
-                # term of -int b/a: -u x^{p+1}/(p+1)
-                principal[p + 1] = -u / (p + 1)
+    """Abel's identity: W = x^rho w solves a W' + b W = 0 for the two leading
+    rows a, b of an equation of order 2 or 3 (see `_abel_body`)."""
+    alpha, beta, principal = _abel_rows(e)
+    if alpha is None:
         return WronskianResult(True, principal_part=principal)
-    residue = unit[-1 - shift] if shift <= -1 else _ZERO
-    # analytic part of b/a, then -integral
-    T = unit.trunc
-    analytic = [_ZERO] * (T + 1)
-    for j, u in enumerate(unit.coeffs):
-        p = shift + j
-        if 0 <= p <= T:
-            analytic[p] = u
-    arg = [_ZERO] * (T + 2)
-    for p, u in enumerate(analytic):
-        arg[p + 1] = -u / (p + 1)
-    return WronskianResult(False, -residue, Series(arg, trunc=T + 1))
+    return WronskianResult(False, *_abel_body(alpha, beta))
+
+
+def wronskian(e: Ode, solutions) -> GeneralizedSeries:
+    """The wronskian of a fundamental system of e by Abel's identity, through the
+    order the rows determine: K x^rho w with w from `_abel_body`, and K x^rho the
+    lowest term of the determinant of the solutions cut to `order` terms (zero
+    when that is).  Exact solutions give an exact W, whose rho must be Abel's;
+    any other W is complex."""
+    det = wronskian_of_system([s.truncate(e.order - 1) for s in solutions])
+    free = [t for t in det.terms if not t.logpow]
+    if not free:
+        return GeneralizedSeries(())
+    low = min(free, key=lambda t: to_complex(t.exponent).real)
+    alpha, beta, _ = _abel_rows(e)
+    if alpha is None:
+        raise ValueError("essential-singularity wronskian has no series form")
+    exact = all(t.body._ints() for s in solutions for t in s.terms)
+    rho, w = _abel_body(alpha if exact else Series([to_complex(c) for c in alpha.coeffs]),
+                        beta, low.body[0])
+    if exact and rho != low.exponent:
+        raise ArithmeticError(f"the solutions' wronskian leads with x^{low.exponent}, "
+                              f"Abel's identity with x^{rho}")
+    return GeneralizedSeries([GSTerm(low.exponent, 0, w)], False)
 
 
 def wronskian_of_system(solutions) -> GeneralizedSeries:

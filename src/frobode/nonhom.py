@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .frobenius import FundamentalSystem, residual, wronskian_ode_solution, wronskian_of_system
+from .frobenius import FundamentalSystem, residual, wronskian, wronskian_ode_solution
 from .ode import Ode
 from .scalars import SOLUTION_TOL, GaussianRational, integer_difference
 from .series import (
@@ -42,7 +42,7 @@ def variation_of_parameters(e: Ode, fs: FundamentalSystem) -> ParticularSolution
     n = len(sols)
     if n != e.order:
         raise ValueError("fundamental system size must match the order")
-    W = wronskian_of_system(sols)
+    W = wronskian(e, sols)
     if W.is_zero():
         raise ValueError("degenerate fundamental system (zero wronskian)")
     g = gs_div_single(gs_from_series(e.rhs), gs_from_series(e.coeffs[0]))

@@ -39,7 +39,6 @@ __all__ = [
     "GeneralizedSeries",
     "series_inverse",
     "series_div",
-    "series_exp",
     "laurent_ratio",
     "poly_eval_jet",
     "gs_differentiate",
@@ -431,20 +430,6 @@ def _unit_inverse(support: Sequence, n: int) -> tuple[list, list]:
 
 def series_div(a: Series, b: Series) -> Series:
     return a * series_inverse(b)
-
-
-def series_exp(a: Series) -> Series:
-    """exp of a series with zero constant term."""
-    if not scalar_is_zero(a.coeffs[0], max(1.0, a.magnitude())):
-        raise ValueError("series_exp requires zero constant term")
-    n = len(a.coeffs)
-    out = [GaussianRational(1) if is_exact(a.coeffs[0]) else 1.0 + 0j]
-    for k in range(1, n):
-        acc = _ZERO
-        for j in range(1, k + 1):
-            acc = acc + (j * a.coeffs[j]) * out[k - j]
-        out.append(acc / k)
-    return Series(out)
 
 
 def laurent_ratio(num: Series, den: Series) -> tuple[int, Series]:

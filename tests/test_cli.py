@@ -128,6 +128,48 @@ def test_residual_rejects_a_tampered_exact_bundle(tmp_path, capsys):
     assert recomputed.split(", ")[0] == "4"
 
 
+def test_residual_exits_3_when_an_exact_bundle_fails_its_certificate(tmp_path, capsys):
+    """A bundle whose reported valuations match, but are finite in exact
+    arithmetic, re-validates as a measured failure."""
+    doc = {"format": 1, "order": 2, "coeffs": [[0, 0, 1], [0, 1], [0, 0, 1]],
+           "options": {"terms": 16}}
+    out = str(tmp_path / "bundle.json")
+    assert main(["solve", _write(tmp_path, doc), "--output", out]) == 0
+    bundle = json.loads(open(out).read())
+    coeffs = bundle["solutions"][0]["terms"][0]["coeffs"]
+    coeffs[4] = str(Fraction(coeffs[4]) + Fraction(1, 10**12))
+    bundle["residual_valuations"] = [4, "clean"]
+    assert main(["residual", _write(tmp_path, bundle, "tampered.json")]) == 3
+    assert "[4, 'clean']" in capsys.readouterr().err
+
+
+def test_solve_exits_3_when_an_exact_certificate_fails(tmp_path, capsys):
+    # the log solution of x^2 y'' + x y' + x^2 y at 8 terms has an exact
+    # residual of valuation 2 (the generalized-series bookkeeping; at 16
+    # terms both residuals vanish)
+    doc = {"format": 1, "order": 2, "coeffs": [[0, 0, 1], [0, 1], [0, 0, 1]]}
+    path = _write(tmp_path, doc)
+    assert main(["solve", path, "--terms", "8"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "['clean', 2]" in captured.err
+    assert main(["solve", path, "--terms", "16"]) == 0
+
+
+def test_bundle_wronskian_is_right_through_its_last_coefficient(tmp_path):
+    """x^2 (1 + x/4) y'' + x^2 (1/5 - x) y' + (3/16 - 2x/3 - 2x^2/5) y = 0:
+    at 16 terms the bundle's W is known through x^15 (b/a is analytic), and
+    its x^15 coefficient is the one a 24-term solve gives."""
+    doc = {"format": 1, "order": 2,
+           "coeffs": [[0, 0, 1, "1/4"], [0, 0, "1/5", -1], ["3/16", "-2/3", "-2/5"]]}
+    at = {}
+    for terms in (16, 24):
+        out = str(tmp_path / f"bundle{terms}.json")
+        assert main(["solve", _write(tmp_path, doc), "--terms", str(terms), "--output", out]) == 0
+        (w,) = json.loads(open(out).read())["wronskian"]["terms"]
+        at[terms] = w["coeffs"][15 - int(w["exponent"])]
+    assert at[16] == at[24]
+
+
 def test_eval_command(tmp_path, capsys):
     path = _write(tmp_path, DOC)
     out = str(tmp_path / "bundle.json")

@@ -18,13 +18,15 @@ from frobode.frobenius import (
     residual,
     residual_valuation,
     solve,
+    wronskian,
     wronskian_of_system,
     wronskian_ode_solution,
 )
 from frobode.indicial import analyze, indicial_polynomial
 from frobode.ode import FrobeniusForm, Ode, to_frobenius_form
 from frobode.scalars import GaussianRational, to_complex
-from frobode.series import JetValuationError, Series, poly_eval_jet, series_inverse
+from frobode.series import (GeneralizedSeries, JetValuationError, Series, gs_differentiate,
+                            gs_from_series, poly_eval_jet, series_inverse)
 
 G = GaussianRational
 
@@ -212,6 +214,109 @@ def test_wronskian_solution_essential_case():
     w = wronskian_ode_solution(e)
     assert w.essential
     assert w.principal_part == {-1: G(-1)}
+
+
+def test_wronskian_solution_stops_where_the_rows_do():
+    # (x^2 - x^3) y'' + x y' + y: W = K (1 - x)/x; rows through x^12 give
+    # b/a = 1/(x (1 - x)) through x^9, so W's body is known through x^10
+    e = Ode.from_rows([[0, 0, 1, -1], [0, 1], [1]], trunc=12)
+    (t,) = wronskian_ode_solution(e).as_generalized_series().terms
+    assert t.exponent == G(-1)
+    assert list(t.body.coeffs) == [G(1), G(-1)] + [G(0)] * 9
+
+
+@st.composite
+def _abel_case(draw):
+    """An exact equation of order 2 or 3 with chosen indicial roots: equal
+    roots and integer gaps (the log cases) as often as free ones, the rows
+    of a Frobenius form with short random tails, times a unit 1 + u x.
+    Complex roots are drawn at order 2 only, where they are found exactly."""
+    order = draw(st.sampled_from([2, 3]))
+    N = draw(st.integers(7, 14))  # past every resonance: the basis does not depend on N
+    root = _gaussian(den=3, complex_=order == 2 and draw(st.booleans()))
+    base = draw(root)
+    roots = [base]
+    for _ in range(order - 1):
+        roots.append(base - draw(st.integers(0, 3)) if draw(st.booleans()) else draw(root))
+    q = [G(1)]  # prod (r - r_i), low power first
+    for r in roots:
+        q = [(q[i - 1] if i else G(0)) - r * (q[i] if i < len(q) else G(0))
+             for i in range(len(q) + 1)]
+    # the constant terms that give x^n y^(n) + ... the indicial polynomial q
+    if order == 2:
+        heads = [G(1) + q[1], q[0]]
+    else:
+        a0 = G(3) + q[2]
+        heads = [a0, q[1] - G(2) + a0, q[0]]
+    tail = st.lists(_gaussian(den=3, complex_=False), max_size=3)
+    inner = [[h] + draw(tail) for h in heads]  # a, b, c (order 3) or b, c
+    rows = [[0] * order + [1]] + [[0] * (order - 1 - i) + r for i, r in enumerate(inner)]
+    u = draw(st.sampled_from([0, G(1, 2), G(-3)]))
+    rows = [[c + (u * r[k - 1] if k else 0) for k, c in enumerate(r + [0])] for r in rows]
+    return Ode.from_rows(rows, trunc=N), N
+
+
+def _abel_parts(e, N):
+    fs = solve(e, N)
+    (t,) = wronskian(e, fs.solutions).terms
+    return fs, t
+
+
+@settings(max_examples=40, deadline=None)
+@given(_abel_case())
+def test_exact_wronskian_is_the_determinant_of_a_longer_solve(case):
+    """W reaches x^(rho + N - order), solves Abel's equation a W' + b W = 0
+    exactly, and equals as strings the determinant of the solutions of an
+    (N + 8)-term solve wherever that determinant agrees with the one of an
+    (N + 16)-term solve: the top coefficients of a solution can be wrong, and
+    a determinant inherits them (the log cases, even inside its known order)."""
+    e, N = case
+    fs, t = _abel_parts(e, N)
+    assert fs.indicial.exact and t.logpow == 0 and t.body._ints()
+    assert len(t.body.coeffs) - 1 >= N - e.order
+    W = GeneralizedSeries([t])
+    a, b = (gs_from_series(r) for r in e.coeffs[:2])
+    assert (a * gs_differentiate(W) + b * W).is_zero()
+    dets = []
+    for N2 in (N + 8, N + 16):
+        long = Ode(e.order, tuple(Series(r.coeffs, trunc=N2) for r in e.coeffs))
+        (d,) = [s for s in wronskian_of_system(solve(long, N2)).terms if not s.logpow]
+        assert d.exponent == t.exponent
+        dets.append([str(c) for c in d.body.coeffs])
+    n = next((i for i, (u, v) in enumerate(zip(*dets)) if u != v), len(dets[0]))
+    n = min(n, len(t.body.coeffs))
+    assert n >= 1 and dets[0][:n] == [str(c) for c in t.body.coeffs[:n]]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_abel_case())
+def test_float_wronskian_follows_the_exact_one(case):
+    """The same equation in floats: where the float solve finds the exact
+    case (float root clusters can split, or fail to seed), W is complex and
+    matches the exact W coefficientwise."""
+    e, N = case
+    fs, t = _abel_parts(e, N)
+    ef = Ode(e.order, tuple(Series([to_complex(c) for c in r.coeffs]) for r in e.coeffs))
+    try:
+        ffs = solve(ef, N)
+    except (JetValuationError, ZeroDivisionError, IndexError):
+        # float root clusters; the IndexError is the float solver's fault on
+        # some repeated roots with a gap (x^3 y''' - 2x y' + 4y = 0)
+        return
+    if str(ffs.indicial.case) != str(fs.indicial.case):
+        return
+    W = wronskian(ef, ffs.solutions)
+    if W.is_zero():  # a triple root the float solve finds, with three equal solutions
+        assert not wronskian_of_system(ffs.solutions).terms
+        return
+    (ft,) = W.terms
+    assert ft.logpow == 0 and not ft.body._ints()
+    assert abs(to_complex(ft.exponent) - to_complex(t.exponent)) <= 1e-6
+    assert len(ft.body.coeffs) == len(t.body.coeffs)
+    scale = 1.0
+    for f, x in zip(ft.body.coeffs, t.body.coeffs):
+        scale = max(scale, abs(to_complex(x)))
+        assert abs(f - to_complex(x)) <= 1e-6 * scale
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from frobode.series import (
     laurent_ratio,
     poly_eval_jet,
     series_div,
-    series_exp,
     series_inverse,
 )
 
@@ -180,14 +179,6 @@ def test_mixed_exact_float_operands_take_the_float_path():
     for got, want in checks:
         for g, (re, im) in zip(got.coeffs, want):
             assert g == pytest.approx(complex(float(re), float(im)), rel=1e-12)
-
-
-def test_exp_matches_scalar_exponential():
-    s = series_exp(Series([0, 1], trunc=10))
-    for n in range(11):
-        assert to_complex(s[n]) == pytest.approx(1 / math.factorial(n))
-    with pytest.raises(ValueError):
-        series_exp(Series([1, 1]))
 
 
 def test_laurent_ratio_cancels_valuations():
