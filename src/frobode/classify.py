@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 from .ode import Ode, poly_degree, transform_to_infinity
 from .scalars import scalar_is_zero
-from .series import laurent_ratio
 
 __all__ = ["SingularityClass", "classify_point", "classify_infinity", "euler_characterize"]
 
@@ -28,24 +27,20 @@ class SingularityClass:
 def classify_point(e: Ode) -> SingularityClass:
     """Classify the chart origin of e as ordinary / regular / irregular singular.
 
-    Pole orders are measured on the ratios A_i / A_lead after cancelling the
-    leading coefficient's valuation, so leading rows like x^k * unit are fine.
+    Pole orders of the ratios A_i / A_lead are differences of valuations, so
+    leading rows like x^k * unit are fine.
     """
-    lead = e.coeffs[0]
-    if lead.valuation() is None:
+    vlead = e.coeffs[0].valuation()
+    if vlead is None:
         raise ValueError("leading coefficient identically zero through trunc")
-    orders = {}
-    # ratio of the coefficient of y^(order-i) must have pole order <= i
-    for i, row in enumerate(e.coeffs[1:], start=1):
-        shift, unit = laurent_ratio(row, lead)
-        if unit.valuation() is None:
-            orders[i] = None  # identically zero ratio: no pole
-        else:
-            orders[i] = -shift  # pole order (negative means a zero)
+    # ratio of the coefficient of y^(order-i) must have pole order <= i; its pole
+    # order is v(A_lead) - v(A_i) (negative means a zero), None for a zero row
+    orders = {i: None if (v := row.valuation()) is None else vlead - v
+              for i, row in enumerate(e.coeffs[1:], start=1)}
     if all(o is None or o <= 0 for o in orders.values()):
         # still singular if the leading row vanishes at 0 deeper than the others
         # compensate: ordinary iff the ratios are analytic AND lead(0) != 0
-        if lead.valuation() == 0:
+        if vlead == 0:
             tag = ORDINARY
         else:
             tag = REGULAR_SINGULAR

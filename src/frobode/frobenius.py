@@ -410,7 +410,10 @@ def _recurrence_exact(
 def _emit_solution(base: Scalar, D: list[Series], j: int, N: int) -> GeneralizedSeries:
     """The j-th r-derivative of x^r sum D_n(r) x^n at r = base, as a
     GeneralizedSeries: sum_t C(j,t) (log x)^t x^base sum_n D_n^{(j-t)} x^n.
-    Exact jets give bodies in integer form over the lcm of their denominators."""
+    Exact jets give bodies in integer form over the lcm of their denominators;
+    a jet that ends below eps^j raises JetValuationError."""
+    if any(D[n].trunc < j for n in range(N + 1)):
+        raise JetValuationError(f"a jet ends below eps^{j} at exponent {base!r}")
     terms = []
     forms = [D[n]._ints() for n in range(N + 1)]
     lam = math.lcm(*(d for d, _, _ in forms)) if all(forms) else None
@@ -483,10 +486,10 @@ def _subordinate_solutions(
         jet_order = s + mu - 1 + above
         try:
             jets = recurrence_jets(f, roots, base, s, jet_order, N, qpoly)
+            sols = [_emit_solution(base, jets, j, N) for j in range(s, s + mu)]
         except JetValuationError as err:
             last_err = err
             continue
-        sols = [_emit_solution(base, jets, j, N) for j in range(s, s + mu)]
         if s > s_first:
             info["warnings"].append(
                 f"seed (r-base)^{s} used at exponent {base!r}: the paper's"

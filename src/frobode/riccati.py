@@ -324,99 +324,57 @@ def global_holonomy(m: RiccatiModel, loops: Sequence) -> list[MoebiusMap]:
 # ---------------------------------------------------------------------------
 
 
-def _gauss_nodes(n: int = 32):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
-
-
-_GL_X, _GL_W = _gauss_nodes(16)
-
-
-def _segment_integral(f: Callable[[complex], complex], z0: complex, z1: complex,
-                      panels: int = 2) -> complex:
-    """Composite Gauss-Legendre along the straight segment z0 -> z1."""
-    total = 0j
-    for p in range(panels):
-        a = z0 + (z1 - z0) * (p / panels)
-        b = z0 + (z1 - z0) * ((p + 1) / panels)
-        mid, half = (a + b) / 2, (b - a) / 2
-        total += half * sum(
-            w * f(mid + half * x) for x, w in zip(_GL_X, _GL_W)
-        )
-    return total
-
-
 def liouvillian_solution(
     e: Ode,
     gamma: tuple[Sequence[complex], Sequence[complex]] | None,
     anchor: complex = 0j,
     grid: Sequence[complex] = (),
 ) -> Callable[..., complex]:
-    """Closed-form-by-quadrature evaluator from a rational Riccati solution.
+    """Evaluator of the solution given by a rational Riccati solution.
 
     With gamma = P/Q solving dt/dz = -(a t^2 + b t + c)/a, returns
 
         u(z) = exp(int gamma) * [ ell + k * int exp(-int b/a) exp(-2 int gamma) ]
 
-    and, when c is identically zero (gamma not needed):
+    and, when c is identically zero (gamma not needed, taken as 0):
 
-        u(z) = ell + k * int exp(-int b/a).
+        u(z) = ell + k * int exp(-int b/a),
 
-    All integrals run from `anchor` along straight segments.
+    all integrals from `anchor`.  This u has u = ell, u' = gamma(anchor) ell + k at
+    the anchor, so u(z) = E ell + T12 k for T the transition matrix of the segment
+    anchor -> z and E = exp(int gamma) = T11 + gamma(anchor) T12.  E, which may be
+    far smaller than T, is exp(integral of b/a) of the model with b/a = gamma; if
+    the segment meets a pole of gamma, E is read from T, and ArithmeticError is
+    raised if that cancels half its digits.
     """
-    rows = []
-    for r in e.coeffs:
-        deg = poly_degree(r)
-        rows.append(tuple(to_complex(cc) for cc in r.coeffs[: deg + 1]))
-    a, b, c = rows
-    c_is_zero = all(abs(x) < 1e-14 for x in c)
-
-    def ba(z: complex) -> complex:
-        az = poly_eval(a, z)
-        if abs(az) < 1e-12:
-            raise ValueError("quadrature path hits a zero of the leading coefficient")
-        return poly_eval(b, z) / az
-
-    if c_is_zero:
-        def u0(z: complex, k: complex = 1.0, ell: complex = 0.0) -> complex:
-            def g(eta: complex) -> complex:
-                return cmath.exp(-_segment_integral(ba, anchor, eta))
-            return ell + k * _segment_integral(g, anchor, z)
-        return u0
-
-    if gamma is None:
-        raise ValueError("gamma required unless c is identically zero")
-    P, Q = [tuple(complex(x) for x in p) for p in gamma]
-    dP, dQ = poly_derivative(P), poly_derivative(Q)
-
-    def gam(z: complex) -> complex:
-        qz = poly_eval(Q, z)
-        if abs(qz) < 1e-12:
-            raise ValueError("quadrature path hits a pole of gamma")
-        return poly_eval(P, z) / qz
-
-    def dgam(z: complex) -> complex:
-        qz = poly_eval(Q, z)
-        return (poly_eval(dP, z) * qz - poly_eval(P, z) * poly_eval(dQ, z)) / (qz * qz)
-
-    # residual check: gamma' + (a gamma^2 + b gamma + c)/a must vanish
-    check = list(grid) or [anchor + 0.13 + 0.07j * i for i in range(1, 6)]
-    for z in check:
-        az = poly_eval(a, z)
-        g = gam(z)
-        res = dgam(z) + (az * g * g + poly_eval(b, z) * g + poly_eval(c, z)) / az
-        if abs(res) > _GAMMA_TOL * max(1.0, abs(g)):
-            raise ValueError(
-                f"gamma fails the Riccati residual check at z={z}: {abs(res):.3e}"
-            )
+    m = riccati_model(e)
+    g0, mg = 0j, None
+    if not all(abs(x) < 1e-14 for x in m.c):
+        if gamma is None:
+            raise ValueError("gamma required unless c is identically zero")
+        P, Q = [tuple(complex(x) for x in p) for p in gamma]
+        dP, dQ = poly_derivative(P), poly_derivative(Q)
+        pts = [anchor, *(list(grid) or [anchor + 0.13 + 0.07j * i for i in range(1, 6)])]
+        qs = [poly_eval(Q, z) for z in pts]
+        if min(map(abs, qs)) < 1e-12:
+            raise ValueError("gamma has a pole at the anchor or a grid point")
+        gs = [poly_eval(P, z) / q for z, q in zip(pts, qs)]
+        g0 = gs[0]
+        mg = RiccatiModel(Q, P, (0j,), tuple(map(complex, np.roots(Q[::-1]))))
+        # residual check at the grid: gamma' - rhs_t(z, gamma) must vanish
+        for z, q, g in zip(pts[1:], qs[1:], gs[1:]):
+            res = (poly_eval(dP, z) - g * poly_eval(dQ, z)) / q - m.rhs_t(z, g)
+            if abs(res) > _GAMMA_TOL * max(1.0, abs(g)):
+                raise ValueError(f"gamma fails the Riccati residual at z={z}: {abs(res):.3e}")
 
     def u(z: complex, k: complex = 1.0, ell: complex = 0.0) -> complex:
-        def inner(eta: complex) -> complex:
-            return cmath.exp(
-                -_segment_integral(ba, anchor, eta)
-                - 2.0 * _segment_integral(gam, anchor, eta)
-            )
-        head = cmath.exp(_segment_integral(gam, anchor, z))
-        return head * (ell + k * _segment_integral(inner, anchor, z))
+        (t11, t12), _ = _transition(m, Polyline((anchor, z)))[0].tolist()
+        try:
+            eg = cmath.exp(_transition(mg, Polyline((anchor, z)))[1]) if mg else 1.0
+        except ValueError:  # a pole of gamma, a zero of E, on the segment
+            eg = t11 + g0 * t12
+            if abs(eg) < math.sqrt(_EPS) * (abs(t11) + abs(g0 * t12)):
+                raise ArithmeticError(f"exp(int gamma) loses half its digits at z = {z}")
+        return eg * ell + t12 * k
 
     return u

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from frobode.classify import classify_infinity, classify_point, euler_characterize
 from frobode.ode import Ode
 from frobode.scalars import GaussianRational
+from frobode.series import laurent_ratio
 
 
 def test_ordinary_point():
@@ -72,3 +73,44 @@ def test_classification_invariant_under_row_scaling(k):
     )
     assert classify_point(e).tag == classify_point(scaled).tag
     assert euler_characterize(e) == euler_characterize(scaled)
+
+
+def _classify_by_laurent_ratio(e):
+    """The pole orders measured on the quotients A_i / A_lead themselves."""
+    lead = e.coeffs[0]
+    orders = {}
+    for i, row in enumerate(e.coeffs[1:], start=1):
+        shift, unit = laurent_ratio(row, lead)
+        orders[i] = None if unit.valuation() is None else -shift
+    if all(o is None or o <= 0 for o in orders.values()):
+        tag = "ordinary" if lead.valuation() == 0 else "regular_singular"
+    elif all(o is None or o <= i for i, o in orders.items()):
+        tag = "regular_singular"
+    else:
+        tag = "irregular_singular"
+    return tag, {f"ratio_{i}": o for i, o in orders.items()}
+
+
+_FRACTION = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+
+
+@st.composite
+def _exact_rows(draw):
+    order = draw(st.sampled_from([2, 3]))
+    rows = []
+    for i in range(order + 1):
+        if i and draw(st.booleans()) and draw(st.booleans()):
+            rows.append([0])  # a zero row
+            continue
+        v = draw(st.integers(0, 4))
+        head = draw(_FRACTION.filter(bool))
+        tail = draw(st.lists(_FRACTION, max_size=3))
+        rows.append([0] * v + [head] + tail)
+    return Ode.from_rows(rows, trunc=8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_exact_rows())
+def test_pole_orders_from_valuations_match_the_laurent_quotients(e):
+    got = classify_point(e)
+    assert (got.tag, got.witness) == _classify_by_laurent_ratio(e)

@@ -155,6 +155,23 @@ def test_solve_exits_3_when_an_exact_certificate_fails(tmp_path, capsys):
     assert main(["solve", path, "--terms", "16"]) == 0
 
 
+def test_float_solve_of_a_split_double_root_exits_3(tmp_path, capsys):
+    """x^3 y''' - 2x y' + 4y = 0 (roots 2, 2, -1): in floats the double root
+    splits into 2 +- 8e-9 i, every seed at -1 ends short, and solve exits 3
+    (not 1 with a traceback); in exact mode it is case_ii(3), certified."""
+    doc = {"format": 1, "order": 3, "coeffs": [[0, 0, 0, 1], [0], [0, -2], [4]],
+           "options": {"terms": 8, "mode": "float"}}
+    assert main(["solve", _write(tmp_path, doc)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "no admissible seed at exponent (-1+0j)" in captured.err
+    doc["options"]["mode"] = "exact"
+    out = str(tmp_path / "bundle.json")
+    assert main(["solve", _write(tmp_path, doc), "--output", out]) == 0
+    bundle = json.loads(open(out).read())
+    assert bundle["case"] == "case_ii(3)"
+    assert bundle["residual_valuations"] == ["clean"] * 3
+
+
 def test_bundle_wronskian_is_right_through_its_last_coefficient(tmp_path):
     """x^2 (1 + x/4) y'' + x^2 (1/5 - x) y' + (3/16 - 2x/3 - 2x^2/5) y = 0:
     at 16 terms the bundle's W is known through x^15 (b/a is analytic), and

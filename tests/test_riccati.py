@@ -191,3 +191,66 @@ def test_liouvillian_c_zero_branch():
     for z in (0.3, 0.9):
         want = 2 + (1 - math.exp(-z))
         assert abs(sol(z, 1, 2) - want) < 1e-8
+
+
+def test_liouvillian_past_a_pole_of_gamma_at_a_regular_point():
+    # u'' - z u' + u = 0 with gamma = 1/z: (k, ell) = (0, 1) from anchor 1 is
+    # u = z, analytic through the pole of gamma at the regular point 0
+    e = Ode.from_rows([[1], [0, -1], [1]], trunc=8)
+    sol = liouvillian_solution(e, ((1,), (0, 1)), anchor=1 + 0j, grid=[0.5, 2.0])
+    for z in (-1, -0.5 + 0.01j):
+        assert abs(sol(z, 0, 1) - z) < 1e-12
+
+
+def test_liouvillian_with_both_constants():
+    # z^2 u'' - 2u = 0 with gamma = 2/z, anchor 1: u = z^2 (ell + k (1 - z^-3)/3);
+    # a segment through the singular point 0 is rejected
+    e = Ode.from_rows([[0, 0, 1], [0], [-2]], trunc=8)
+    sol = liouvillian_solution(e, ((2,), (0, 1)), anchor=1 + 0j, grid=[0.5, 2.0])
+    z = -0.5 + 0.5j
+    assert abs(sol(z, 1, 1) - z * z * (1 + (1 - z ** -3) / 3)) < 1e-12
+    with pytest.raises(ValueError):
+        sol(-1.0)
+
+
+@pytest.mark.parametrize("z", [5, 8, 12, 3 + 3j, 5j, -6 + 2j])
+def test_liouvillian_gaussian_form_against_mpmath(z):
+    """Far from the anchor and off the real axis, where the solution grows like
+    e^(z^2/2): relative error against a 30-digit erf."""
+    mpmath = pytest.importorskip("mpmath")
+    e = Ode.from_rows([[1], [0, -1], [-1]], trunc=8)
+    sol = liouvillian_solution(e, ((0, 1), (1,)), anchor=0j, grid=[0.2, 0.5 + 0.1j])
+    with mpmath.workdps(30):
+        w = mpmath.mpc(z)
+        want = complex(mpmath.exp(w * w / 2)
+                       * (2 + mpmath.sqrt(mpmath.pi / 2) * mpmath.erf(w / mpmath.sqrt(2))))
+    assert abs(sol(z, 1, 2) - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize(
+    "rows, gamma, z, want",
+    [
+        ([[1], [0], [-1]], ((-1,), (1,)), 30, math.exp(-30)),  # u'' - u = 0: e^-z
+        ([[1], [0, 1], [1]], ((0, -1), (1,)), 10, math.exp(-50)),  # u = e^(-z^2/2)
+        ([[1], [0, 1], [1]], ((0, -1), (1,)), 6 + 2j, cmath.exp(-(6 + 2j) ** 2 / 2)),
+    ],
+    ids=["exp", "gaussian", "gaussian-complex"],
+)
+def test_liouvillian_keeps_the_digits_of_a_decaying_solution(rows, gamma, z, want):
+    """(k, ell) = (0, 1) is exp(int gamma), far below the transition matrix, whose
+    entries grow like the other solution."""
+    sol = liouvillian_solution(Ode.from_rows(rows, trunc=8), gamma, anchor=0j, grid=[0.5, 1.0])
+    assert abs(sol(z, 0, 1) - want) <= 1e-12 * abs(want)
+
+
+def test_liouvillian_through_a_pole_of_gamma_refuses_cancelled_digits():
+    # (2z - 1)u'' - 2u' + (3 - 2z)u = 0 has solutions z e^-z and e^z, and
+    # gamma = (1 - z)/z; the segment from -1 - i to 30 + 30i meets its pole 0
+    e = Ode.from_rows([[-1, 2], [-2], [3, -2]], trunc=8)
+    a = -1 - 1j
+    sol = liouvillian_solution(e, ((1, -1), (0, 1)), anchor=a, grid=[0.3j, 2.0])
+    for z in (-0.5 - 0.5j, 1 + 1j, 30 + 29j):  # 1 + i through the pole
+        want = z * cmath.exp(a - z) / a
+        assert abs(sol(z, 0, 1) - want) <= 1e-12 * abs(want)
+    with pytest.raises(ArithmeticError):
+        sol(30 + 30j, 0, 1)
