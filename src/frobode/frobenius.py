@@ -651,9 +651,7 @@ def _monic_leading(s: Series) -> Series:
     lead = next((c for c in s.coeffs if not structural_zero(c)), None)
     if lead is None:
         return s
-    if is_exact(lead):
-        return s.scale(_ONE / lead)
-    return s.scale(1.0 / lead)
+    return s.scale((_ONE if is_exact(lead) else 1.0) / lead)
 
 
 def _radius_estimate(s: Series, gevrey: float) -> float:

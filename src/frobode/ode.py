@@ -136,6 +136,11 @@ def shift_to_origin(e: Ode, x0: Scalar) -> Ode:
     start = _ZERO if is_exact(x0) else 0j
 
     def taylor_shift(s: Series) -> Series:
+        if is_exact(x0) and s._ints():  # Horner's rule on Gaussian integers
+            x, h = Series([x0, _ONE], trunc=s.trunc), Series([_ZERO], trunc=s.trunc)
+            for k in range(poly_degree(s), -1, -1):  # h <- h (x + x0) + c_k
+                h = h * x + s.window(k, 1).window(0, s.trunc + 1)
+            return h
         terms = [(k, c) for k, c in enumerate(s.coeffs) if not (is_exact(c) and not c)]
         pw = [x0 ** i for i in range(terms[-1][0] + 1 if terms else 0)]
         out = []
@@ -248,11 +253,7 @@ def to_frobenius_form(e: Ode) -> FrobeniusForm:
     """
     if not isinstance(e.chart, str) and not scalar_is_zero(e.chart, 1.0):
         raise ValueError("to_frobenius_form expands about the chart origin")
-    lead = e.coeffs[0]
-    ratios = []
-    for i, row in enumerate(e.coeffs[1:], start=1):
-        shift, unit = laurent_ratio(row, lead)
-        ratios.append((shift, unit))
+    ratios = [laurent_ratio(row, e.coeffs[0]) for row in e.coeffs[1:]]
     T = min(u.trunc for _, u in ratios)
     out = []
     for i, (shift, unit) in enumerate(ratios, start=1):

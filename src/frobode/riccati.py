@@ -233,7 +233,8 @@ def _transition(m: RiccatiModel, path):
             if s1 == s:
                 raise ArithmeticError(f"path too long to resolve a step at z = {z0}")
             step, di = _taylor_step(m, z0, piece.point(s1) - z0)
-            T, integral, s = step @ T, integral + di, s1
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails Abel's identity
+                T, integral, s = step @ T, integral + di, s1
     return T, integral
 
 

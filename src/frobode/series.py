@@ -50,6 +50,7 @@ __all__ = [
 _ZERO = GaussianRational(0)
 _SCALAR_TYPES = frozenset((GaussianRational, complex))
 _EXACT_TYPES = frozenset((GaussianRational,))
+_COMPLEX_TYPES = frozenset((complex,))
 
 
 def _as_scalar_list(coeffs: Iterable) -> tuple:
@@ -76,7 +77,9 @@ class Series:
 
     An exact series is also held in integer form (d, re, im): Gaussian-integer
     numerators over one positive denominator, reduced by their gcd, im None
-    when real.  Exact arithmetic reads and returns that form (`_IntSeries`)."""
+    when real.  Exact arithmetic reads and returns that form (`_IntSeries`): an
+    identity view shares it, a reduction starts from the top entries, and a
+    product with a complex series converts each exact coefficient once."""
 
     __slots__ = ("coeffs", "_int")
 
@@ -174,11 +177,23 @@ class Series:
             return _int_series(a[0] * b[0], re, im)
         n = min(len(self.coeffs), len(other.coeffs))
         a, b = self.coeffs[:n], other.coeffs[:n]
+        # When one side is all complex, so is every product: each exact entry of the
+        # other side is converted once, and the slots from the first term's on start
+        # at 0j (_ZERO + z is 0j + z); the slots before it stay _ZERO.
+        start = 0j
+        if _COMPLEX_TYPES.issuperset(map(type, b)):
+            a = [complex(c) if c.__class__ is GaussianRational and c else c for c in a]
+        elif _COMPLEX_TYPES.issuperset(map(type, a)):
+            b = [c if c.__class__ is not GaussianRational else complex(c) if c else 0j for c in b]
+        else:
+            start = None
         out = [_ZERO] * n
         for i in range(n):
             ai = a[i]
-            if isinstance(ai, GaussianRational) and not ai:
+            if ai.__class__ is GaussianRational and not ai:
                 continue
+            if start is not None:
+                out[i:], start = [start] * (n - i), None
             for j in range(n - i):
                 out[i + j] = out[i + j] + ai * b[j]
         return Series(out)
@@ -219,8 +234,10 @@ class Series:
         return Series(out)
 
     def window(self, lo: int, n: int) -> "Series":
-        """Coefficients lo .. lo + n - 1 as a series of n terms; indices
-        outside 0 .. trunc read as exact zeros."""
+        """Coefficients lo .. lo + n - 1 as n terms, exact zeros outside
+        0 .. trunc: the series itself when that keeps every entry."""
+        if lo == 0 and n == self.trunc + 1:
+            return self
         t = self._ints()
         if t:
             d, re, im = t
@@ -303,7 +320,8 @@ def _to_int(coeffs: Sequence[GaussianRational]) -> tuple:
 def _int_series(d: int, re: list, im: list | None) -> Series:
     """The series (re + im i)/d, d != 0, reduced by one gcd to a positive denominator."""
     im = im if im and any(im) else None
-    g = math.gcd(d, *re, *(im or ())) * (1 if d > 0 else -1)
+    # the top entries carry the common denominator, so the gcd is decided there
+    g = math.gcd(d, *reversed(re), *reversed(im or ())) * (1 if d > 0 else -1)
     if g != 1:
         d, re, im = d // g, [u // g for u in re], im and [v // g for v in im]
     s = _IntSeries.__new__(_IntSeries)

@@ -4,6 +4,7 @@ import json
 import math
 import re
 import time
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -359,6 +360,18 @@ def test_holonomy_step_cap_bounds_a_large_coefficient(tmp_path, capsys):
     assert main(["holonomy", path]) == 3
     assert time.perf_counter() - t0 < 5.0
     assert "Taylor steps" in capsys.readouterr().err
+
+
+def test_holonomy_step_cap_run_raises_no_warning(tmp_path, capsys):
+    # the transition matrix overflows on z u'' + 10^16 u = 0 before the step
+    # cap ends the run; the overflow is the step cap's business, not a warning
+    path = _write(tmp_path, {**HOLONOMY_DOC, "coeffs": [[0, 1], [0], [10**16]]})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["holonomy", path]) == 3
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert "Taylor steps" in err and "encountered" not in err
 
 
 def _bundle(tmp_path):

@@ -151,3 +151,22 @@ def test_shift_to_origin_matches_the_full_sum(rows, N, x0):
     for row, srow in zip(e.coeffs, got.coeffs):
         want = _shift_reference(row, x0)
         assert [(type(c), repr(c)) for c in srow.coeffs] == [(type(c), repr(c)) for c in want]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.lists(st.builds(GaussianRational, _part, _part), min_size=1, max_size=7),
+             min_size=3, max_size=3),
+    st.integers(0, 12),
+    st.builds(GaussianRational, _part, _part),
+)
+def test_exact_shift_runs_on_gaussian_integers(rows, extra, x0):
+    # an exact row at an exact point: the same coefficients as the full sum,
+    # given in the reduced integer form of the exact kernels
+    rows[0] = [1, *rows[0]]
+    N = max(map(len, rows)) - 1 + extra
+    e = Ode(2, tuple(Series(r, trunc=N) for r in rows), GaussianRational(0), None)
+    for row, srow in zip(e.coeffs, shift_to_origin(e, x0).coeffs):
+        d, re, im = srow._int
+        assert d > 0 and math.gcd(d, *re, *(im or ())) == 1 and (im is None or any(im))
+        assert repr(srow.coeffs) == repr(tuple(_shift_reference(row, x0)))

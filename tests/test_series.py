@@ -708,6 +708,63 @@ def test_integer_form_with_float_operands_takes_the_float_path():
         assert repr(got) == repr(want)
 
 
+@settings(max_examples=150)
+@given(integer_forms(), st.integers(-4, 12), st.integers(0, 12))
+def test_identity_views_share_the_form_and_other_views_are_reduced(t, lo, n):
+    a, eager = _int_form(*t), _eager(*t)
+    floats = Series([to_complex(c) for c in eager.coeffs])
+    for s in (a, eager, floats):
+        assert s.window(0, s.trunc + 1) is s and s.truncate(s.trunc) is s and s.shift(0) is s
+    view = a.window(lo, n + 1)
+    ea = eager.coeffs
+    assert repr(view) == repr(Series([ea[k] if 0 <= k < len(ea) else GaussianRational(0)
+                                      for k in range(lo, lo + n + 1)]))
+    if view is not a:
+        _assert_reduced(view)
+    assert (view is a) == (lo == 0 and n == a.trunc)
+
+
+def _loop_mul(a, b):
+    """The product by a per-element loop: an exact entry meets a complex one as
+    GaussianRational * complex, and an exact-zero entry of `a` adds no term."""
+    n = min(len(a), len(b))
+    out = [GaussianRational(0)] * n
+    for i in range(n):
+        if isinstance(a[i], GaussianRational) and not a[i]:
+            continue
+        for j in range(n - i):
+            out[i + j] = out[i + j] + a[i] * b[j]
+    return out
+
+
+_signed_parts = st.sampled_from([0.0, -0.0, 1.5, -2.0, 0.1, -1e-320, 3e-310])
+
+
+@settings(max_examples=200)
+@given(integer_forms(), st.lists(st.builds(complex, _signed_parts, _signed_parts), min_size=1,
+                                 max_size=9), st.integers(0, 4), st.integers(0, 4))
+def test_mixed_products_match_the_per_element_loop(t, zs, lead, pad):
+    d, re, im = t  # with a leading run of `lead` exact zeros
+    exact = _int_form(d, [0] * lead + re, im and [0] * lead + im)
+    body, padded = Series(zs), Series(zs, trunc=len(zs) - 1 + pad)
+    for a, b in ((exact, body), (body, exact), (exact, padded), (padded, exact), (body, padded)):
+        got, want = (a * b).coeffs, _loop_mul(a.coeffs, b.coeffs)
+        assert [(type(c), repr(c)) for c in got] == [(type(c), repr(c)) for c in want]
+
+
+@settings(max_examples=100)
+@given(integer_forms(), st.randoms(use_true_random=False))
+def test_int_series_reduces_alike_whatever_the_order_of_entries(t, rnd):
+    from frobode.series import _int_series
+
+    d, re, im = t
+    perm = list(range(len(re)))
+    rnd.shuffle(perm)
+    dd, rr, ii = _int_series(d, list(re), im and list(im))._int
+    got = _int_series(d, [re[k] for k in perm], im and [im[k] for k in perm])._int
+    assert got == (dd, [rr[k] for k in perm], ii and [ii[k] for k in perm])
+
+
 def _two_pass_normalize(terms):
     """The earlier `_normalize_terms`: representatives chosen in one pass over
     the terms, every term matched against them again in a second."""
