@@ -39,6 +39,7 @@ from .series import (
     JetValuationError,
     Series,
     _all_exact,
+    _complex_product,
     _convolve,
     _cut,
     _gr,
@@ -105,10 +106,10 @@ def recurrence_jets(
     `roots` are the indicial roots; q(n + r) is the product of the
     (n + base - r_i + eps) factors.  Exact data runs on Gaussian integers
     (`_recurrence_exact`), with q = `qpoly` (low power first) when the
-    caller has it and otherwise the product built from `roots`; float and
-    mixed data snap near-zero constant parts of the factors to exact zero,
-    which makes resonance detection structural rather than a floating
-    tolerance question.
+    caller has it and otherwise the product built from `roots`.  Any other
+    data is complex: the form, the base and the roots are converted once,
+    and a factor at an integer gap of 0 snaps to 0j, which makes resonance
+    detection structural rather than a floating tolerance question.
     """
     if seed_pow > jet_order:
         raise ValueError("seed power exceeds jet order")
@@ -116,26 +117,29 @@ def recurrence_jets(
         if qpoly is None:  # prod (z - r_i)
             qpoly = reduce(poly_mul, [[-r, _ONE] for r in roots], [_ONE])
         return _recurrence_exact(f, base, seed_pow, jet_order, N, qpoly)
+    base, roots = complex(base), [complex(r) for r in roots]
     if jet_order == 0:  # `_q_jet` on its one coefficient
-        q_at = lambda n: reduce(_mul0, [_q_factor(r, base, n) for r in roots], _ONE)
+        q_at = lambda n: reduce(lambda u, r: 0j + u * _q_factor(r, base, n), roots, 1 + 0j)
     else:
         q_at = lambda n: _q_jet(roots, base, n, jet_order)
-    return _recurrence_jets(f, base, seed_pow, jet_order, N, q_at)
+    return _recurrence_jets(_complex_form(f), base, seed_pow, jet_order, N, q_at)
 
 
 def recurrence_jets_free(f: FrobeniusForm, r: Scalar, N: int, jet_order: int = 0) -> list[Series]:
     """Recurrence at an exponent that need not be an indicial root.
 
     q(n+r) is evaluated from the indicial polynomial directly; divisions must
-    be invertible (no resonance handling)."""
+    be invertible (no resonance handling).  Data that is not exact is
+    converted to complex once, as in `recurrence_jets`."""
     qpoly = indicial_polynomial(f)
     if is_exact(r) and _form_exact(f):
         return _recurrence_exact(f, r, 0, jet_order, N, qpoly)
+    r, qpoly = complex(r), [complex(c) for c in qpoly]
     if jet_order == 0:  # `poly_eval_jet` on its one coefficient
-        q_at = lambda n: reduce(lambda u, c: _mul0(u, r + n) + c, qpoly[-2::-1], qpoly[-1])
+        q_at = lambda n: reduce(lambda u, c: 0j + u * (r + n) + c, qpoly[-2::-1], qpoly[-1])
     else:
         q_at = lambda n: poly_eval_jet(qpoly, r + n, jet_order)
-    return _recurrence_jets(f, r, 0, jet_order, N, q_at)
+    return _recurrence_jets(_complex_form(f), r, 0, jet_order, N, q_at)
 
 
 def recurrence_coefficients(f: FrobeniusForm, r: Scalar, N: int) -> list[Scalar]:
@@ -149,66 +153,62 @@ def _form_exact(f: FrobeniusForm) -> bool:
     return all(row._ints() for row in rows)
 
 
+def _complex_form(f: FrobeniusForm) -> FrobeniusForm:
+    """The form with complex rows."""
+    b, c, a = (Series(row.complex_coeffs()) if row is not None else None
+               for row in (f.b, f.c, f.a))
+    return FrobeniusForm(f.order, b, c, a)
+
+
 def _recurrence_jets(
     f: FrobeniusForm,
-    base: Scalar,
+    base: complex,
     seed_pow: int,
     jet_order: int,
     N: int,
-    q_at: Callable[[int], Series | Scalar],
+    q_at: Callable[[int], Series | complex],
 ) -> list[Series]:
-    """The recurrence for float and mixed data; q_at(n) is the jet
-    q(n + base + eps), or at jet order 0 its one coefficient.
+    """The recurrence for complex data; q_at(n) is the jet q(n + base + eps),
+    or at jet order 0 its one coefficient.
 
-    E_n is summed on lists of scalars by the operations of the `Series`
-    expression sum_j (w D_j + c_k D_j), w = b_k (j + r) + a_k (j + r)(j + r - 1),
-    j ascending, over the rows with a non-zero entry, so every value, type
-    and rounding is that of `Series` arithmetic.  An exact scalar meets a
-    complex one only as complex(scalar): each row coefficient is converted
-    once, and a D_j of complex entries only is used in complex arithmetic
-    alone.  Exact entries (the seed, the zero jets of cancelled resonances,
-    exact weights when the base is exact) keep exact arithmetic.  At jet
-    order 0 every jet has one coefficient, and the same operations run on
-    plain scalars: D_n = (1/q) (-E_n), with no `Series` until the end.
+    E_n is summed on lists of complex numbers by the operations of the
+    `Series` expression sum_j (w D_j + c_k D_j), w = b_k (j + r) + a_k (j + r)(j + r - 1),
+    j ascending, over the rows with a non-zero entry, so every value and
+    rounding is that of `Series` arithmetic.  At jet order 0 every jet has one
+    coefficient, and the same operations run on plain complex numbers:
+    D_n = (1/q) (-E_n), with no `Series` until the end.
     """
     m = jet_order + 1
-    rows = []  # (k, a_k, b_k, c_k, their complex values, a_k != 0), k descending
-    get = Series.__getitem__  # through `coeffs`, built once per row
+    rows = []  # (k, a_k, b_k, c_k, a_k != 0) for the rows with a non-zero entry, k descending
     for k in range(N, 0, -1):
-        ak = get(f.a, k) if f.order == 3 else _ZERO
-        bk, ck = get(f.b, k), get(f.c, k)
-        if not (structural_zero(ak) and structural_zero(bk) and structural_zero(ck)):
-            rows.append((k, ak, bk, ck, complex(ak), complex(bk), complex(ck),
-                         not structural_zero(ak)))
+        ak = f.a[k] if f.order == 3 else 0j
+        bk, ck = f.b[k], f.c[k]
+        if ak or bk or ck:
+            rows.append((k, ak, bk, ck, bool(ak)))
     start = len(rows)  # rows[start:] are the rows with k <= n
     if m == 1:
         p1 = [base + j for j in range(N)]  # (j + r) and (j + r)(j + r - 1)
-        p2 = [_mul0(v, v - 1) for v in p1]
-        d = [_ONE]
+        p2 = [0j + v * (v - 1) for v in p1]
+        d = [1 + 0j]
         for n in range(1, N + 1):
             while start and rows[start - 1][0] <= n:
                 start -= 1
             acc = None
-            for k, ak, bk, ck, ac, bc, cc, has_a in rows[start:]:
-                dj, v, v2 = d[n - k], p1[n - k], p2[n - k]
-                w = (bc if v.__class__ is complex else bk) * v
+            for k, ak, bk, ck, has_a in rows[start:]:
+                dj = d[n - k]
+                w = bk * p1[n - k]
                 if has_a:
-                    w = w + (ac if v2.__class__ is complex else ak) * v2
-                fast = dj.__class__ is complex
-                out = 0j if fast else _ZERO
-                if w.__class__ is not GaussianRational or w:
-                    out = out + w * dj
-                term = out + (cc if fast else ck) * dj
+                    w = w + ak * p2[n - k]
+                term = (0j + w * dj) + ck * dj
                 acc = term if acc is None else acc + term
             q = q_at(n)
-            if scalar_is_zero(q, abs(q) if q.__class__ is complex else 0.0):
+            if scalar_is_zero(q, abs(q)):
                 raise ZeroDivisionError("jet division by zero")
-            d.append((_ONE / q if is_exact(q) else 1.0 / q) * -(_ZERO if acc is None else acc))
+            d.append((1 / q) * -(0j if acc is None else acc))
         return [Series([u]) for u in d]
-    seed = [_ZERO] * m
-    seed[seed_pow] = _ONE
+    seed = [0j] * m
+    seed[seed_pow] = 1 + 0j
     D = [Series(seed)]
-    plain = [False]  # D_j has complex entries only
     # (j + r) and (j + r)(j + r - 1) jets for all j
     x = [Series.variable(base + j, jet_order) for j in range(N)]
     p1 = [xj.coeffs for xj in x]
@@ -220,32 +220,19 @@ def _recurrence_jets(
         while start and rows[start - 1][0] <= n:
             start -= 1
         acc: Optional[list] = None
-        for k, ak, bk, ck, ac, bc, cc, has_a in rows[start:]:
-            j = n - k
-            d = D[j].coeffs
+        for k, ak, bk, ck, has_a in rows[start:]:
+            d = D[n - k].coeffs
             L = len(d)
-            w = [(bc if v.__class__ is complex else bk) * v for v in p1[j][:L]]
+            w = [bk * v for v in p1[n - k][:L]]
             if has_a:
-                w = [u + (ac if v.__class__ is complex else ak) * v for u, v in zip(w, p2[j])]
-            fast = plain[j]
-            out = [0j if fast else _ZERO] * L
-            for i, a in enumerate(w):
-                if a.__class__ is GaussianRational:
-                    if not a:
-                        continue
-                    if fast:
-                        a = complex(a)
-                for t in range(i, L):
-                    out[t] = out[t] + a * d[t - i]
-            c_ = cc if fast else ck
-            term = [u + c_ * v for u, v in zip(out, d)]
+                w = [u + ak * v for u, v in zip(w, p2[n - k])]
+            term = [u + ck * v for u, v in zip(_complex_product(w, d, L), d)]
             acc = term if acc is None else [u + v for u, v in zip(acc, term)]
         if acc is None:
-            acc = [_ZERO] * m
+            acc = [0j] * m
         dn = Series([-u for u in acc]).div(q_at(n), scale=running)
         D.append(dn)
-        plain.append(all(u.__class__ is complex for u in dn.coeffs))
-        running = max(running, dn.magnitude(), max(abs(to_complex(u)) for u in acc))
+        running = max(running, dn.magnitude(), max(map(abs, acc)))
     return D
 
 
@@ -257,21 +244,10 @@ def _q_jet(roots: Sequence[Scalar], base: Scalar, n: int, jet_order: int) -> Ser
 
 
 def _q_factor(r: Scalar, base: Scalar, n: int) -> Scalar:
-    """n + base - r, snapped to an exact zero (or 0j) at an integer gap of 0."""
+    """n + base - r; a non-zero float difference at an integer gap of 0 snaps
+    to 0j (an exact one at that gap is 0 already)."""
     d = base + n - r
-    if integer_difference(base + n, r) == 0:
-        return _ZERO if is_exact(d) else 0j
-    return d
-
-
-def _mul0(a: Scalar, b: Scalar) -> Scalar:
-    """a b as `Series.__mul__` forms it for jets of one coefficient."""
-    if a.__class__ is GaussianRational:
-        if b.__class__ is GaussianRational:
-            return a * b
-        if not a:
-            return _ZERO
-    return 0j + a * b  # the bits of `_ZERO + a * b`: complex(_ZERO) is 0j
+    return 0j if d and integer_difference(base + n, r) == 0 else d
 
 
 def _support(re: list, im: list) -> list:
@@ -556,7 +532,7 @@ def formal_probe(e: Ode, N: int = 32) -> FormalProbe:
     when negligible against the largest, a float sum when negligible against
     its terms, and a float pivot is the largest entry."""
     order = e.order
-    exact = all(is_exact(c) for row in e.coeffs for c in row.coeffs)
+    exact = all(row._ints() for row in e.coeffs)
     zero, one = (_ZERO, _ONE) if exact else (0j, 1.0 + 0j)
     scale = 1.0 if exact else max(r.magnitude() for r in e.coeffs)
     rows = []  # (d_i, the non-zero (j, A_i[j])) of each row A_i
@@ -651,7 +627,7 @@ def _monic_leading(s: Series) -> Series:
     lead = next((c for c in s.coeffs if not structural_zero(c)), None)
     if lead is None:
         return s
-    return s.scale((_ONE if is_exact(lead) else 1.0) / lead)
+    return s.scale(1 / lead)
 
 
 def _radius_estimate(s: Series, gevrey: float) -> float:
@@ -729,7 +705,7 @@ def _abel_body(alpha: Series, beta: Series, lead: Scalar = _ONE) -> tuple:
     E_(m-1)/E_(m-k).  Other rows run in complex."""
     t, s = alpha._ints(), beta._ints()
     if not (t and s):
-        a, b = ([to_complex(c) for c in r.coeffs] for r in (alpha, beta))
+        a, b = ([*r.complex_coeffs()] for r in (alpha, beta))
         rho = -b[0] / a[0]
         M = min(len(a) - bool(rho), len(b) - 1)
         sup = [(k, x / a[0], (y + rho * x) / a[0]) for k, (x, y) in enumerate(zip(a + [0j], b))
@@ -790,8 +766,7 @@ def wronskian(e: Ode, solutions) -> GeneralizedSeries:
     if alpha is None:
         raise ValueError("essential-singularity wronskian has no series form")
     exact = all(t.body._ints() for s in solutions for t in s.terms)
-    rho, w = _abel_body(alpha if exact else Series([to_complex(c) for c in alpha.coeffs]),
-                        beta, low.body[0])
+    rho, w = _abel_body(alpha if exact else Series(alpha.complex_coeffs()), beta, low.body[0])
     if exact and rho != low.exponent:
         raise ArithmeticError(f"the solutions' wronskian leads with x^{low.exponent}, "
                               f"Abel's identity with x^{rho}")
@@ -848,8 +823,7 @@ def residual_valuation(res: GeneralizedSeries, base: Scalar, scale: float = 1.0)
             off_c = to_complex(t.exponent) - to_complex(base)
             off = off_c.real
         k = t.body.valuation() if t.body._ints() else next(
-            (k for k, c in enumerate(t.body.coeffs)
-             if (bool(c) if is_exact(c) else abs(to_complex(c)) > thresh)), None)
+            (k for k, c in enumerate(t.body.coeffs) if abs(c) > thresh), None)
         if k is not None:
             best = min(best, k + off)
     return best

@@ -130,27 +130,16 @@ def shift_to_origin(e: Ode, x0: Scalar) -> Ode:
     if isinstance(x0, (int, float)):
         x0 = GaussianRational(x0) if isinstance(x0, int) else complex(x0)
 
-    # Exact-zero coefficients are skipped.  Each added an exact zero when x0
-    # is exact, and a complex zero otherwise, which leaves a complex sum as it
-    # is; with a complex x0 every sum is complex, so it starts at 0j.
-    start = _ZERO if is_exact(x0) else 0j
-
     def taylor_shift(s: Series) -> Series:
         if is_exact(x0) and s._ints():  # Horner's rule on Gaussian integers
             x, h = Series([x0, _ONE], trunc=s.trunc), Series([_ZERO], trunc=s.trunc)
             for k in range(poly_degree(s), -1, -1):  # h <- h (x + x0) + c_k
                 h = h * x + s.window(k, 1).window(0, s.trunc + 1)
             return h
-        terms = [(k, c) for k, c in enumerate(s.coeffs) if not (is_exact(c) and not c)]
+        terms = [(k, c) for k, c in enumerate(s.coeffs) if c]  # a zero adds a zero
         pw = [x0 ** i for i in range(terms[-1][0] + 1 if terms else 0)]
-        out = []
-        for t in range(s.trunc + 1):
-            acc = start
-            for k, c in terms:
-                if k >= t:
-                    acc = acc + math.comb(k, t) * c * pw[k - t]
-            out.append(acc)
-        return Series(out)
+        return Series([sum((math.comb(k, t) * c * pw[k - t] for k, c in terms if k >= t), 0j)
+                       for t in range(s.trunc + 1)])
 
     rows = tuple(taylor_shift(c) for c in e.coeffs)
     rhs = taylor_shift(e.rhs) if e.rhs is not None else None
@@ -236,11 +225,11 @@ def _trimmed(row: list) -> list:
 
 
 def _sum_products(terms: list) -> list:
-    """sum p q over the (p, q) pairs of polynomials; exact zeros add nothing."""
+    """sum p q over the (p, q) pairs of polynomials; zeros add nothing."""
     out = [_ZERO] * max(len(p) + len(q) - 1 for p, q in terms)
     for p, q in terms:
         for i, c in enumerate(poly_mul(p, q)):
-            if not (c.__class__ is GaussianRational and not c):
+            if c:
                 out[i] = out[i] + c
     return out
 

@@ -1,9 +1,10 @@
 """Scalar arithmetic: exact Gaussian rationals and floating complex numbers.
 
 Every coefficient in the package is a ``Scalar``: either a :class:`GaussianRational`
-(exact mode) or a python ``complex`` (floating mode).  Mixing the two in an
-arithmetic operation silently degrades to floating, so a computation stays exact
-precisely as long as all its inputs are exact.
+(exact mode) or a python ``complex`` (floating mode).  An operation on one of
+each returns a complex number.  A series holds one kind (see series.py): it is
+exact when every coefficient is, and mixing promotes it to complex, so a
+computation stays exact precisely as long as all its inputs are exact.
 """
 
 from __future__ import annotations
@@ -286,14 +287,13 @@ def poly_eval(p: Sequence, z):
 
 
 def poly_mul(p: Sequence, q: Sequence) -> list:
-    """The product of two polynomials; exact-zero coefficients add no term."""
+    """The product of two polynomials; zero coefficients add no term."""
     out = [_ZERO] * (len(p) + len(q) - 1)
-    qs = [(j, b) for j, b in enumerate(q) if not (b.__class__ is GaussianRational and not b)]
+    qs = [(j, b) for j, b in enumerate(q) if b]
     for i, a in enumerate(p):
-        if a.__class__ is GaussianRational and not a:
-            continue
-        for j, b in qs:
-            out[i + j] = out[i + j] + a * b
+        if a:
+            for j, b in qs:
+                out[i + j] = out[i + j] + a * b
     return out
 
 

@@ -8,6 +8,9 @@ Two layers of calculus:
   indicial root through the coefficient recurrences.
 * :class:`GeneralizedSeries` — a finite sum of terms ``x^rho (log x)^m series(x)``,
   the universal representation for solutions near a regular singular point.
+
+A series is exact or complex, never both: built from a list that mixes the
+two kinds, it converts every coefficient to complex once.
 """
 
 from __future__ import annotations
@@ -54,44 +57,42 @@ _COMPLEX_TYPES = frozenset((complex,))
 
 
 def _as_scalar_list(coeffs: Iterable) -> tuple:
+    """The entries, with ints, rational strings, Fractions and pairs made exact;
+    `Series` converts a float or any other entry to complex."""
     coeffs = tuple(coeffs)
     if _SCALAR_TYPES.issuperset(map(type, coeffs)):
         return coeffs
-    out = []
-    for c in coeffs:
-        if isinstance(c, (GaussianRational, complex)):
-            out.append(c)
-        elif isinstance(c, int):
-            out.append(GaussianRational(c))
-        elif isinstance(c, float):
-            out.append(complex(c))
-        elif isinstance(c, (str, Fraction, tuple, list)):
-            out.append(as_exact(c))
-        else:
-            out.append(c)
-    return tuple(out)
+    return tuple(as_exact(c) if isinstance(c, (int, str, Fraction, tuple, list)) else c
+                 for c in coeffs)
 
 
 class Series:
     """Truncated power series: coefficients for x^0 .. x^trunc.
 
-    An exact series is also held in integer form (d, re, im): Gaussian-integer
-    numerators over one positive denominator, reduced by their gcd, im None
-    when real.  Exact arithmetic reads and returns that form (`_IntSeries`): an
-    identity view shares it, a reduction starts from the top entries, and a
-    product with a complex series converts each exact coefficient once."""
+    A series holds one kind of scalar.  When every coefficient is exact it
+    stays exact, and it is also held in integer form (d, re, im):
+    Gaussian-integer numerators over one positive denominator, reduced by
+    their gcd, im None when real.  Exact arithmetic reads and returns that
+    form (`_IntSeries`): an identity view shares it and a reduction starts
+    from the top entries.  Otherwise every coefficient is converted to
+    `complex` once, here, and zeros outside 0 .. trunc are 0j; an operation
+    with one complex operand converts the other one first."""
 
     __slots__ = ("coeffs", "_int")
 
     def __init__(self, coeffs: Sequence, trunc: int | None = None):
         cs = _as_scalar_list(coeffs)
+        if _EXACT_TYPES.issuperset(map(type, cs)):
+            zero, self._int = _ZERO, None  # the integer form, built when a kernel needs it
+        else:
+            if not _COMPLEX_TYPES.issuperset(map(type, cs)):  # no copy of a complex tuple:
+                cs = tuple(map(complex, cs))  # one per series fragments a float pass's heap
+            zero, self._int = 0j, False
         if trunc is not None:
-            cs = cs[: trunc + 1] + (_ZERO,) * (trunc + 1 - len(cs))
+            cs = cs[: trunc + 1] + (zero,) * (trunc + 1 - len(cs))
         elif not cs:
             cs = (_ZERO,)
         self.coeffs = cs
-        # the integer form, built when an exact kernel first needs it
-        self._int = None if _EXACT_TYPES.issuperset(map(type, cs)) else False
 
     @classmethod
     def variable(cls, base: Scalar, order: int) -> "Series":
@@ -114,7 +115,7 @@ class Series:
     def __getitem__(self, n: int) -> Scalar:
         if 0 <= n < len(self.coeffs):
             return self.coeffs[n]
-        return _ZERO
+        return 0j if self._int is False else _ZERO
 
     def coeff(self, n: int) -> Scalar:
         """Coefficient n; unlike indexing, raises IndexError beyond trunc."""
@@ -122,13 +123,18 @@ class Series:
             return self.coeffs[n]
         raise IndexError(f"coefficient {n} beyond the known order {self.trunc}")
 
-    def magnitude(self) -> float:
+    def complex_coeffs(self) -> Sequence[complex]:
+        """The coefficients as complex numbers; an exact series is converted from
+        its integer form, whose int true division is correctly rounded: the bits
+        of complex(GaussianRational)."""
         t = self._ints()
-        if t:  # int true division is correctly rounded: the bits of float(Fraction)
-            d, re, im = t
-            return max((abs(complex(u / d, v / d)) for u, v in zip(re, im or [0] * len(re))),
-                       default=0.0)
-        return max((abs(to_complex(c)) for c in self.coeffs), default=0.0)
+        if not t:
+            return self.coeffs
+        d, re, im = t
+        return [complex(u / d, v / d) for u, v in zip(re, im or [0] * len(re))]
+
+    def magnitude(self) -> float:
+        return max(map(abs, self.complex_coeffs()), default=0.0)
 
     def is_zero(self, scale: float | None = None) -> bool:
         s = scale if scale is not None else 1.0
@@ -153,13 +159,13 @@ class Series:
         b = self._int is not False and other._ints()
         if b:
             return _int_sum(self._ints(), b, 1)
-        return Series([x + y for x, y in zip(self.coeffs, other.coeffs)])
+        return Series([x + y for x, y in zip(self.complex_coeffs(), other.complex_coeffs())])
 
     def __sub__(self, other: "Series") -> "Series":
         b = self._int is not False and other._ints()
         if b:
             return _int_sum(self._ints(), b, -1)
-        return Series([x - y for x, y in zip(self.coeffs, other.coeffs)])
+        return Series([x - y for x, y in zip(self.complex_coeffs(), other.complex_coeffs())])
 
     def __neg__(self) -> "Series":
         t = self._ints()
@@ -175,33 +181,14 @@ class Series:
             real = a[2] is None and b[2] is None
             re, im = _convolve(_int_support(a, n), _int_support(b, n), n, real)
             return _int_series(a[0] * b[0], re, im)
-        n = min(len(self.coeffs), len(other.coeffs))
-        a, b = self.coeffs[:n], other.coeffs[:n]
-        # When one side is all complex, so is every product: each exact entry of the
-        # other side is converted once, and the slots from the first term's on start
-        # at 0j (_ZERO + z is 0j + z); the slots before it stay _ZERO.
-        start = 0j
-        if _COMPLEX_TYPES.issuperset(map(type, b)):
-            a = [complex(c) if c.__class__ is GaussianRational and c else c for c in a]
-        elif _COMPLEX_TYPES.issuperset(map(type, a)):
-            b = [c if c.__class__ is not GaussianRational else complex(c) if c else 0j for c in b]
-        else:
-            start = None
-        out = [_ZERO] * n
-        for i in range(n):
-            ai = a[i]
-            if ai.__class__ is GaussianRational and not ai:
-                continue
-            if start is not None:
-                out[i:], start = [start] * (n - i), None
-            for j in range(n - i):
-                out[i + j] = out[i + j] + ai * b[j]
-        return Series(out)
+        a, b = self.complex_coeffs(), other.complex_coeffs()
+        return Series(_complex_product(a, b, min(len(a), len(b))))
 
     def scale(self, k: Scalar) -> "Series":
-        if self._ints() and isinstance(k, (GaussianRational, int)):
+        if self._int is not False and isinstance(k, (GaussianRational, int, Fraction)):
             return self * Series([k], trunc=self.trunc)
-        return Series([k * c for c in self.coeffs])
+        k = complex(k)
+        return Series([k * c for c in self.complex_coeffs()])
 
     def div(self, other: "Series", scale: float = 1.0) -> "Series":
         """Valuation-cancelling division; the result's trunc drops by the
@@ -213,18 +200,15 @@ class Series:
             raise ZeroDivisionError("jet division by zero")
         if v > 0:
             nv = self.valuation(max(scale, self.magnitude(), 1.0))
-            if nv is None:
-                # identically zero numerator divides cleanly
-                return Series([_ZERO] * max(1, len(self.coeffs) - v))
+            if nv is None:  # an identically zero numerator divides cleanly
+                zero = 0j if self._int is False or other._int is False else _ZERO
+                return Series([zero] * max(1, len(self.coeffs) - v))
             if nv < v:
                 raise JetValuationError(
                     f"numerator valuation {nv} < divisor valuation {v}"
                 )
-        num = self.coeffs[v:] if v < len(self.coeffs) else (_ZERO,)
-        den = other.coeffs[v:]
-        # invert the unit series den
-        d0 = den[0]
-        inv0 = (GaussianRational(1) / d0) if is_exact(d0) else (1.0 / to_complex(d0))
+        num, den = self.coeffs[v:], other.coeffs[v:]
+        inv0 = 1 / den[0]  # den is a unit series
         out = []
         for k in range(min(len(num), len(den))):
             acc = num[k]
@@ -234,16 +218,16 @@ class Series:
         return Series(out)
 
     def window(self, lo: int, n: int) -> "Series":
-        """Coefficients lo .. lo + n - 1 as n terms, exact zeros outside
-        0 .. trunc: the series itself when that keeps every entry."""
+        """Coefficients lo .. lo + n - 1 as n terms, zeros outside 0 .. trunc:
+        the series itself when that keeps every entry."""
         if lo == 0 and n == self.trunc + 1:
             return self
         t = self._ints()
         if t:
             d, re, im = t
             return _int_series(d, _cut(re, lo, n), im and _cut(im, lo, n))
-        cs = self.coeffs
-        return Series(cs[lo:] if lo >= 0 else (_ZERO,) * -lo + cs, trunc=n - 1)
+        cs = self.coeffs[lo:] if lo >= 0 else (0j,) * -lo + self.coeffs
+        return Series(cs + (0j,) * n, trunc=n - 1)  # 0j even when cs is empty
 
     def shift(self, k: int) -> "Series":
         """Multiply by x^k (k >= 0) or divide by x^{-k}, keeping trunc."""
@@ -260,7 +244,7 @@ class Series:
 
     def evaluate(self, x: complex) -> complex:
         # a leading 0j makes every step complex arithmetic, the first included
-        return poly_eval((*self.coeffs, 0j), x)
+        return poly_eval((*self.complex_coeffs(), 0j), x)
 
     def conjugate(self) -> "Series":
         return Series([c.conjugate() for c in self.coeffs])
@@ -279,24 +263,35 @@ def series_inverse(a: Series) -> Series:
     """Multiplicative inverse of a series with invertible constant term."""
     if a._ints():
         return _inverse_exact(a)
-    a0 = a.coeffs[0]
-    if scalar_is_zero(a0, max(1.0, a.magnitude())):
+    cs = a.coeffs
+    if scalar_is_zero(cs[0], max(1.0, a.magnitude())):
         raise ZeroDivisionError("series has no invertible constant term")
-    n = len(a.coeffs)
-    inv0 = (GaussianRational(1) / a0) if is_exact(a0) else (1.0 / to_complex(a0))
-    # exact-zero a_j only add complex zeros to a sum with no -0 part, so they are
-    # skipped, unless an exact a_j != 0 makes them decide when the sum turns complex
-    skip = not any(is_exact(c) and c for c in a.coeffs)
-    support = [(j, c) for j, c in enumerate(a.coeffs) if j and not (skip and is_exact(c) and not c)]
+    inv0 = 1 / cs[0]
+    support = [(j, c) for j, c in enumerate(cs) if j and c]
     out = [inv0]
-    for k in range(1, n):
-        acc = _ZERO
+    for k in range(1, len(cs)):
+        acc = 0j
         for j, c in support:
             if j > k:
                 break
             acc = acc + c * out[k - j]
         out.append(-inv0 * acc)
     return Series(out)
+
+
+def _complex_product(a: Sequence[complex], b: Sequence[complex], n: int) -> list:
+    """The first n coefficients of the product of two complex coefficient
+    lists.  A zero coefficient adds no term: a sum that starts at 0j is never
+    -0, so a finite zero term would change none of its bits."""
+    out = [0j] * n
+    sb = [(j, y) for j, y in enumerate(b[:n]) if y]
+    for i, x in enumerate(a[:n]):
+        if x:
+            for j, y in sb:
+                if i + j >= n:
+                    break
+                out[i + j] += x * y
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -531,9 +526,7 @@ class GeneralizedSeries:
         return GeneralizedSeries(self.terms + other.terms)
 
     def __sub__(self, other: "GeneralizedSeries") -> "GeneralizedSeries":
-        # a float body keeps (-1+0j)*c, which differs from -c in the sign of zeros
-        neg = [GSTerm(t.exponent, t.logpow, -t.body if t.body._ints()
-                      else t.body.scale(GaussianRational(-1))) for t in other.terms]
+        neg = [GSTerm(t.exponent, t.logpow, -t.body) for t in other.terms]
         return GeneralizedSeries(self.terms + tuple(neg))
 
     def __mul__(self, other: "GeneralizedSeries") -> "GeneralizedSeries":
@@ -671,16 +664,11 @@ def gs_integrate(g: GeneralizedSeries) -> GeneralizedSeries:
             if structural_zero(d):
                 continue
             s1 = rho + n + 1  # s + 1
-            resonant = (
-                (is_exact(s1) and not bool(s1))
-                or (not is_exact(s1) and abs(to_complex(s1)) <= EXP_TOL)
-            )
-            if resonant:
+            if not s1 or not is_exact(s1) and abs(s1) <= EXP_TOL:
                 # integral of x^{-1} log^m is log^{m+1}/(m+1)
                 log_raised[n] = d / (m + 1)
                 continue
-            inv = (GaussianRational(1) / s1) if is_exact(s1) else (1.0 / to_complex(s1))
-            fac = inv
+            inv = fac = 1 / s1
             for j in range(m, -1, -1):
                 coef = ((-1) ** (m - j)) * (math.factorial(m) // math.factorial(j))
                 bodies[j][n] = bodies[j][n] + coef * fac * d

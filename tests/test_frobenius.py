@@ -259,12 +259,14 @@ def _abel_case(draw):
     of a Frobenius form with short random tails, times a unit 1 + u x.
     Complex roots are drawn at order 2 only, where they are found exactly."""
     order = draw(st.sampled_from([2, 3]))
-    N = draw(st.integers(7, 14))  # past every resonance: the basis does not depend on N
     root = _gaussian(den=3, complex_=order == 2 and draw(st.booleans()))
     base = draw(root)
     roots = [base]
     for _ in range(order - 1):
         roots.append(base - draw(st.integers(0, 3)) if draw(st.booleans()) else draw(root))
+    # N above every integer gap, so past every resonance: the basis does not depend on N
+    gaps = [int((r - s).re) for r in roots for s in roots if (r - s).is_rational_integer]
+    N = draw(st.integers(max(7, max(gaps) + 1), 14))
     q = [G(1)]  # prod (r - r_i), low power first
     for r in roots:
         q = [(q[i - 1] if i else G(0)) - r * (q[i] if i < len(q) else G(0))
@@ -295,8 +297,9 @@ def test_exact_wronskian_is_the_determinant_of_a_longer_solve(case):
     """W reaches x^(rho + N - order), solves Abel's equation a W' + b W = 0
     exactly, and equals as strings the determinant of the solutions of an
     (N + 8)-term solve wherever that determinant agrees with the one of an
-    (N + 16)-term solve: the top coefficients of a solution can be wrong, and
-    a determinant inherits them (the log cases, even inside its known order)."""
+    (N + 16)-term solve, and no further than the shorter of the two: the top
+    coefficients of a solution can be wrong, and a determinant inherits them
+    (the log cases, even inside its known order)."""
     e, N = case
     fs, t = _abel_parts(e, N)
     assert fs.indicial.exact and t.logpow == 0 and t.body._ints()
@@ -310,7 +313,7 @@ def test_exact_wronskian_is_the_determinant_of_a_longer_solve(case):
         (d,) = [s for s in wronskian_of_system(solve(long, N2)).terms if not s.logpow]
         assert d.exponent == t.exponent
         dets.append([str(c) for c in d.body.coeffs])
-    n = next((i for i, (u, v) in enumerate(zip(*dets)) if u != v), len(dets[0]))
+    n = next((i for i, (u, v) in enumerate(zip(*dets)) if u != v), min(map(len, dets)))
     n = min(n, len(t.body.coeffs))
     assert n >= 1 and dets[0][:n] == [str(c) for c in t.body.coeffs[:n]]
 
@@ -342,6 +345,25 @@ def test_float_wronskian_follows_the_exact_one(case):
     for f, x in zip(ft.body.coeffs, t.body.coeffs):
         scale = max(scale, abs(to_complex(x)))
         assert abs(f - to_complex(x)) <= 1e-6 * scale
+
+
+@pytest.mark.xfail(strict=True, reason="float root clusters (ROADMAP item 4): the double root "
+                   "1/2 splits by about 4e-9, y3 takes the seed (r - base)^2 at -3/2 and leads "
+                   "with 2, so W leads with 8 where the exact W leads with 4")
+def test_float_wronskian_of_a_split_double_root_follows_the_exact_one():
+    """One equation of the property test above, taken as floats:
+    x^3 y''' + (7/2) x^2 y'' + (1/4) x y' + (3/8 + x + x^2) y = 0 at N = 7,
+    roots 1/2, 1/2, -3/2 (case_ii(2) in both modes)."""
+    N = 7
+    e = Ode.from_rows([[0, 0, 0, 1], [0, 0, "7/2"], [0, "1/4"], ["3/8", 1, 1]], trunc=N)
+    fs, t = _abel_parts(e, N)
+    ef = Ode(e.order, tuple(Series([to_complex(c) for c in r.coeffs]) for r in e.coeffs))
+    ffs = solve(ef, N)
+    assert str(ffs.indicial.case) == str(fs.indicial.case) == "case_ii(2)"
+    (ft,) = wronskian(ef, ffs.solutions).terms
+    assert abs(to_complex(ft.exponent) - to_complex(t.exponent)) <= 1e-6
+    for f, x in zip(ft.body.coeffs, t.body.coeffs):
+        assert abs(f - to_complex(x)) <= 1e-6 * max(1.0, abs(to_complex(x)))
 
 
 # ---------------------------------------------------------------------------
@@ -751,20 +773,22 @@ def test_irrational_roots_take_the_float_recurrence():
 
 
 # ---------------------------------------------------------------------------
-# the float and mixed recurrence against the `Series` loop it replaced
+# the complex recurrence against the `Series` loop it replaced
 # ---------------------------------------------------------------------------
 
 
 def _jet_loop(f, base, seed_pow, jet_order, N, q_at):
-    """The recurrence in `Series` arithmetic, as float and mixed data ran it
-    before the list loop: the reference that loop must match bit for bit."""
+    """The recurrence in `Series` arithmetic, as complex data ran it before
+    the list loop: the reference that loop must match bit for bit.  The seed
+    and an empty sum are of the base's kind."""
 
     def zero(*cs):
         return all((isinstance(c, G) and not c) or c == 0 for c in cs)
 
     a, b, c = f.a, f.b, f.c
-    seed = [G(0)] * (jet_order + 1)
-    seed[seed_pow] = G(1)
+    one = G(1) if isinstance(base, G) else 1 + 0j
+    seed = [one * 0] * (jet_order + 1)
+    seed[seed_pow] = one
     D = [Series(seed)]
     p1 = [Series.variable(base + j, jet_order) for j in range(N)]
     if f.order == 3:
@@ -785,7 +809,7 @@ def _jet_loop(f, base, seed_pow, jet_order, N, q_at):
             term = w * D[j] + D[j].scale(ck)
             acc = term if acc is None else acc + term
         if acc is None:
-            acc = Series([G(0)] * (jet_order + 1))
+            acc = Series([one * 0] * (jet_order + 1))
         dn = (-acc).div(q_at(n), scale=running)
         D.append(dn)
         running = max(running, dn.magnitude(), acc.magnitude())
@@ -802,8 +826,20 @@ def _bits(fn):
         return (type(err), str(err))
 
 
+def _as_complex(f, *scalars):
+    """The form and the scalars as the recurrence runs them: unchanged when
+    all are exact, else each converted to complex."""
+    rows = [r for r in (f.a, f.b, f.c) if r is not None]
+    if all(isinstance(c, G) for c in scalars) and all(r._ints() for r in rows):
+        return (f, *scalars)
+    cf = FrobeniusForm(f.order, *(r if r is None else Series([complex(c) for c in r.coeffs])
+                                  for r in (f.b, f.c, f.a)))
+    return (cf, *map(complex, scalars))
+
+
 def _same_as_jet_loop(f, roots, base, seed_pow, jet_order, N):
     got = _bits(lambda: recurrence_jets(f, roots, base, seed_pow, jet_order, N))
+    f, base, *roots = _as_complex(f, base, *roots)
     want = _bits(lambda: _jet_loop(
         f, base, seed_pow, jet_order, N, lambda n: _q_jet(roots, base, n, jet_order)))
     assert got == want
@@ -849,6 +885,7 @@ def test_float_free_recurrence_matches_the_jet_loop(case):
     r = complex(roots[0])
     q = indicial_polynomial(f)
     got = _bits(lambda: recurrence_jets_free(f, r, N, jet_order))
+    f, r = _as_complex(f, r)
     want = _bits(lambda: _jet_loop(
         f, r, 0, jet_order, N, lambda n: poly_eval_jet(q, r + n, jet_order)))
     assert got == want
@@ -930,18 +967,18 @@ def test_float_and_mixed_recurrence_on_resonant_and_irrational_forms():
         (ZeroDivisionError, "jet division by zero"),
     ]
     # roots 1, 0 with c = x^2 only: E_1 = 0 over q(1 + eps) = eps (1 + eps)
-    # gives D_1 a jet of exact zeros, one shorter
+    # gives D_1 a jet of zeros, one shorter
     f = form([[0, 0, 1], [0], [0, 0, 1]], "float")
     roots = analyze(f).roots
     got = _same_as_jet_loop(f, roots, roots[1], 1, 2, 12)
     assert [len(j) for j in got[:5]] == [3, 2, 3, 2, 3]
-    assert got[1] == [(G, "0")] * 2
-    # float entries only at x^0, which the recurrence never reads: with an
-    # exact base and exact roots every D_n stays exact
+    assert got[1] == [(complex, "0j")] * 2
+    # float entries only at x^0, which the recurrence never reads, make the rows
+    # complex: with an exact base and exact roots every D_n is complex
     f = FrobeniusForm(2, b=Series([0.5 + 0j, "1/3"], trunc=6),
                       c=Series([0j, 1, "-1/7"], trunc=6))
     got = _same_as_jet_loop(f, (G(0), G(-1, 2)), G(0), 0, 1, 6)
-    assert all(t is G for jet in got for t, _ in jet)
+    assert all(t is complex for jet in got for t, _ in jet)
     # exact rows, roots +-sqrt(2): a float base
     f = form([[0, 0, 1], [0, 1], [-2, 1, "1/3"]], "exact")
     roots = analyze(f).roots

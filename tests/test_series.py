@@ -166,10 +166,31 @@ def test_exact_kernels_on_length_one():
         series_inverse(Series([0, 1]))
 
 
+def test_a_series_is_exact_or_complex():
+    entries = [Fraction(1, 3), 0.5, GaussianRational(0, 1), 0, -0.0 + 2j, "2/7"]
+    mixed = Series(entries, trunc=7)
+    assert [type(c) for c in mixed.coeffs] == [complex] * 8
+    assert mixed.coeffs == tuple(to_complex(Series([c]).coeffs[0]) for c in entries) + (0j, 0j)
+    assert mixed._ints() is None
+    exact = Series([Fraction(1, 3), GaussianRational(0, 1), 0, "2/7"], trunc=5)
+    assert all(isinstance(c, GaussianRational) for c in exact.coeffs) and exact._ints()
+    # zeros outside 0 .. trunc are of the series' kind
+    z = Series([0.5 + 0j, 2.0 - 1j])
+    for s in (Series([0.5 + 0j], trunc=3), z.shift(2), z.window(-1, 4), z.truncate(3),
+              Series([1.0], trunc=-1).truncate(2)):
+        assert all(type(c) is complex for c in s.coeffs)
+    assert repr(z.shift(2)) == "Series([0j, 0j])"
+    assert repr(z.window(1, 3)) == "Series([(2-1j), 0j, 0j])"
+    assert type(z[5]) is complex and z[5] == 0 and exact[9] == GaussianRational(0)
+    views = exact.shift(-2).coeffs + exact.window(-2, 9).coeffs
+    assert all(isinstance(c, GaussianRational) for c in views)
+
+
 def test_mixed_exact_float_operands_take_the_float_path():
     exact = Series([Fraction(1, 3), Fraction(-2, 7), GaussianRational(1, 1), 5])
-    mixed = Series([0.5, Fraction(1, 9), 0, Fraction(3, 2)])
-    as_exact = [(Fraction(1, 2), Fraction(0))] + _pairs(Series(mixed.coeffs[1:]))
+    entries = [0.5, Fraction(1, 9), 0, Fraction(3, 2)]
+    mixed = Series(entries)
+    as_exact = [(Fraction(1, 2), Fraction(0))] + _pairs(Series(entries[1:]))
     for p in (exact * mixed, mixed * exact, series_inverse(mixed)):
         assert all(isinstance(c, complex) for c in p.coeffs)
     checks = (
@@ -335,15 +356,16 @@ def test_float_inverse_matches_the_full_recurrence(a0, tail):
     assert [(type(c), repr(c)) for c in got.coeffs] == [(type(c), repr(c)) for c in want]
 
 
-def test_mixed_inverse_converts_exact_terms_where_the_full_recurrence_does():
-    # exact i at x^2 and x^4 beside 0j at x^5: skipping the exact zeros summed
-    # the exact products before converting them, 0.04320000000000001 for 0.0432
-    a = Series([GaussianRational(1, 2), 0, GaussianRational(0, 1), 0, GaussianRational(0, 1), 0j],
-               trunc=14)
-    want = _float_inverse_reference(a)
+def test_mixed_inverse_is_the_inverse_of_the_converted_series():
+    # exact i at x^2 and x^4 beside 0j at x^5: the series converts every entry
+    # when it is built, so its inverse is that of the all-complex series
+    entries = [GaussianRational(1, 2), 0, GaussianRational(0, 1), 0, GaussianRational(0, 1), 0j]
+    a = Series(entries, trunc=14)
+    converted = Series([complex(1, 2), 0j, 1j, 0j, 1j, 0j], trunc=14)
+    want = _float_inverse_reference(converted)
     assert [(type(c), repr(c)) for c in series_inverse(a).coeffs] == [
         (type(c), repr(c)) for c in want]
-    assert repr(want[6]) == "(0.1376-0.0432j)"
+    assert want[6] == pytest.approx(0.1376 - 0.0432j, rel=1e-15)
 
 
 # -- exact generalized-series operations against a naive GaussianRational oracle
@@ -494,19 +516,26 @@ def float_gs(exponents):
     return st.lists(term, min_size=1, max_size=3).map(GeneralizedSeries)
 
 
+def _same_values(g: GeneralizedSeries, h: GeneralizedSeries) -> bool:
+    """Equal exponents and log powers, and bodies equal as values (0.0 == -0.0)."""
+    return ([(t.exponent, t.logpow) for t in g.terms] == [(t.exponent, t.logpow) for t in h.terms]
+            and all(s.body == t.body for s, t in zip(g.terms, h.terms)))
+
+
 @settings(max_examples=100)
 @given(float_gs([0.5 + 0j, 1.5 + 0j, -0.25 + 0j, 0.5 + 1j]),
        float_gs([0.5 + 0j, 2.5 + 0j, 0.75 + 0j, GaussianRational(3)]))
-def test_float_generalized_difference_keeps_signed_zeros(a, b):
-    # (-1+0j)*c and -c differ in the sign of zero parts: float bodies are scaled
-    assert repr(a - b) == repr(a + b.scale(GaussianRational(-1)))
+def test_float_generalized_difference_negates_bodies(a, b):
+    neg = GeneralizedSeries([GSTerm(t.exponent, t.logpow, -t.body) for t in b.terms], False)
+    assert repr(a - b) == repr(a + neg)
+    assert _same_values(a - b, a + b.scale(GaussianRational(-1)))
 
 
-def test_float_difference_of_a_lone_term_is_scaled_not_negated():
+def test_float_difference_of_a_lone_term_is_negated():
     a = gs_from_series(Series([1.0 + 0j, 1.0 + 0j]), 0.5 + 0j)
     b = gs_from_series(Series([2.0 + 0j, 0j]), 0.25 + 0j)
     (t, _) = (a - b).terms
-    assert repr(t.body) == "Series([(-2+0j), (-0+0j)])"  # -b would give (-2-0j), (-0-0j)
+    assert repr(t.body) == "Series([(-2-0j), (-0-0j)])"  # (-1+0j)*b gives (-2+0j), (-0+0j)
 
 
 def test_mixed_operands_take_the_float_path():
@@ -519,8 +548,9 @@ def test_mixed_operands_take_the_float_path():
     assert repr(gs_differentiate(g)) == repr(_naive_differentiate(g))
     assert any(isinstance(c, complex) for t in gs_differentiate(g).terms for c in t.body.coeffs)
     h = gs_from_series(exact, third)
-    assert repr(h - g) == repr(h + g.scale(GaussianRational(-1)))
-    assert repr(g - h) == repr(g + h.scale(GaussianRational(-1)))
+    assert all(type(c) is complex for c in mixed.coeffs)
+    assert _same_values(h - g, h + g.scale(GaussianRational(-1)))
+    assert _same_values(g - h, g + h.scale(GaussianRational(-1)))
     # a mixed sum is zero within the float tolerance, not only when exactly zero
     half = GaussianRational(Fraction(1, 2))
     near = Series([-1.0 + 1e-17j, -2.0 + 0j])
@@ -734,7 +764,7 @@ def _loop_mul(a, b):
             continue
         for j in range(n - i):
             out[i + j] = out[i + j] + a[i] * b[j]
-    return out
+    return [to_complex(c) for c in out]
 
 
 _signed_parts = st.sampled_from([0.0, -0.0, 1.5, -2.0, 0.1, -1e-320, 3e-310])
@@ -744,12 +774,19 @@ _signed_parts = st.sampled_from([0.0, -0.0, 1.5, -2.0, 0.1, -1e-320, 3e-310])
 @given(integer_forms(), st.lists(st.builds(complex, _signed_parts, _signed_parts), min_size=1,
                                  max_size=9), st.integers(0, 4), st.integers(0, 4))
 def test_mixed_products_match_the_per_element_loop(t, zs, lead, pad):
+    # an exact x complex product is the all-complex product, bit for bit, and
+    # equals the per-element loop over the exact entries as values
     d, re, im = t  # with a leading run of `lead` exact zeros
     exact = _int_form(d, [0] * lead + re, im and [0] * lead + im)
+    converted = Series([to_complex(c) for c in exact.coeffs])
     body, padded = Series(zs), Series(zs, trunc=len(zs) - 1 + pad)
-    for a, b in ((exact, body), (body, exact), (exact, padded), (padded, exact), (body, padded)):
-        got, want = (a * b).coeffs, _loop_mul(a.coeffs, b.coeffs)
-        assert [(type(c), repr(c)) for c in got] == [(type(c), repr(c)) for c in want]
+    for a, b, a2, b2 in ((exact, body, converted, body), (body, exact, body, converted),
+                         (exact, padded, converted, padded), (padded, exact, padded, converted)):
+        got = (a * b).coeffs
+        assert all(type(c) is complex for c in got)
+        assert [repr(c) for c in got] == [repr(c) for c in (a2 * b2).coeffs]
+        assert list(got) == _loop_mul(a.coeffs, b.coeffs)
+    assert list((body * padded).coeffs) == _loop_mul(body.coeffs, padded.coeffs)
 
 
 @settings(max_examples=100)
