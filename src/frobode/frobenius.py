@@ -774,26 +774,26 @@ def wronskian(e: Ode, solutions) -> GeneralizedSeries:
 
 
 def wronskian_of_system(solutions) -> GeneralizedSeries:
-    """Determinant of the derivative matrix in GeneralizedSeries arithmetic."""
+    """Determinant of the derivative matrix in GeneralizedSeries arithmetic,
+    expanded along the first row: the minor of column j is the determinant
+    of the rows below over the other columns, taken cyclically from j + 1,
+    which gives it the sign (-1)^(j (n - 1))."""
     if isinstance(solutions, FundamentalSystem):
         solutions = solutions.solutions
-    n = len(solutions)
     mat = [list(solutions)]
-    for _ in range(n - 1):
+    while len(mat) < len(mat[0]):
         mat.append([gs_differentiate(g) for g in mat[-1]])
-    if n == 2:
-        return mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
-    if n == 3:
+
+    def det(k: int, cols: list) -> GeneralizedSeries:
+        if len(cols) == 1:
+            return mat[k][cols[0]]
         out = None
-        for j in range(3):
-            minor = (
-                mat[1][(j + 1) % 3] * mat[2][(j + 2) % 3]
-                - mat[1][(j + 2) % 3] * mat[2][(j + 1) % 3]
-            )
-            term = mat[0][j] * minor
-            out = term if out is None else out + term
+        for j, c in enumerate(cols):
+            term = mat[k][c] * det(k + 1, cols[j + 1:] + cols[:j])
+            out = term if out is None else out - term if j * (len(cols) - 1) % 2 else out + term
         return out
-    raise ValueError("2 or 3 solutions expected")
+
+    return det(0, list(range(len(mat))))
 
 
 def residual(e: Ode, g: GeneralizedSeries) -> GeneralizedSeries:

@@ -28,6 +28,11 @@ __all__ = [
 #: most exact Newton steps spent refining one numpy root towards a
 #: rational root; a converging start stops after two or three
 _NEWTON_STEPS = 8
+#: a prime p = 5 (mod 8), so 2 is not a square and _I^2 = -1 (mod p):
+#: a + bi -> a + b _I maps the dyadic Gaussian rationals, every float among
+#: them, to Z/p as a ring, and a discriminant with a non-zero image is not 0
+_P = 2 ** 64 - 59
+_I = pow(2, (_P - 1) // 4, _P)
 
 _ONE = GaussianRational(1)
 
@@ -65,29 +70,45 @@ def indicial_polynomial(f: FrobeniusForm) -> tuple:
     return (c0, GaussianRational(2) - a0 + b0, a0 - GaussianRational(3), _ONE)
 
 
-def _rational_root(poly: Sequence[GaussianRational]) -> Optional[GaussianRational]:
-    """A rational root of a monic cubic with real-rational coefficients, or None.
+def _discriminant(p: Sequence):
+    """A multiple of the discriminant of a monic quadratic or cubic (low
+    power first): zero exactly when a root repeats."""
+    if len(p) == 3:
+        return p[1] * p[1] - 4 * p[0]
+    c, b, a, _ = p
+    aa = a * a  # a^2 b^2 - 4b^3 - 4a^3 c - 27c^2 + 18abc
+    return b * b * (aa - 4 * b) + c * (18 * a * b - 4 * aa * a - 27 * c)
 
-    A repeated root is rational and comes from gcd(P, P').  For a
-    square-free P, each numpy root's real part is refined by exact Newton
-    steps until a step is below 1/(2 lead^2), lead the leading coefficient
-    of P over integers; the iterates are rounded to a grid finer than
-    1/(4 lead^2), which keeps their size bounded when a start does not
-    converge.  A step that small leaves the iterate nearer to a rational
-    root p/q (q | lead) than to any other fraction with denominator at most
-    lead, and that nearest fraction is accepted only if it is an exact root.
+
+def _image(z: complex) -> int:
+    """z in Z/_P, its parts read as dyadic rationals and i as _I."""
+    (n, d), (m, e) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+    return n * pow(d, -1, _P) + _I * m * pow(e, -1, _P)
+
+
+def _cubic_root(poly: Sequence[GaussianRational]) -> Optional[GaussianRational]:
+    """A root in Q(i) of a monic cubic r^3 + ar^2 + br + c, or None.
+
+    A repeated root is (9c - ab) / 2(a^2 - 3b), or -a/3 when a^2 = 3b (a
+    triple root).  For a square-free cubic with real-rational coefficients,
+    each numpy root's real part is refined by exact Newton steps until a
+    step is below 1/(2 lead^2), lead the leading coefficient of P over
+    integers; the iterates are rounded to a grid finer than 1/(4 lead^2),
+    which keeps their size bounded when a start does not converge.  A step
+    that small leaves the iterate nearer to a rational root p/q (q | lead)
+    than to any other fraction with denominator at most lead, and that
+    nearest fraction is accepted only if it is an exact root.
     """
-    if any(c.im != 0 for c in poly):
+    c, b, a, _ = poly
+    if not _discriminant(poly):
+        w = a * a - 3 * b
+        return (9 * c - a * b) / (2 * w) if w else -a / 3
+    if any(x.im != 0 for x in poly):
         return None
-    fracs = [c.re for c in poly]
+    fracs = [x.re for x in poly]
     if fracs[0] == 0:
         return GaussianRational(0)
     dfracs = poly_derivative(fracs)
-    g = _poly_gcd(fracs, dfracs)
-    if len(g) == 2:
-        return GaussianRational(-g[0] / g[1])
-    if len(g) == 3:
-        return GaussianRational(-g[1] / (2 * g[2]))
     lead = lcm(*(f.denominator for f in fracs))
     tol = Fraction(1, 2 * lead * lead)
     grid = 1 << (2 * lead.bit_length() + 2)
@@ -107,33 +128,6 @@ def _rational_root(poly: Sequence[GaussianRational]) -> Optional[GaussianRationa
     return None
 
 
-def _poly_gcd(p: list, q: list) -> list:
-    """Greatest common divisor of two Fraction polynomials (low power first),
-    by Euclid's algorithm; the result's length is its degree plus one."""
-    while q:
-        r = list(p)
-        while len(r) >= len(q):
-            f = r[-1] / q[-1]
-            off = len(r) - len(q)
-            for i, c in enumerate(q):
-                r[off + i] -= f * c
-            r.pop()
-            while r and r[-1] == 0:
-                r.pop()
-        p, q = q, r
-    return p
-
-
-def _exact_quadratic(poly: Sequence[GaussianRational]) -> Optional[list]:
-    c, b, a = poly
-    disc = b * b - GaussianRational(4) * a * c
-    s = gr_sqrt(disc)
-    if s is None:
-        return None
-    two_a = GaussianRational(2) * a
-    return [(-b + s) / two_a, (-b - s) / two_a]
-
-
 def _order_key(r: Scalar):
     z = to_complex(r)
     return (-z.real, -z.imag)
@@ -141,39 +135,37 @@ def _order_key(r: Scalar):
 
 def solve_roots(poly: Sequence[Scalar]) -> tuple[tuple, bool]:
     """All roots of a degree-2/3 monic polynomial, ordered by decreasing real
-    part (ties: decreasing imaginary part).  Returns (roots, exact_flag)."""
+    part (ties: decreasing imaginary part).  Returns (roots, exact_flag).
+
+    A root repeats exactly when the discriminant is zero, and every root then
+    lies in Q(i).  Float input is read exactly (a float is a dyadic rational)
+    unless the discriminant's image mod `_P` is non-zero.  The roots found in
+    Q(i), by `_cubic_root` and from a quadratic's discriminant, are kept, and
+    numpy with two Newton steps takes the rest."""
     poly = list(poly)
     exact_in = all(is_exact(c) for c in poly)
-    if exact_in:
-        roots: list[Scalar] = []
-        work = poly
-        while len(work) - 1 > 2:
-            r = _rational_root(work)
-            if r is None:
-                break
-            roots.append(r)
-            work, _ = poly_divide_linear(work, r)
-        if len(work) - 1 == 2:
-            quad = _exact_quadratic(work)
-            if quad is not None:
-                roots.extend(quad)
-                return tuple(sorted(roots, key=_order_key)), True
-        elif len(work) - 1 == 1:
-            roots.append(-work[0] / work[1])
-            return tuple(sorted(roots, key=_order_key)), True
-    # floating fallback: companion matrix + two Newton polish steps
-    cpoly = [to_complex(c) for c in poly]
-    arr = np.roots(list(reversed(cpoly)))
-    dpoly = poly_derivative(cpoly)
-    out = []
-    for z in arr:
-        z = complex(z)
-        for _ in range(2):
-            dp = poly_eval(dpoly, z)
-            if abs(dp) > NEWTON_TOL:
-                z = z - poly_eval(cpoly, z) / dp
-        out.append(z)
-    return tuple(sorted(out, key=_order_key)), False
+    work = poly if exact_in else [to_complex(c) for c in poly]
+    if not exact_in and _discriminant(list(map(_image, work))) % _P == 0:
+        work = [GaussianRational(z.real, z.imag) for z in work]
+    roots: list[Scalar] = []
+    if is_exact(work[0]):
+        if len(work) == 4 and (r := _cubic_root(work)) is not None:
+            roots, work = [r], poly_divide_linear(work, r)[0]
+        if len(work) == 3 and (s := gr_sqrt(_discriminant(work))) is not None:
+            roots, work = roots + [(s - work[1]) / 2, (-s - work[1]) / 2], work[2:]
+        work = [to_complex(c) for c in work]
+    # the rest: companion matrix + two Newton polish steps
+    if len(work) > 1:
+        dpoly = poly_derivative(work)
+        for z in np.roots(list(reversed(work))):
+            z = complex(z)
+            for _ in range(2):
+                dp = poly_eval(dpoly, z)
+                if abs(dp) > NEWTON_TOL:
+                    z = z - poly_eval(work, z) / dp
+            roots.append(z)
+    roots = roots if exact_in else [complex(r) for r in roots]
+    return tuple(sorted(roots, key=_order_key)), exact_in and all(map(is_exact, roots))
 
 
 def classify_case(roots: Sequence[Scalar], order: int | None = None) -> CaseTag:

@@ -5,7 +5,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .frobenius import FundamentalSystem, residual, wronskian, wronskian_ode_solution
+from .frobenius import (FundamentalSystem, residual, wronskian, wronskian_of_system,
+                        wronskian_ode_solution)
 from .ode import Ode
 from .scalars import SOLUTION_TOL, GaussianRational, integer_difference
 from .series import (
@@ -46,22 +47,10 @@ def variation_of_parameters(e: Ode, fs: FundamentalSystem) -> ParticularSolution
     if W.is_zero():
         raise ValueError("degenerate fundamental system (zero wronskian)")
     g = gs_div_single(gs_from_series(e.rhs), gs_from_series(e.coeffs[0]))
-    c_primes = []
-    if n == 2:
-        minors = [sols[1], sols[0]]
-        signs = [-1, 1]
-        for sgn, mn in zip(signs, minors):
-            c_primes.append(gs_div_single(mn * g, W).scale(GaussianRational(sgn)))
-    else:
-        d = [gs_differentiate(s) for s in sols]
-        m12 = [
-            sols[1] * d[2] - sols[2] * d[1],
-            sols[0] * d[2] - sols[2] * d[0],
-            sols[0] * d[1] - sols[1] * d[0],
-        ]
-        signs = [1, -1, 1]
-        for sgn, mn in zip(signs, m12):
-            c_primes.append(gs_div_single(mn * g, W).scale(GaussianRational(sgn)))
+    # the cofactor of row n - 1, column i of the wronskian matrix is
+    # (-1)^(n - 1 + i) times the wronskian of the other solutions
+    c_primes = [gs_div_single(wronskian_of_system(sols[:i] + sols[i + 1:]) * g, W)
+                .scale(GaussianRational((-1) ** (n - 1 + i))) for i in range(n)]
     y_p = None
     for cp, s in zip(c_primes, sols):
         term = gs_integrate(cp) * s

@@ -19,9 +19,8 @@ import numpy as np
 
 from .classify import classify_infinity
 from .ode import Ode, poly_degree
-from .indicial import _poly_gcd
 from .scalars import (as_exact, is_exact, poly_derivative, poly_divide_linear, poly_eval,
-                      to_complex)
+                      poly_gcd, to_complex)
 
 __all__ = [
     "RiccatiModel",
@@ -130,7 +129,7 @@ def riccati_model(e: Ode) -> RiccatiModel:
     # the distinct roots of a are those of a / gcd(a, a'), the gcd taken over
     # Q(i): a float coefficient is a dyadic rational and converts exactly
     exact = [as_exact(x if is_exact(x) else (x.real, x.imag)) for x in rows[0]]
-    g = _poly_gcd(exact, poly_derivative(exact))
+    g = poly_gcd(exact, poly_derivative(exact))
     free = np.polydiv(a[::-1], [to_complex(x) for x in g[::-1]])[0]
     sigma: list = [complex(z) for z in np.roots(free)]
     if classify_infinity(e).tag != "ordinary":

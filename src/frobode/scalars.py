@@ -28,6 +28,7 @@ __all__ = [
     "poly_mul",
     "poly_divide_linear",
     "poly_derivative",
+    "poly_gcd",
     "ZERO_TOL",
     "INT_TOL",
     "EXP_TOL",
@@ -310,3 +311,20 @@ def poly_divide_linear(p: Sequence, root) -> tuple[list, object]:
 def poly_derivative(p: Sequence) -> list:
     """The derivative's coefficients; none for a constant."""
     return [k * p[k] for k in range(1, len(p))]
+
+
+def poly_gcd(p: list, q: list) -> list:
+    """Greatest common divisor of two polynomials over Q or Q(i) (low power
+    first), by Euclid's algorithm; the result's length is its degree plus one."""
+    while q:
+        r = list(p)
+        while len(r) >= len(q):
+            f = r[-1] / q[-1]
+            off = len(r) - len(q)
+            for i, c in enumerate(q):
+                r[off + i] -= f * c
+            r.pop()
+            while r and r[-1] == 0:
+                r.pop()
+        p, q = q, r
+    return p

@@ -156,21 +156,58 @@ def test_solve_exits_3_when_an_exact_certificate_fails(tmp_path, capsys):
     assert main(["solve", path, "--terms", "16"]) == 0
 
 
-def test_float_solve_of_a_split_double_root_exits_3(tmp_path, capsys):
-    """x^3 y''' - 2x y' + 4y = 0 (roots 2, 2, -1): in floats the double root
-    splits into 2 +- 8e-9 i, every seed at -1 ends short, and solve exits 3
-    (not 1 with a traceback); in exact mode it is case_ii(3), certified."""
-    doc = {"format": 1, "order": 3, "coeffs": [[0, 0, 0, 1], [0], [0, -2], [4]],
-           "options": {"terms": 8, "mode": "float"}}
-    assert main(["solve", _write(tmp_path, doc)]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == "" and "no admissible seed at exponent (-1+0j)" in captured.err
-    doc["options"]["mode"] = "exact"
+def _solve_bundle(tmp_path, doc):
     out = str(tmp_path / "bundle.json")
     assert main(["solve", _write(tmp_path, doc), "--output", out]) == 0
-    bundle = json.loads(open(out).read())
+    return json.loads(open(out).read())
+
+
+def test_float_solve_of_a_dyadic_double_root_is_case_ii(tmp_path):
+    """x^3 y''' - 2x y' + 4y = 0 (roots 2, 2, -1) as floats: the double root
+    is decided exactly, so the float solve is case_ii(3) and certified, as in
+    exact mode."""
+    doc = {"format": 1, "order": 3, "coeffs": [[0, 0, 0, 1], [0], [0, -2], [4]],
+           "options": {"terms": 8, "mode": "float"}}
+    bundle = _solve_bundle(tmp_path, doc)
+    assert bundle["indicial"]["roots"] == [[2.0, 0.0], [2.0, 0.0], [-1.0, 0.0]]
     assert bundle["case"] == "case_ii(3)"
     assert bundle["residual_valuations"] == ["clean"] * 3
+    doc["options"]["mode"] = "exact"
+    assert _solve_bundle(tmp_path, doc)["case"] == "case_ii(3)"
+
+
+def test_solve_of_an_exact_repeated_gaussian_root(tmp_path):
+    """x^3 y''' + (4 - 3i) x^2 y'' - (1 + 5i) x y' + (-1 + i + x) y = 0:
+    the roots i, i, -1 + i are exact, and so is the certificate."""
+    doc = {"format": 1, "order": 3, "options": {"terms": 8},
+           "coeffs": [[0, 0, 0, 1], [0, 0, ["4", "-3"]], [0, ["-1", "-5"]], [["-1", "1"], 1]]}
+    bundle = _solve_bundle(tmp_path, doc)
+    assert bundle["indicial"]["roots"] == [["0", "1"], ["0", "1"], ["-1", "1"]]
+    assert bundle["indicial"]["exact"] is True
+    assert bundle["case"] == "case_ii(1)"
+    assert bundle["residual_valuations"] == ["clean"] * 3
+
+
+def test_solve_keeps_a_rational_root_beside_irrational_ones(tmp_path):
+    """x^3 y''' + 2x^2 y'' - 2x y' + (2 + x) y = 0, whose indicial polynomial
+    is (r - 1)(r^2 - 2): the root 1 stays exact."""
+    doc = {"format": 1, "order": 3, "options": {"terms": 8},
+           "coeffs": [[0, 0, 0, 1], [0, 0, 2], [0, -2], [2, 1]]}
+    bundle = _solve_bundle(tmp_path, doc)
+    assert bundle["indicial"]["roots"][1] == "1"
+    assert bundle["indicial"]["exact"] is False
+    assert bundle["residual_valuations"] == ["clean"] * 3
+
+
+def test_float_solve_of_a_dyadic_double_root_of_order_2(tmp_path):
+    """x^2 y'' + 2x y' + y/4 = 0 as floats: the double root -1/2 is exact,
+    and both certificates are clean."""
+    doc = {"format": 1, "order": 2, "coeffs": [[0, 0, 1], [0, 2], ["1/4"]],
+           "options": {"terms": 8, "mode": "float"}}
+    bundle = _solve_bundle(tmp_path, doc)
+    assert bundle["indicial"]["roots"] == [[-0.5, 0.0], [-0.5, 0.0]]
+    assert bundle["case"] == "o2_equal"
+    assert bundle["residual_valuations"] == ["clean", "clean"]
 
 
 def test_bundle_wronskian_is_right_through_its_last_coefficient(tmp_path):

@@ -347,23 +347,33 @@ def test_float_wronskian_follows_the_exact_one(case):
         assert abs(f - to_complex(x)) <= 1e-6 * scale
 
 
-@pytest.mark.xfail(strict=True, reason="float root clusters (ROADMAP item 4): the double root "
-                   "1/2 splits by about 4e-9, y3 takes the seed (r - base)^2 at -3/2 and leads "
-                   "with 2, so W leads with 8 where the exact W leads with 4")
-def test_float_wronskian_of_a_split_double_root_follows_the_exact_one():
+def test_float_wronskian_of_a_dyadic_double_root_follows_the_exact_one():
     """One equation of the property test above, taken as floats:
     x^3 y''' + (7/2) x^2 y'' + (1/4) x y' + (3/8 + x + x^2) y = 0 at N = 7,
-    roots 1/2, 1/2, -3/2 (case_ii(2) in both modes)."""
+    roots 1/2, 1/2, -3/2 (case_ii(2) in both modes).  The double root is
+    decided exactly, so the float roots are the exact ones and the float W
+    is the exact W to rounding."""
     N = 7
     e = Ode.from_rows([[0, 0, 0, 1], [0, 0, "7/2"], [0, "1/4"], ["3/8", 1, 1]], trunc=N)
     fs, t = _abel_parts(e, N)
     ef = Ode(e.order, tuple(Series([to_complex(c) for c in r.coeffs]) for r in e.coeffs))
     ffs = solve(ef, N)
     assert str(ffs.indicial.case) == str(fs.indicial.case) == "case_ii(2)"
+    assert ffs.indicial.roots == (0.5, 0.5, -1.5)
     (ft,) = wronskian(ef, ffs.solutions).terms
-    assert abs(to_complex(ft.exponent) - to_complex(t.exponent)) <= 1e-6
+    assert ft.exponent == to_complex(t.exponent)
+    assert len(ft.body.coeffs) == len(t.body.coeffs)
     for f, x in zip(ft.body.coeffs, t.body.coeffs):
-        assert abs(f - to_complex(x)) <= 1e-6 * max(1.0, abs(to_complex(x)))
+        assert abs(f - to_complex(x)) <= 1e-12 * max(1.0, abs(to_complex(x)))
+
+
+def test_wronskian_of_system_of_one_and_two_solutions():
+    """One solution is its own wronskian; two give y1 y2' - y2 y1'."""
+    e = Ode.from_rows([[0, 0, 1], [0, 1], [0, 0, 1]], trunc=8)
+    y1, y2 = solve(e, 8).solutions
+    assert wronskian_of_system([y1]) is y1
+    expected = y1 * gs_differentiate(y2) - y2 * gs_differentiate(y1)
+    assert str(wronskian_of_system([y1, y2]).terms) == str(expected.terms)
 
 
 # ---------------------------------------------------------------------------

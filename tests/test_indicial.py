@@ -15,7 +15,7 @@ from frobode.indicial import (
     solve_roots,
 )
 from frobode.ode import Ode, to_frobenius_form
-from frobode.scalars import GaussianRational, to_complex
+from frobode.scalars import GaussianRational, poly_mul, to_complex
 
 
 def _form(rows, trunc=10):
@@ -152,7 +152,7 @@ def _monic_cubic(rs):
 )
 def test_exact_roots_with_large_denominators_and_repeats(rs):
     # trial division over the divisors of c_0 took longer than 8 s on the
-    # first cubic; repeated roots come from gcd(q, q')
+    # first cubic; repeated roots come from the exact discriminant
     t0 = time.perf_counter()
     roots, exact = solve_roots(_monic_cubic(rs))
     assert time.perf_counter() - t0 < 1.0
@@ -167,3 +167,52 @@ def test_irrational_cubic_falls_back_to_float_roots():
         assert not exact
         for r in roots:
             assert abs(sum(complex(c) * to_complex(r) ** k for k, c in enumerate(poly))) < 1e-9
+
+
+def test_rational_root_beside_an_irrational_pair_stays_exact():
+    # (r - 1)(r^2 - 2): the rational root is kept, numpy takes r^2 - 2 only
+    roots, exact = solve_roots([GaussianRational(c) for c in (2, -2, -1, 1)])
+    assert not exact
+    assert roots[1] == GaussianRational(1) and str(roots[1]) == "1"
+    assert abs(roots[0] - 2 ** 0.5) < 1e-15 and abs(roots[2] + 2 ** 0.5) < 1e-15
+
+
+def test_exact_repeated_gaussian_roots():
+    # (r - i)^2 (r + 1 - i) = r^3 + (1 - 3i) r^2 - (3 + 2i) r - 1 + i
+    g = GaussianRational
+    roots, exact = solve_roots([g(-1, 1), g(-3, -2), g(1, -3), g(1)])
+    assert exact
+    assert roots == (g(0, 1), g(0, 1), g(-1, 1))
+
+
+def test_float_dyadic_double_root_is_exact():
+    # r^2 + r + 1/4 (x^2 y'' + 2x y' + y/4) and r^3 - 3r^2 + 4 = (r - 2)^2 (r + 1)
+    assert solve_roots([0.25 + 0j, 1 + 0j, 1 + 0j]) == ((-0.5, -0.5), False)
+    assert solve_roots([4 + 0j, 0j, -3 + 0j, 1 + 0j]) == ((2.0, 2.0, -1.0), False)
+
+
+def test_non_dyadic_float_cluster_keeps_its_numpy_roots():
+    """A near-triple root whose float coefficients are not those of a
+    repeated root: the exact discriminant is not zero, and the roots are
+    numpy's, bit for bit."""
+    roots, exact = solve_roots([0.015624999999999997, 0.1875000000000009, 0.7499999999999991, 1])
+    assert not exact
+    assert [repr(r) for r in roots] == [
+        "(-0.24999344020428574-2.2004162289215985e-12j)",
+        "(-0.2500032802908153-5.681738754406697e-06j)",
+        "(-0.25000329382396097+5.7052082001293946e-06j)",
+    ]
+
+
+_GAUSS = st.builds(GaussianRational, st.fractions(-4, 4, max_denominator=12),
+                   st.fractions(-4, 4, max_denominator=12))
+
+
+@settings(max_examples=60)
+@given(_GAUSS, _GAUSS)
+def test_exact_cubic_with_a_repeated_gaussian_root_comes_back_exactly(d, s):
+    one = GaussianRational(1)
+    poly = poly_mul(poly_mul([-d, one], [-d, one]), [-s, one])
+    roots, exact = solve_roots(poly)
+    assert exact
+    assert sorted(roots, key=repr) == sorted([d, d, s], key=repr)
