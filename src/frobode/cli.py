@@ -46,7 +46,7 @@ from .ode import (
     transform_to_infinity,
 )
 from .riccati import Circle, global_holonomy, riccati_model
-from .scalars import VALUATION_TOL, GaussianRational, Scalar, is_exact, structural_zero, to_complex
+from .scalars import VALUATION_TOL, GaussianRational, Scalar, is_exact, to_complex
 from .series import (
     GeneralizedSeries,
     GSTerm,
@@ -193,7 +193,7 @@ def parse_document(obj: dict) -> dict:
     e = given
     if chart == "infinity":
         e = transform_to_infinity(given)
-    elif not structural_zero(chart):
+    elif chart:
         e = shift_to_origin(given, chart)
     return {"ode": e, "given": given, "raw": obj, "terms": terms, "mode": mode, "point": point}
 
@@ -299,11 +299,11 @@ def _certify(e: Ode, pairs, reported: Optional[list] = None) -> list:
 
 
 def cmd_solve(ctx: dict, args) -> dict:
-    return _solve_bundle(ctx, args.terms or ctx["terms"])
+    return _solve_bundle(ctx, ctx["terms"])
 
 
 def cmd_probe(ctx: dict, args) -> dict:
-    p = formal_probe(ctx["ode"], args.terms or ctx["terms"])
+    p = formal_probe(ctx["ode"], ctx["terms"])
     return {
         "status": p.status,
         "candidates": [dump_series(c) for c in p.candidates],
@@ -359,9 +359,8 @@ def cmd_particular(ctx: dict, args) -> dict:
     e = ctx["ode"]
     if e.rhs is None:
         raise DocumentError("particular requires an 'rhs' row")
-    N = args.terms or ctx["terms"]
     hom = Ode(e.order, e.coeffs, e.chart, None)
-    fs = frobenius_solve(to_frobenius_form(hom), N)
+    fs = frobenius_solve(to_frobenius_form(hom), ctx["terms"])
     part = variation_of_parameters(e, fs)
     (val,) = _certify(e, [(part.y_p, GaussianRational(0))])
     return {

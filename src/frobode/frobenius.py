@@ -21,18 +21,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .indicial import (
     IndicialData,
     analyze,
     congruence_classes,
-    indicial_polynomial,
     integer_difference,
 )
 from .ode import FrobeniusForm, Ode, to_frobenius_form
 from .scalars import (DIVERGENT_RADIUS, RESIDUAL_TOL, ZERO_TOL, GaussianRational, Scalar,
-                      is_exact, poly_mul, scalar_is_zero, structural_zero, to_complex)
+                      is_exact, scalar_is_zero, to_complex)
 from .series import (
     GSTerm,
     GeneralizedSeries,
@@ -49,7 +48,6 @@ from .series import (
     gs_differentiate,
     gs_from_series,
     laurent_ratio,
-    poly_eval_jet,
 )
 
 __all__ = [
@@ -58,7 +56,6 @@ __all__ = [
     "WronskianResult",
     "frobenius_solve",
     "solve",
-    "recurrence_coefficients",
     "recurrence_jets",
     "formal_probe",
     "wronskian",
@@ -99,53 +96,22 @@ def recurrence_jets(
     seed_pow: int,
     jet_order: int,
     N: int,
-    qpoly: Optional[Sequence[GaussianRational]] = None,
 ) -> list[Series]:
     """Run the recurrence with r = base + eps, seed D_0 = eps^seed_pow.
 
-    `roots` are the indicial roots; q(n + r) is the product of the
-    (n + base - r_i + eps) factors.  Exact data runs on Gaussian integers
-    (`_recurrence_exact`), with q = `qpoly` (low power first) when the
-    caller has it and otherwise the product built from `roots`.  Any other
-    data is complex: the form, the base and the roots are converted once,
-    and a factor at an integer gap of 0 snaps to 0j, which makes resonance
-    detection structural rather than a floating tolerance question.
+    `roots` are the indicial roots, or any exponents: q(n + r) is the
+    product of the (n + base - r_i + eps) factors.  Exact data runs on
+    Gaussian integers (`_recurrence_exact`).  Any other data is complex: the
+    form, the base and the roots are converted once, and a factor at an
+    integer gap of 0 snaps to 0j, which makes resonance detection structural
+    rather than a floating tolerance question.
     """
     if seed_pow > jet_order:
         raise ValueError("seed power exceeds jet order")
     if _all_exact([base, *roots]) and _form_exact(f):
-        if qpoly is None:  # prod (z - r_i)
-            qpoly = reduce(poly_mul, [[-r, _ONE] for r in roots], [_ONE])
-        return _recurrence_exact(f, base, seed_pow, jet_order, N, qpoly)
+        return _recurrence_exact(f, roots, base, seed_pow, jet_order, N)
     base, roots = complex(base), [complex(r) for r in roots]
-    if jet_order == 0:  # `_q_jet` on its one coefficient
-        q_at = lambda n: reduce(lambda u, r: 0j + u * _q_factor(r, base, n), roots, 1 + 0j)
-    else:
-        q_at = lambda n: _q_jet(roots, base, n, jet_order)
-    return _recurrence_jets(_complex_form(f), base, seed_pow, jet_order, N, q_at)
-
-
-def recurrence_jets_free(f: FrobeniusForm, r: Scalar, N: int, jet_order: int = 0) -> list[Series]:
-    """Recurrence at an exponent that need not be an indicial root.
-
-    q(n+r) is evaluated from the indicial polynomial directly; divisions must
-    be invertible (no resonance handling).  Data that is not exact is
-    converted to complex once, as in `recurrence_jets`."""
-    qpoly = indicial_polynomial(f)
-    if is_exact(r) and _form_exact(f):
-        return _recurrence_exact(f, r, 0, jet_order, N, qpoly)
-    r, qpoly = complex(r), [complex(c) for c in qpoly]
-    if jet_order == 0:  # `poly_eval_jet` on its one coefficient
-        q_at = lambda n: reduce(lambda u, c: 0j + u * (r + n) + c, qpoly[-2::-1], qpoly[-1])
-    else:
-        q_at = lambda n: poly_eval_jet(qpoly, r + n, jet_order)
-    return _recurrence_jets(_complex_form(f), r, 0, jet_order, N, q_at)
-
-
-def recurrence_coefficients(f: FrobeniusForm, r: Scalar, N: int) -> list[Scalar]:
-    """Plain scalar recurrence D_n at an arbitrary (non-resonant) exponent r."""
-    jets = recurrence_jets_free(f, r, N)
-    return [j.coeffs[0] for j in jets]
+    return _recurrence_jets(_complex_form(f), roots, base, seed_pow, jet_order, N)
 
 
 def _form_exact(f: FrobeniusForm) -> bool:
@@ -162,14 +128,14 @@ def _complex_form(f: FrobeniusForm) -> FrobeniusForm:
 
 def _recurrence_jets(
     f: FrobeniusForm,
+    roots: Sequence[complex],
     base: complex,
     seed_pow: int,
     jet_order: int,
     N: int,
-    q_at: Callable[[int], Series | complex],
 ) -> list[Series]:
-    """The recurrence for complex data; q_at(n) is the jet q(n + base + eps),
-    or at jet order 0 its one coefficient.
+    """The recurrence for complex data; the divisor is the jet
+    q(n + base + eps) from `_q_jet`, or at jet order 0 its one coefficient.
 
     E_n is summed on lists of complex numbers by the operations of the
     `Series` expression sum_j (w D_j + c_k D_j), w = b_k (j + r) + a_k (j + r)(j + r - 1),
@@ -201,7 +167,7 @@ def _recurrence_jets(
                     w = w + ak * p2[n - k]
                 term = (0j + w * dj) + ck * dj
                 acc = term if acc is None else acc + term
-            q = q_at(n)
+            q = reduce(lambda u, r: 0j + u * _q_factor(r, base, n), roots, 1 + 0j)
             if scalar_is_zero(q, abs(q)):
                 raise ZeroDivisionError("jet division by zero")
             d.append((1 / q) * -(0j if acc is None else acc))
@@ -230,7 +196,7 @@ def _recurrence_jets(
             acc = term if acc is None else [u + v for u, v in zip(acc, term)]
         if acc is None:
             acc = [0j] * m
-        dn = Series([-u for u in acc]).div(q_at(n), scale=running)
+        dn = Series([-u for u in acc]).div(_q_jet(roots, base, n, jet_order), scale=running)
         D.append(dn)
         running = max(running, dn.magnitude(), max(map(abs, acc)))
     return D
@@ -256,34 +222,35 @@ def _support(re: list, im: list) -> list:
 
 def _recurrence_exact(
     f: FrobeniusForm,
+    roots: Sequence[GaussianRational],
     base: GaussianRational,
     seed_pow: int,
     jet_order: int,
     N: int,
-    qpoly: Sequence[GaussianRational],
 ) -> list[Series]:
     """`_recurrence_jets` for exact data, on Gaussian integers.
 
-    a, b, c, base and q (low power first; the divisor is q(n + base + eps))
-    are written over one common denominator L, read from the rows' integer
-    forms.  With X_j = L (j + base + eps) the row weight a_k x(x - 1) + b_k x
-    + c_k at x = j + base + eps is (A_k X_j (X_j - L) + L B_k X_j + L^2 C_k) / L^3,
-    and q(n + base + eps) is Q_n / L^(deg + 1), Q_n = sum_i Q_i X_n^i L^(deg - i)
-    by Horner's rule.  Each D_n is a jet of Gaussian-integer numerators over one
-    positive denominator, reduced by their gcd; E_n is summed over the lcm of
-    the earlier denominators and divided by Q_n with the fraction-free unit
-    inverse, after multiplying both by conj(Q_n) when Q_n is complex.  At jet
-    order 0 each D_n is one numerator over its denominator, Q_n one Gaussian
-    integer, and the same division is a product by conj(Q_n).
+    a, b, c, base and the roots r_i are written over one common denominator
+    L, read from the rows' integer forms.  With X_j = L (j + base + eps) the
+    row weight a_k x(x - 1) + b_k x + c_k at x = j + base + eps is
+    (A_k X_j (X_j - L) + L B_k X_j + L^2 C_k) / L^3, and the divisor
+    q(n + base + eps) = prod (n + base + eps - r_i) is Q_n / L^(deg + 1),
+    Q_n = L prod (X_n - L r_i), deg the number of roots.  Each D_n is a jet
+    of Gaussian-integer numerators over one positive denominator, reduced by
+    their gcd; E_n is summed over the lcm of the earlier denominators and
+    divided by Q_n with the fraction-free unit inverse, after multiplying
+    both by conj(Q_n) when Q_n is complex.  At jet order 0 each D_n is one
+    numerator over its denominator, Q_n one Gaussian integer, and the same
+    division is a product by conj(Q_n).
     """
     m = jet_order + 1
-    deg = len(qpoly) - 1
+    deg = len(roots)
     rows = (f.a, f.b, f.c) if f.order == 3 else (f.b, f.c)
-    forms = [_to_int([base, *qpoly])] + [row._ints() for row in rows]
+    forms = [_to_int([base, *roots])] + [row._ints() for row in rows]
     L = math.lcm(*(d for d, _, _ in forms))
-    (beta, *Q), *coef = [  # base, q and the entries 1 .. N of a, b, c over L
+    (beta, *R), *coef = [  # base, the roots and the entries 1 .. N of a, b, c over L
         [(L // d * u, L // d * v) for u, v in zip(_cut(re, lo, n), _cut(im or [], lo, n))]
-        for (d, re, im), lo, n in zip(forms, (0, 1, 1, 1), (deg + 2, N, N, N))]
+        for (d, re, im), lo, n in zip(forms, (0, 1, 1, 1), (deg + 1, N, N, N))]
     real = not any(im for _, _, im in forms)
     L2 = L * L
     weights = []  # (k, A, L B, L^2 C) as integers, for the rows with a non-zero entry
@@ -294,7 +261,6 @@ def _recurrence_exact(
     # X_j = x_j + L eps, X_j (X_j - L) = x_j (x_j - L) + s_j eps + L^2 eps^2
     x = [(j * L + beta[0], beta[1]) for j in range(N + 1)]
     xy = [(u * (u - L) - v * v, v * (2 * u - L)) for u, v in x]
-    Qc = [(u * L ** (deg - i), v * L ** (deg - i)) for i, (u, v) in enumerate(Q)]
     lift = L ** (deg - 2)  # L^(deg + 1) of q over the L^3 of the weights
     if m == 1:
         D1, lam = [(1, 0, 1)], 1  # D_n = (u + v i) / d; lam is the lcm of the d
@@ -308,9 +274,10 @@ def _recurrence_exact(
                 wi = ar * yi + ai * yr + br * xi + bi * xr + ci
                 er += lam // d * (wr * u - wi * v)
                 ei += lam // d * (wr * v + wi * u)
-            (xr, xi), (hr, hi) = x[n], Qc[deg]
-            for cr, ci in reversed(Qc[:deg]):
-                hr, hi = hr * xr - hi * xi + cr, hr * xi + hi * xr + ci
+            (xr, xi), hr, hi = x[n], L, 0  # Q_n
+            for rr, ri in R:
+                ur, ui = xr - rr, xi - ri
+                hr, hi = hr * ur - hi * ui, hr * ui + hi * ur
             if not (hr or hi):
                 raise ZeroDivisionError("jet division by zero")
             if hi:
@@ -344,10 +311,11 @@ def _recurrence_exact(
                 re[t] += fac * tr[t]
                 im[t] += fac * ti[t]
         xr, xi = x[n]
-        h = [Qc[deg]] + [(0, 0)] * (m - 1)  # Q_n
-        for c in reversed(Qc[:deg]):  # h <- h X_n + Q_i L^(deg - i)
-            h = [(u * xr - v * xi + p, u * xi + v * xr + q)
-                 for (u, v), (p, q) in zip(h, [c] + [(L * u, L * v) for u, v in h])]
+        h = [(L, 0)] + [(0, 0)] * (m - 1)  # Q_n
+        for rr, ri in R:  # h <- h (X_n - L r_i)
+            ur, ui = xr - rr, xi - ri
+            h = [(u * ur - v * ui + L * p, u * ui + v * ur + L * q)
+                 for (u, v), (p, q) in zip(h, [(0, 0)] + h)]
         v = next((t for t, p in enumerate(h) if p != (0, 0)), None)
         if v is None:
             raise ZeroDivisionError("jet division by zero")
@@ -414,7 +382,6 @@ def frobenius_solve(f: FrobeniusForm, N: int = 32) -> FundamentalSystem:
     """Fundamental system at a regular singular (or ordinary) chart origin."""
     ind = analyze(f)
     roots = ind.roots
-    qpoly = ind.poly if ind.exact else None  # prod (z - r_i) for exact roots
     classes = congruence_classes(roots)
     entries = []  # (sort_key, solution)
     constants: dict = {}
@@ -423,11 +390,11 @@ def frobenius_solve(f: FrobeniusForm, N: int = 32) -> FundamentalSystem:
         above = 0  # total multiplicity of class members above the current one
         for idx, (v, mu) in enumerate(cls):
             if idx == 0:
-                jets = recurrence_jets(f, roots, v, 0, mu - 1, N, qpoly)
+                jets = recurrence_jets(f, roots, v, 0, mu - 1, N)
                 for j in range(mu):
                     entries.append(((v, j), _emit_solution(v, jets, j, N)))
             else:
-                sols, info = _subordinate_solutions(f, roots, qpoly, v, mu, above, N)
+                sols, info = _subordinate_solutions(f, roots, v, mu, above, N)
                 for j, s in enumerate(sols):
                     entries.append(((v, j), s))
                 constants.update(info.get("constants", {}))
@@ -442,7 +409,6 @@ def frobenius_solve(f: FrobeniusForm, N: int = 32) -> FundamentalSystem:
 def _subordinate_solutions(
     f: FrobeniusForm,
     roots: Sequence[Scalar],
-    qpoly: Optional[Sequence[GaussianRational]],
     base: Scalar,
     mu: int,
     above: int,
@@ -461,7 +427,7 @@ def _subordinate_solutions(
     for s in range(s_first, above + 1):
         jet_order = s + mu - 1 + above
         try:
-            jets = recurrence_jets(f, roots, base, s, jet_order, N, qpoly)
+            jets = recurrence_jets(f, roots, base, s, jet_order, N)
             sols = [_emit_solution(base, jets, j, N) for j in range(s, s + mu)]
         except JetValuationError as err:
             last_err = err
@@ -555,10 +521,10 @@ def formal_probe(e: Ode, N: int = 32) -> FormalProbe:
                 if j <= k:
                     cols.setdefault(k + d - j, []).append(math.perm(k + d - j, d) * c)
         eq = [(n, _sum(ts, exact)) for n, ts in sorted(cols.items())]
-        return [(n, c) for n, c in eq if not structural_zero(c)]
+        return [(n, c) for n, c in eq if c]
 
     def apply(eq: list, v: list) -> Scalar:
-        return _sum([c * v[n] for n, c in eq if not structural_zero(v[n])], exact)
+        return _sum([c * v[n] for n, c in eq if v[n]], exact)
 
     basis: list = []  # a_0 .. a_N of each free parameter, known through a_n
     for n in range(max(N, N + order + s) + 1):
@@ -608,7 +574,7 @@ def _pivot(vecs: list, c: list, exact: bool, skip=()) -> Optional[int]:
     mode): subtract c[q]/c[p] times vecs[p] from every other vecs[q], so that
     c, read as a linear form, vanishes on each of them; return p, or None
     when those c[p] are all 0."""
-    live = [q for q in range(len(c)) if q not in skip and not structural_zero(c[q])]
+    live = [q for q in range(len(c)) if q not in skip and c[q]]
     if not live:
         return None
     if exact:
@@ -616,7 +582,7 @@ def _pivot(vecs: list, c: list, exact: bool, skip=()) -> Optional[int]:
     else:
         p = max(live, key=lambda q: abs(c[q]))
     for q, v in enumerate(vecs):
-        if q != p and not structural_zero(c[q]):
+        if q != p and c[q]:
             f = c[q] / c[p]
             vecs[q] = [_sum([x, -f * y], exact) for x, y in zip(v, vecs[p])]
     return p
@@ -624,7 +590,7 @@ def _pivot(vecs: list, c: list, exact: bool, skip=()) -> Optional[int]:
 
 def _monic_leading(s: Series) -> Series:
     """s over its first non-zero coefficient, a float one however small."""
-    lead = next((c for c in s.coeffs if not structural_zero(c)), None)
+    lead = next((c for c in s.coeffs if c), None)
     if lead is None:
         return s
     return s.scale(1 / lead)
@@ -641,7 +607,7 @@ def _radius_estimate(s: Series, gevrey: float) -> float:
     from the exact parts when |a_n| is out of the float range; a float a_n
     that overflowed is left out."""
     tail = [(n, c) for n, c in enumerate(s.coeffs)
-            if n and not structural_zero(c) and (is_exact(c) or math.isfinite(abs(c)))]
+            if n and c and (is_exact(c) or math.isfinite(abs(c)))]
     tail = tail[-_RADIUS_TAIL:]
     if len(tail) < 3:
         return math.inf

@@ -168,11 +168,10 @@ def solve_roots(poly: Sequence[Scalar]) -> tuple[tuple, bool]:
     return tuple(sorted(roots, key=_order_key)), exact_in and all(map(is_exact, roots))
 
 
-def classify_case(roots: Sequence[Scalar], order: int | None = None) -> CaseTag:
+def classify_case(roots: Sequence[Scalar]) -> CaseTag:
     """Detect the equal-root / integer-gap configuration of the ordered roots."""
     roots = list(roots)
-    order = order if order is not None else len(roots)
-    if order == 2:
+    if len(roots) == 2:
         d = integer_difference(roots[0], roots[1])
         if d == 0:
             return CaseTag("o2_equal")
@@ -235,4 +234,4 @@ def analyze(f: FrobeniusForm) -> IndicialData:
     """Full indicial pipeline: polynomial, roots, case tag."""
     poly = indicial_polynomial(f)
     roots, exact = solve_roots(poly)
-    return IndicialData(tuple(poly), roots, classify_case(roots, f.order), exact)
+    return IndicialData(tuple(poly), roots, classify_case(roots), exact)

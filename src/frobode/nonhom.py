@@ -123,8 +123,7 @@ def third_from_two(e: Ode, y1: GeneralizedSeries, y2: GeneralizedSeries) -> Gene
     _require_solution(e, y2)
     # a ValueError when a1/a0 has a pole of order >= 2
     Ws = wronskian_ode_solution(e).as_generalized_series()
-    dy1, dy2 = gs_differentiate(y1), gs_differentiate(y2)
-    W12 = y1 * dy2 - y2 * dy1
+    W12 = wronskian_of_system([y1, y2])
     if W12.is_zero():
         raise ValueError("W12 degenerate: y1, y2 dependent through trunc")
     W12sq = W12 * W12

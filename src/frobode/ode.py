@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .scalars import (GaussianRational, Scalar, is_exact, poly_divide_linear, poly_mul,
-                      scalar_is_zero, structural_zero, to_complex)
+                      scalar_is_zero, to_complex)
 from .series import Series, laurent_ratio
 
 __all__ = [
@@ -219,7 +219,7 @@ def _cancel_root(rows: list, root: Scalar) -> list:
 
 def _trimmed(row: list) -> list:
     """The row without its top zeros, down to one coefficient."""
-    while len(row) > 1 and structural_zero(row[-1]):
+    while len(row) > 1 and not row[-1]:
         row.pop()
     return row
 

@@ -48,6 +48,8 @@ _STEP_CAP = 10_000
 _EPS = 2.0 ** -53
 #: relative Riccati residual within which a rational gamma is accepted
 _GAMMA_TOL = 1e-8
+#: defect |det T exp(integral of b/a) - 1| within which a loop's holonomy is accepted
+_ABEL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -301,13 +303,13 @@ class MoebiusMap:
         ) / max(n, 1e-300)
 
 
-def holonomy_of_loop(m: RiccatiModel, path, verify_tol: float = 1e-6) -> MoebiusMap:
+def holonomy_of_loop(m: RiccatiModel, path) -> MoebiusMap:
     """The loop's map t -> (T22 t + T21)/(T12 t + T11) from its transition
     matrix T, checked by Abel's identity det T = exp(-(integral of b/a))."""
     T, integral = _transition(m, path)
     with np.errstate(all="ignore"):  # an overflow makes the defect inf or nan
         defect = abs(np.linalg.det(T) * np.exp(integral) - 1)
-    if not defect <= verify_tol:
+    if not defect <= _ABEL_TOL:
         raise ArithmeticError(f"Abel's identity fails on the loop: defect {defect:.3e}")
     (t11, t12), (t21, t22) = T.tolist()
     return MoebiusMap.from_matrix(t22, t21, t12, t11)

@@ -20,7 +20,6 @@ __all__ = [
     "to_complex",
     "is_exact",
     "scalar_is_zero",
-    "structural_zero",
     "frac_sqrt",
     "gr_sqrt",
     "integer_difference",
@@ -215,14 +214,6 @@ def scalar_is_zero(s: Scalar, scale: float = 1.0) -> bool:
     if isinstance(s, GaussianRational):
         return not bool(s)
     return abs(complex(s)) <= ZERO_TOL * max(1.0, scale)
-
-
-def structural_zero(s: Scalar) -> bool:
-    """Zero test with no tolerance: exactly zero in exact mode, equal to 0
-    in floating mode."""
-    if isinstance(s, GaussianRational):
-        return not s
-    return s == 0
 
 
 def integer_difference(a: Scalar, b: Scalar, tol: float = INT_TOL) -> Optional[int]:

@@ -31,7 +31,6 @@ from .scalars import (
     poly_derivative,
     poly_eval,
     scalar_is_zero,
-    structural_zero,
     to_complex,
 )
 
@@ -43,7 +42,6 @@ __all__ = [
     "series_inverse",
     "series_div",
     "laurent_ratio",
-    "poly_eval_jet",
     "gs_differentiate",
     "gs_integrate",
     "gs_evaluate",
@@ -477,11 +475,6 @@ class JetValuationError(ArithmeticError):
 Jet = Series
 
 
-def poly_eval_jet(poly: Sequence[Scalar], point: Scalar, order: int) -> Series:
-    """Evaluate a scalar polynomial (coeff list, low to high) at point + eps."""
-    return poly_eval([Series([c], trunc=order) for c in poly], Series.variable(point, order))
-
-
 # ---------------------------------------------------------------------------
 # Generalized series
 # ---------------------------------------------------------------------------
@@ -600,7 +593,7 @@ def _normalize_terms(terms: tuple[GSTerm, ...]) -> tuple[GSTerm, ...]:
     for i, m in sorted(merged, key=lambda key: (where[key[0]].real, where[key[0]].imag, key[1])):
         body = merged[i, m]
         v = body.valuation() if exact else None if body.is_zero(scale) else next(
-            n for n, c in enumerate(body.coeffs) if not structural_zero(c))
+            n for n, c in enumerate(body.coeffs) if c)
         if v is None:
             continue
         rho = classes[i][2]
@@ -661,7 +654,7 @@ def gs_integrate(g: GeneralizedSeries) -> GeneralizedSeries:
         log_raised = [_ZERO] * (N + 1)
         for n in range(N + 1):
             d = body[n]
-            if structural_zero(d):
+            if not d:
                 continue
             s1 = rho + n + 1  # s + 1
             if not s1 or not is_exact(s1) and abs(s1) <= EXP_TOL:
@@ -675,10 +668,10 @@ def gs_integrate(g: GeneralizedSeries) -> GeneralizedSeries:
                 fac = fac * inv
         for j in range(m + 1):
             out.append(GSTerm(rho + 1, j, Series(bodies[j])))
-        if any(not structural_zero(c) for c in log_raised):
+        if any(log_raised):
             # these came from x^{rho+n} with rho+n = -1; exponent folds to 0
             for n in range(N + 1):
-                if not structural_zero(log_raised[n]):
+                if log_raised[n]:
                     out.append(
                         GSTerm(rho + n + 1, m + 1, Series([log_raised[n]], trunc=N))
                     )

@@ -13,9 +13,7 @@ from frobode.frobenius import (
     _q_jet,
     formal_probe,
     frobenius_solve,
-    recurrence_coefficients,
     recurrence_jets,
-    recurrence_jets_free,
     residual,
     residual_valuation,
     solve,
@@ -27,7 +25,7 @@ from frobode.indicial import analyze, indicial_polynomial
 from frobode.ode import FrobeniusForm, Ode, to_frobenius_form
 from frobode.scalars import GaussianRational, to_complex
 from frobode.series import (GeneralizedSeries, JetValuationError, Series, gs_differentiate,
-                            gs_from_series, poly_eval_jet, series_inverse)
+                            gs_from_series, series_inverse)
 
 G = GaussianRational
 
@@ -142,10 +140,10 @@ def test_emit_raises_on_a_jet_that_ends_below_its_derivative(monkeypatch):
     f = to_frobenius_form(Ode.from_rows([[0, 0, 0, 1], [0], [0, -2], [4]], trunc=12))
     ind = analyze(f)
     two = ind.roots[0]
-    short = recurrence_jets(f, ind.roots, two, 0, 0, 12, ind.poly)
+    short = recurrence_jets(f, ind.roots, two, 0, 0, 12)
     with pytest.raises(JetValuationError, match="below eps\\^1"):
         _emit_solution(two, short, 1, 12)
-    jets = recurrence_jets(f, ind.roots, two, 0, 1, 12, ind.poly)
+    jets = recurrence_jets(f, ind.roots, two, 0, 1, 12)
     made = [0]
     init = GaussianRational.__init__
 
@@ -598,11 +596,12 @@ def test_jet_derivative_matches_central_difference():
         )
         r = complex(random.uniform(0.3, 1.5), random.uniform(0.2, 0.8))
         h = 1e-5
-        jets = recurrence_jets_free(f, r, 10, jet_order=1)
-        plus = recurrence_coefficients(f, r + h, 10)
-        minus = recurrence_coefficients(f, r - h, 10)
+        roots = analyze(f).roots
+        jets = recurrence_jets(f, roots, r, 0, 1, 10)
+        plus = recurrence_jets(f, roots, r + h, 0, 0, 10)
+        minus = recurrence_jets(f, roots, r - h, 0, 0, 10)
         for n in range(11):
-            fd = (to_complex(plus[n]) - to_complex(minus[n])) / (2 * h)
+            fd = (to_complex(plus[n].coeffs[0]) - to_complex(minus[n].coeffs[0])) / (2 * h)
             dj = to_complex(jets[n].coeff(1))
             assert abs(dj - fd) <= 1e-6 * max(1.0, abs(fd))
 
@@ -715,10 +714,44 @@ def test_exact_recurrence_matches_jet_oracle(case):
     assert got == want
 
 
+@st.composite
+def _exact_root_case(draw):
+    """An exact form whose indicial roots are exact: its q(r) is set from
+    drawn roots, any Gaussian pair at order 2 and at order 3 three rational
+    roots or a Gaussian double root beside a third.  The exponent is free or
+    at an integer offset from a root."""
+    order = draw(st.sampled_from([2, 3]))
+    N = draw(st.integers(1, 40))
+    coef = st.one_of(st.just(G(0)), _gaussian())
+    rows = _rows(draw, order, N, coef, _gaussian())
+    if order == 2:
+        roots = [draw(_gaussian()), draw(_gaussian())]
+    elif draw(st.booleans()):
+        roots = [draw(_gaussian(complex_=False)) for _ in range(3)]
+    else:
+        d = draw(_gaussian())
+        roots = [d, d, draw(_gaussian())]
+    q = [G(1)]  # prod (z - r_i), low power first
+    for r in roots:
+        q = [u - r * v for u, v in zip([G(0)] + q, q + [G(0)])]
+    lows = [q[1] + 1, q[0]] if order == 2 else [q[2] + 3, q[1] + q[2] + 1, q[0]]
+    rows = [Series([c, *row.coeffs[1:]], trunc=N) for c, row in zip(lows, rows)]
+    f = FrobeniusForm(order, b=rows[-2], c=rows[-1], a=rows[0] if order == 3 else None)
+    assert list(indicial_polynomial(f)) == q
+    r = draw(st.one_of(_gaussian(), st.builds(lambda r, k: r - k, st.sampled_from(roots),
+                                               st.integers(-1, 3))))
+    jet_order = draw(st.integers(0, 3))
+    return f, r, draw(st.integers(0, jet_order)), jet_order, N
+
+
 @settings(max_examples=40, deadline=None)
-@given(_recurrence_case())
+@given(_exact_root_case())
 def test_exact_free_recurrence_matches_jet_oracle(case):
-    f, _, r, _, jet_order, N = case
+    """For exact roots, q(n + r) as the product of their factors gives the
+    jets that the indicial polynomial by Horner's rule gives."""
+    f, r, seed_pow, jet_order, N = case
+    ind = analyze(f)
+    assert ind.exact
     q = indicial_polynomial(f)
 
     def q_at(n, m):
@@ -728,8 +761,8 @@ def test_exact_free_recurrence_matches_jet_oracle(case):
             acc[0] += c
         return acc
 
-    got = _outcome(lambda: recurrence_jets_free(f, r, N, jet_order))
-    want = _outcome(lambda: _oracle_jets(f, q_at, r, 0, jet_order, N))
+    got = _outcome(lambda: recurrence_jets(f, ind.roots, r, seed_pow, jet_order, N))
+    want = _outcome(lambda: _oracle_jets(f, q_at, r, seed_pow, jet_order, N))
     assert got == want
 
 
@@ -888,19 +921,6 @@ def test_float_recurrence_matches_the_jet_loop(case):
     _same_as_jet_loop(*case)
 
 
-@settings(max_examples=40, deadline=None)
-@given(_float_case())
-def test_float_free_recurrence_matches_the_jet_loop(case):
-    f, roots, _, _, jet_order, N = case
-    r = complex(roots[0])
-    q = indicial_polynomial(f)
-    got = _bits(lambda: recurrence_jets_free(f, r, N, jet_order))
-    f, r = _as_complex(f, r)
-    want = _bits(lambda: _jet_loop(
-        f, r, 0, jet_order, N, lambda n: poly_eval_jet(q, r + n, jet_order)))
-    assert got == want
-
-
 @st.composite
 def _irrational_case(draw):
     """Exact order-3 rows with the roots a and p +- sqrt(s) (s not a square,
@@ -944,9 +964,9 @@ def test_jet_order_zero_runs_on_scalars(monkeypatch):
         lambda: recurrence_jets(exact, analyze(exact).roots, analyze(exact).roots[0], 0, 0, 16),
         lambda: recurrence_jets(mixed, analyze(mixed).roots, analyze(mixed).roots[1], 0, 0, 16),
         lambda: recurrence_jets(floats, analyze(floats).roots, analyze(floats).roots[0], 0, 0, 16),
-        lambda: recurrence_jets_free(exact, G(1, 3), 16),
-        lambda: recurrence_jets_free(mixed, 0.5 + 0.25j, 16),
-        lambda: recurrence_jets_free(floats, 0.5 + 0.25j, 16),
+        lambda: recurrence_jets(exact, analyze(exact).roots, G(1, 3), 0, 0, 16),
+        lambda: recurrence_jets(mixed, analyze(mixed).roots, 0.5 + 0.25j, 0, 0, 16),
+        lambda: recurrence_jets(floats, analyze(floats).roots, 0.5 + 0.25j, 0, 0, 16),
     ]
     assert not analyze(mixed).exact and analyze(exact).exact
     monkeypatch.setattr(Series, "__mul__", counting("__mul__"))
@@ -954,7 +974,7 @@ def test_jet_order_zero_runs_on_scalars(monkeypatch):
     for run in runs:
         assert len(run()) == 17
     assert calls == []
-    recurrence_jets_free(floats, 0.5 + 0.25j, 16, jet_order=1)
+    recurrence_jets(floats, analyze(floats).roots, 0.5 + 0.25j, 0, 1, 16)
     assert calls.count("div") == 16
 
 

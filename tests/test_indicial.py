@@ -61,16 +61,16 @@ def test_two_integer_gaps():
 
 
 def test_order2_cases():
-    assert classify_case([GaussianRational(2), GaussianRational(2)], 2).tag == "o2_equal"
-    assert str(classify_case([GaussianRational(3), GaussianRational(1)], 2)) == "o2_integer_diff(2)"
+    assert classify_case([GaussianRational(2), GaussianRational(2)]).tag == "o2_equal"
+    assert str(classify_case([GaussianRational(3), GaussianRational(1)])) == "o2_integer_diff(2)"
     half = GaussianRational(Fraction(1, 2))
-    assert classify_case([half, GaussianRational(0)], 2).tag == "non_exceptional"
+    assert classify_case([half, GaussianRational(0)]).tag == "non_exceptional"
 
 
 def test_case_iii_and_mixed():
     r = GaussianRational
     assert str(classify_case([r(2), r(0), r(0)])) == "case_iii(2)"
-    assert classify_case([r(1), r(1), half_i()], 3).tag == "mixed"
+    assert classify_case([r(1), r(1), half_i()]).tag == "mixed"
 
 
 def half_i():

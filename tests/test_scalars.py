@@ -11,7 +11,6 @@ from frobode.scalars import (
     gr_sqrt,
     is_exact,
     scalar_is_zero,
-    structural_zero,
     to_complex,
 )
 
@@ -82,11 +81,12 @@ def test_power_matches_repeated_multiplication(a, k):
 
 
 def test_structural_zero_has_no_tolerance():
-    assert structural_zero(GaussianRational(0))
-    assert not structural_zero(GaussianRational(0, Fraction(1, 10**30)))
-    assert structural_zero(0j) and structural_zero(complex(-0.0, 0.0))
-    assert not structural_zero(1e-300 + 0j)
-    assert not structural_zero(complex(0.0, 1e-300))
+    """Truthiness is the zero test with no tolerance, exact and complex."""
+    assert not GaussianRational(0)
+    assert GaussianRational(0, Fraction(1, 10**30))
+    assert not 0j and not complex(-0.0, 0.0)
+    assert 1e-300 + 0j
+    assert complex(0.0, 1e-300)
 
 
 @given(gaussians, st.one_of(gaussians, st.integers(-5, 5), st.builds(GaussianRational, st.integers(-5, 5), rationals)))

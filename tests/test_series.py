@@ -17,7 +17,6 @@ from frobode.series import (
     gs_from_series,
     gs_integrate,
     laurent_ratio,
-    poly_eval_jet,
     series_div,
     series_inverse,
 )
@@ -249,15 +248,6 @@ def test_jet_division_shrinks_reliable_order():
     assert q.trunc == 1
     with pytest.raises(IndexError):
         q.coeff(2)
-
-
-def test_poly_eval_jet_matches_derivatives():
-    # p(r) = r^3 - 2r + 1 at r = 2 + eps
-    p = [GaussianRational(1), GaussianRational(-2), GaussianRational(0), GaussianRational(1)]
-    j = poly_eval_jet(p, GaussianRational(2), 2)
-    assert j.coeff(0) == GaussianRational(5)
-    assert math.factorial(1) * j.coeff(1) == GaussianRational(10)  # 3r^2 - 2
-    assert math.factorial(2) * j.coeff(2) == GaussianRational(12)  # 6r
 
 
 # ---------------------------------------------------------------------------
@@ -805,7 +795,7 @@ def test_int_series_reduces_alike_whatever_the_order_of_entries(t, rnd):
 def _two_pass_normalize(terms):
     """The earlier `_normalize_terms`: representatives chosen in one pass over
     the terms, every term matched against them again in a second."""
-    from frobode.scalars import integer_difference, structural_zero
+    from frobode.scalars import integer_difference
     from frobode.series import EXP_TOL
 
     scale = max(1.0, max(t.body.magnitude() for t in terms))
@@ -836,7 +826,7 @@ def _two_pass_normalize(terms):
         body, rho = merged[key], rep_of[key]
         if body.is_zero(scale):
             continue
-        v = next(n for n, c in enumerate(body.coeffs) if not structural_zero(c))
+        v = next(n for n, c in enumerate(body.coeffs) if c)
         if v:
             body, rho = Series(body.coeffs[v:]), rho + v
         out.append(GSTerm(rho, key[1], body))
