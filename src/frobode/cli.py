@@ -46,7 +46,7 @@ from .ode import (
     transform_to_infinity,
 )
 from .riccati import Circle, global_holonomy, riccati_model
-from .scalars import VALUATION_TOL, GaussianRational, Scalar, is_exact, to_complex
+from .scalars import GaussianRational, Scalar, is_exact, to_complex
 from .series import (
     GeneralizedSeries,
     GSTerm,
@@ -278,9 +278,10 @@ def _solve_bundle(ctx: dict, N: int) -> dict:
 def _certify(e: Ode, pairs, reported: Optional[list] = None) -> list:
     """Residual valuations, in report form, of (series, base) pairs under e,
     each graded by x^base and scaled by the rows' and the series' magnitudes.
-    Against a bundle's `reported` valuations a mismatch is a validation
-    failure, tested first; then an exact residual that does not vanish is a
-    measured failure of the solution (ArithmeticError, exit 3)."""
+    Against a bundle's `reported` valuations any difference is a validation
+    failure, tested first (a JSON float reads back as the float written);
+    then an exact residual that does not vanish is a measured failure of
+    the solution (ArithmeticError, exit 3)."""
     scale = max(1.0, max(r.magnitude() for r in e.coeffs))
     vals, failed = [], False
     for g, base in pairs:
@@ -288,9 +289,7 @@ def _certify(e: Ode, pairs, reported: Optional[list] = None) -> list:
         v = residual_valuation(res, base, scale * max(1.0, g.magnitude()))
         vals.append(v if v < math.inf else "clean")
         failed = failed or (v < math.inf and all(t.body._ints() for t in res.terms))
-    if reported is not None and not (len(reported) == len(vals) and all(
-            a == b or (isinstance(a, (int, float)) and isinstance(b, (int, float))
-                       and abs(a - b) < VALUATION_TOL) for a, b in zip(reported, vals))):
+    if reported is not None and reported != vals:
         out = {"recomputed": vals, "reported": reported, "matches": False}
         raise DocumentError(f"bundle failed re-validation: {out}")
     if failed:

@@ -382,47 +382,41 @@ def frobenius_solve(f: FrobeniusForm, N: int = 32) -> FundamentalSystem:
     """Fundamental system at a regular singular (or ordinary) chart origin."""
     ind = analyze(f)
     roots = ind.roots
-    classes = congruence_classes(roots)
     entries = []  # (sort_key, solution)
     constants: dict = {}
     warnings: list[str] = []
-    for cls in classes:
+    for cls in congruence_classes(roots):
         above = 0  # total multiplicity of class members above the current one
-        for idx, (v, mu) in enumerate(cls):
-            if idx == 0:
-                jets = recurrence_jets(f, roots, v, 0, mu - 1, N)
-                for j in range(mu):
-                    entries.append(((v, j), _emit_solution(v, jets, j, N)))
-            else:
-                sols, info = _subordinate_solutions(f, roots, v, mu, above, N)
-                for j, s in enumerate(sols):
-                    entries.append(((v, j), s))
-                constants.update(info.get("constants", {}))
-                warnings.extend(info.get("warnings", []))
+        for v, mu in cls:
+            sols, consts, warns = _member_solutions(f, roots, v, mu, above, N)
+            entries.extend(((v, j), s) for j, s in enumerate(sols))
+            constants.update(consts)
+            warnings.extend(warns)
             above += mu
-    entries.sort(key=lambda e: (-to_complex(e[0][0]).real, -to_complex(e[0][0]).imag, e[0][1]))
+    entries.sort(key=lambda e: (roots.index(e[0][0]), e[0][1]))
     sols = tuple(s for _, s in entries)
-    # label the log constants per the case taxonomy
     return FundamentalSystem(sols, ind, N, constants, tuple(warnings))
 
 
-def _subordinate_solutions(
+def _member_solutions(
     f: FrobeniusForm,
     roots: Sequence[Scalar],
     base: Scalar,
     mu: int,
     above: int,
     N: int,
-) -> tuple[list[GeneralizedSeries], dict]:
-    """Solutions attached to a non-maximal class member.
+) -> tuple[list[GeneralizedSeries], dict, list[str]]:
+    """The mu solutions attached to a class member at exponent `base`, with
+    `above` roots of its class above it, their log constants and warnings.
 
     Seeds (r-base)^s are tried in increasing order starting from the paper's
-    choice; a seed fails (JetValuationError) when an eps-cancellation it relies
-    on does not occur, in which case the next seed always absorbs one more
-    resonance and eventually s = `above` is unconditionally safe.
+    choice, s = 0 for a repeated root or the top member (nothing above it
+    to cancel) and s = 1 otherwise; a seed fails (JetValuationError) when an
+    eps-cancellation it relies on does not occur, in which case the next
+    seed always absorbs one more resonance and eventually s = `above` is
+    unconditionally safe.
     """
-    s_first = 0 if mu > 1 else 1
-    info: dict = {"constants": {}, "warnings": []}
+    s_first = 0 if mu > 1 or not above else 1
     last_err: Exception | None = None
     for s in range(s_first, above + 1):
         jet_order = s + mu - 1 + above
@@ -432,13 +426,9 @@ def _subordinate_solutions(
         except JetValuationError as err:
             last_err = err
             continue
-        if s > s_first:
-            info["warnings"].append(
-                f"seed (r-base)^{s} used at exponent {base!r}: the paper's"
-                f" lower-order seed hit an uncancelled resonance"
-            )
-        info["constants"].update(_read_log_constants(jets, roots, base, s, N))
-        return sols, info
+        warns = [f"seed (r-base)^{s} used at exponent {base!r}: the paper's"
+                 f" lower-order seed hit an uncancelled resonance"] if s > s_first else []
+        return sols, _read_log_constants(jets, roots, base, s, N), warns
     raise JetValuationError(
         f"no admissible seed at exponent {base!r}: {last_err}"
     )

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from math import lcm
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .ode import FrobeniusForm
-from .scalars import (INT_TOL, NEWTON_TOL, GaussianRational, Scalar, gr_sqrt,
+from .scalars import (INT_TOL, NEWTON_TOL, GaussianRational, Scalar, as_exact, gr_sqrt,
                       integer_difference, is_exact, poly_derivative, poly_divide_linear,
                       poly_eval, to_complex)
 
@@ -21,7 +22,6 @@ __all__ = [
     "solve_roots",
     "classify_case",
     "integer_difference",
-    "INT_TOL",
     "congruence_classes",
 ]
 
@@ -54,7 +54,7 @@ class CaseTag:
 @dataclass(frozen=True)
 class IndicialData:
     poly: tuple  # scalar coefficients of q(r), low power first, monic
-    roots: tuple  # ordered Re(r1) >= Re(r2) [>= Re(r3)], ties by decreasing Im
+    roots: tuple  # ordered Re(r1) >= Re(r2) [>= Re(r3)], ties by decreasing Im (`_compare`)
     case: CaseTag
     exact: bool  # whether the roots are exact Gaussian rationals
 
@@ -90,47 +90,58 @@ def _cubic_root(poly: Sequence[GaussianRational]) -> Optional[GaussianRational]:
     """A root in Q(i) of a monic cubic r^3 + ar^2 + br + c, or None.
 
     A repeated root is (9c - ab) / 2(a^2 - 3b), or -a/3 when a^2 = 3b (a
-    triple root).  For a square-free cubic with real-rational coefficients,
-    each numpy root's real part is refined by exact Newton steps until a
-    step is below 1/(2 lead^2), lead the leading coefficient of P over
-    integers; the iterates are rounded to a grid finer than 1/(4 lead^2),
-    which keeps their size bounded when a start does not converge.  A step
-    that small leaves the iterate nearer to a rational root p/q (q | lead)
-    than to any other fraction with denominator at most lead, and that
-    nearest fraction is accepted only if it is an exact root.
+    triple root).  For a square-free cubic, let D be the lcm of the
+    denominators of the coefficients' parts: D r is then a root of a monic
+    cubic over Z[i], which is integrally closed, so every root in Q(i) lies
+    on the lattice (1/D) Z[i] (on (1/D) Z for real coefficients).  Each
+    numpy root (its real part, for real coefficients) is refined by exact
+    Newton steps, the iterates rounded to a grid finer than 1/(4 D^2), which
+    keeps their size bounded when a start does not converge; the lattice
+    point nearest to an iterate is accepted once P vanishes there exactly.
     """
     c, b, a, _ = poly
     if not _discriminant(poly):
         w = a * a - 3 * b
         return (9 * c - a * b) / (2 * w) if w else -a / 3
-    if any(x.im != 0 for x in poly):
-        return None
-    fracs = [x.re for x in poly]
-    if fracs[0] == 0:
+    if not c:
         return GaussianRational(0)
-    dfracs = poly_derivative(fracs)
-    lead = lcm(*(f.denominator for f in fracs))
-    tol = Fraction(1, 2 * lead * lead)
+    real = not any(x.im for x in poly)
+    p = [x.re for x in poly] if real else poly  # real parts: Fraction steps are cheaper
+    dp = poly_derivative(p)
+    lead = lcm(*(f.denominator for x in poly for f in (x.re, x.im)))
     grid = 1 << (2 * lead.bit_length() + 2)
-    for z in np.roots([float(f) for f in reversed(fracs)]):
-        x = Fraction(float(z.real))
+    for z in np.roots([complex(x) for x in reversed(poly)]):
+        x = Fraction(z.real) if real else GaussianRational(z.real, z.imag)
         for _ in range(_NEWTON_STEPS):
-            dp = poly_eval(dfracs, x)
-            if dp == 0:
+            if not poly_eval(p, cand := _snap(x, lead)):
+                return as_exact(cand)
+            if not (d := poly_eval(dp, x)):
                 break
-            step = poly_eval(fracs, x) / dp
-            x = Fraction(round((x - step) * grid), grid)
-            if abs(step) < tol:
+            x, last = _snap(x - poly_eval(p, x) / d, grid), x
+            if x == last:  # settled on the grid, away from the lattice
                 break
-        cand = x.limit_denominator(lead)
-        if poly_eval(fracs, cand) == 0:
-            return GaussianRational(cand)
     return None
 
 
-def _order_key(r: Scalar):
-    z = to_complex(r)
-    return (-z.real, -z.imag)
+def _snap(x, g: int):
+    """x rounded to the lattice (1/g) Z, or (1/g) Z[i] for a Gaussian rational."""
+    if isinstance(x, GaussianRational):
+        return GaussianRational(_snap(x.re, g), _snap(x.im, g))
+    return Fraction(round(x * g), g)
+
+
+def _compare(r: Scalar, s: Scalar) -> int:
+    """-1 when root r comes before s: by decreasing real part, and by
+    decreasing imaginary part when the real parts agree (within INT_TOL for a
+    float root, so that the roots of a float polynomial come in the order of
+    the exact ones)."""
+    z, w = to_complex(r), to_complex(s)
+    tol = 0 if is_exact(r) and is_exact(s) else INT_TOL
+    d = w.real - z.real if abs(w.real - z.real) > tol else w.imag - z.imag
+    return (d > 0) - (d < 0)
+
+
+_ORDER = cmp_to_key(_compare)
 
 
 def solve_roots(poly: Sequence[Scalar]) -> tuple[tuple, bool]:
@@ -165,69 +176,59 @@ def solve_roots(poly: Sequence[Scalar]) -> tuple[tuple, bool]:
                     z = z - poly_eval(work, z) / dp
             roots.append(z)
     roots = roots if exact_in else [complex(r) for r in roots]
-    return tuple(sorted(roots, key=_order_key)), exact_in and all(map(is_exact, roots))
+    return tuple(sorted(roots, key=_ORDER)), exact_in and all(map(is_exact, roots))
 
 
 def classify_case(roots: Sequence[Scalar]) -> CaseTag:
-    """Detect the equal-root / integer-gap configuration of the ordered roots."""
-    roots = list(roots)
-    if len(roots) == 2:
-        d = integer_difference(roots[0], roots[1])
-        if d == 0:
-            return CaseTag("o2_equal")
-        if d is not None and d > 0:
-            return CaseTag("o2_integer_diff", m=d)
+    """The case tag of the ordered roots, read from their congruence classes:
+    which roots are equal and which differ by integers."""
+    classes = _classes(roots)
+    if len(classes) == len(roots):
         return CaseTag("non_exceptional")
-    r1, r2, r3 = roots
-    d12 = integer_difference(r1, r2)
-    d23 = integer_difference(r2, r3)
-    d13 = integer_difference(r1, r3)
-    if d12 == 0 and d23 == 0:
-        return CaseTag("case_i")
-    if d12 == 0 and d23 is not None and d23 > 0:
-        return CaseTag("case_ii", m=d23)
-    if d23 == 0 and d12 is not None and d12 > 0:
-        return CaseTag("case_iii", m=d12)
-    if d12 is not None and d12 > 0 and d23 is not None and d23 > 0:
-        return CaseTag("case_iv", m=d12, p=d23)
-    if d12 == 0:
-        return CaseTag("mixed", detail="r1=r2, r3 non-congruent")
-    if d23 == 0:
-        return CaseTag("mixed", detail="r2=r3, r1 non-congruent")
-    if d12 is not None and d12 > 0:
-        return CaseTag("mixed", m=d12, detail="r1-r2 integer, r3 non-congruent")
-    if d23 is not None and d23 > 0:
-        return CaseTag("mixed", m=d23, detail="r2-r3 integer, r1 non-congruent")
-    if d13 is not None and d13 > 0:
-        return CaseTag("mixed", m=d13, detail="r1-r3 integer, r2 non-congruent")
-    return CaseTag("non_exceptional")
+    cls = max(classes, key=lambda c: sum(len(pos) for _, pos in c))  # two or more roots
+    gaps = [a - b for (a, _), (b, _) in zip(cls, cls[1:])]
+    if len(classes) == 1:
+        return CaseTag(_TAGS[tuple(len(pos) for _, pos in cls)], *gaps)
+    i, j = sorted(1 + p for _, pos in cls for p in pos)
+    rest = f"r{6 - i - j} non-congruent"
+    if gaps:
+        return CaseTag("mixed", m=gaps[0], detail=f"r{i}-r{j} integer, {rest}")
+    return CaseTag("mixed", detail=f"r{i}=r{j}, {rest}")
+
+
+#: the case of one class of all the roots, by the multiplicities of its members
+_TAGS = {(2,): "o2_equal", (1, 1): "o2_integer_diff", (3,): "case_i", (2, 1): "case_ii",
+         (1, 2): "case_iii", (1, 1, 1): "case_iv"}
+
+
+def _classes(roots: Sequence[Scalar]) -> list[list[tuple[int, list[int]]]]:
+    """The positions of the ordered roots, grouped into integer-difference
+    classes.
+
+    Each class is a list of members (offset, positions), in the order of the
+    roots: the roots of one member are equal, near-equal floating roots
+    included, and the offset is their integer difference from the class's
+    first root.
+    """
+    classes: list[list[tuple[int, list[int]]]] = []
+    for i, r in enumerate(roots):
+        for cls in classes:
+            if (k := integer_difference(r, roots[cls[0][1][0]])) is not None:
+                if integer_difference(r, roots[cls[-1][1][0]]) == 0:
+                    cls[-1][1].append(i)
+                else:
+                    cls.append((k, [i]))
+                break
+        else:
+            classes.append([(0, [i])])
+    return classes
 
 
 def congruence_classes(roots: Sequence[Scalar]) -> list[list[tuple[Scalar, int]]]:
-    """Group ordered roots into integer-difference classes.
-
-    Each class is a list of (value, multiplicity), sorted by decreasing real
-    part, with near-equal floating roots merged into one multiplicity.
-    """
-    classes: list[list[Scalar]] = []
-    for r in roots:
-        for cls in classes:
-            if integer_difference(r, cls[0]) is not None:
-                cls.append(r)
-                break
-        else:
-            classes.append([r])
-    out = []
-    for cls in classes:
-        cls_sorted = sorted(cls, key=_order_key)
-        grouped: list[tuple[Scalar, int]] = []
-        for r in cls_sorted:
-            if grouped and integer_difference(r, grouped[-1][0]) == 0:
-                grouped[-1] = (grouped[-1][0], grouped[-1][1] + 1)
-            else:
-                grouped.append((r, 1))
-        out.append(grouped)
-    return out
+    """The ordered roots grouped into integer-difference classes, each a list
+    of (value, multiplicity) in the order of the roots, with near-equal
+    floating roots merged into one multiplicity."""
+    return [[(roots[pos[0]], len(pos)) for _, pos in cls] for cls in _classes(roots)]
 
 
 def analyze(f: FrobeniusForm) -> IndicialData:

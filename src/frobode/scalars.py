@@ -30,22 +30,19 @@ __all__ = [
     "poly_gcd",
     "ZERO_TOL",
     "INT_TOL",
-    "EXP_TOL",
     "RESIDUAL_TOL",
     "NEWTON_TOL",
     "DIVERGENT_RADIUS",
     "SOLUTION_TOL",
-    "VALUATION_TOL",
 ]
 
 # -- the float tolerance table ----------------------------------------------
 
 #: relative zero tolerance for floating coefficients
 ZERO_TOL = 1e-12
-#: integer-difference and root-merging tolerance for floating roots
+#: integer-difference tolerance for floating roots and exponents: the one
+#: that merges them and finds their resonances
 INT_TOL = 1e-8
-#: merging tolerance for floating exponents of generalized series
-EXP_TOL = 1e-9
 #: relative size above which a floating residual coefficient is non-zero
 RESIDUAL_TOL = 1e-9
 #: smallest derivative a floating Newton step divides by
@@ -54,8 +51,6 @@ NEWTON_TOL = 1e-14
 DIVERGENT_RADIUS = 1e-3
 #: relative residual within which a supplied series counts as a solution
 SOLUTION_TOL = 1e-6
-#: largest gap between a reported and a recomputed residual valuation
-VALUATION_TOL = 1e-9
 
 _RAT = (int, Fraction)
 
@@ -216,7 +211,7 @@ def scalar_is_zero(s: Scalar, scale: float = 1.0) -> bool:
     return abs(complex(s)) <= ZERO_TOL * max(1.0, scale)
 
 
-def integer_difference(a: Scalar, b: Scalar, tol: float = INT_TOL) -> Optional[int]:
+def integer_difference(a: Scalar, b: Scalar) -> Optional[int]:
     """a - b when it is a (near-)integer, else None."""
     if is_exact(a) and is_exact(b):
         if a.im != b.im:
@@ -224,7 +219,7 @@ def integer_difference(a: Scalar, b: Scalar, tol: float = INT_TOL) -> Optional[i
         d = a.re - b.re
         return int(d) if d.denominator == 1 else None
     d = to_complex(a) - to_complex(b)
-    if abs(d.imag) <= tol and abs(d.real - round(d.real)) <= tol:
+    if abs(d.imag) <= INT_TOL and abs(d.real - round(d.real)) <= INT_TOL:
         return int(round(d.real))
     return None
 

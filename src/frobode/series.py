@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .scalars import (
-    EXP_TOL,
+    INT_TOL,
     GaussianRational,
     Scalar,
     as_exact,
@@ -573,7 +573,7 @@ def _normalize_terms(terms: tuple[GSTerm, ...]) -> tuple[GSTerm, ...]:
     placed = []  # (class index, offset) per term
     for t in terms:
         for i, cl in enumerate(classes):
-            k = integer_difference(t.exponent, cl[0], EXP_TOL)
+            k = integer_difference(t.exponent, cl[0])
             if k is not None:
                 if k < cl[1]:
                     cl[1], cl[2] = k, t.exponent
@@ -657,7 +657,7 @@ def gs_integrate(g: GeneralizedSeries) -> GeneralizedSeries:
             if not d:
                 continue
             s1 = rho + n + 1  # s + 1
-            if not s1 or not is_exact(s1) and abs(s1) <= EXP_TOL:
+            if not s1 or not is_exact(s1) and abs(s1) <= INT_TOL:
                 # integral of x^{-1} log^m is log^{m+1}/(m+1)
                 log_raised[n] = d / (m + 1)
                 continue

@@ -144,6 +144,21 @@ def test_residual_exits_3_when_an_exact_bundle_fails_its_certificate(tmp_path, c
     assert "[4, 'clean']" in capsys.readouterr().err
 
 
+def test_residual_compares_reported_valuations_exactly(tmp_path, capsys):
+    """A reported valuation 1e-12 away from the recomputed one is a mismatch
+    (exit 2), not a match followed by the failed certificate (exit 3)."""
+    doc = {"format": 1, "order": 2, "coeffs": [[0, 0, 1], [0, 1], [0, 0, 1]],
+           "options": {"terms": 16}}
+    out = str(tmp_path / "bundle.json")
+    assert main(["solve", _write(tmp_path, doc), "--output", out]) == 0
+    bundle = json.loads(open(out).read())
+    coeffs = bundle["solutions"][0]["terms"][0]["coeffs"]
+    coeffs[4] = str(Fraction(coeffs[4]) + Fraction(1, 10**12))
+    bundle["residual_valuations"] = [4 + 1e-12, "clean"]
+    assert main(["residual", _write(tmp_path, bundle, "tampered.json")]) == 2
+    assert "bundle failed re-validation" in capsys.readouterr().err
+
+
 def test_solve_exits_3_when_an_exact_certificate_fails(tmp_path, capsys):
     # the log solution of x^2 y'' + x y' + x^2 y at 8 terms has an exact
     # residual of valuation 2 (the generalized-series bookkeeping; at 16

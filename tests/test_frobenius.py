@@ -365,6 +365,26 @@ def test_float_wronskian_of_a_dyadic_double_root_follows_the_exact_one():
         assert abs(f - to_complex(x)) <= 1e-12 * max(1.0, abs(to_complex(x)))
 
 
+def test_float_roots_of_equal_real_part_come_in_the_exact_order():
+    """x^2 y'' + (1 + 11i/3) x y' - (10/3) y = 0 has the exact roots -5i/3 and
+    -2i.  As floats their real parts come out on either side of 0; they are
+    still ordered by imaginary part, so the float solutions come in the
+    exact order and the float W is the exact W, not its negative."""
+    N = 8
+    e = Ode.from_rows([[0, 0, 1], [0, [1, "11/3"]], ["-10/3"]], trunc=N)
+    fs, t = _abel_parts(e, N)
+    assert fs.indicial.roots == (GaussianRational(0, Fraction(-5, 3)), GaussianRational(0, -2))
+    ef = Ode(e.order, tuple(Series([to_complex(c) for c in r.coeffs]) for r in e.coeffs))
+    ffs = solve(ef, N)
+    for f, x in zip(ffs.indicial.roots, fs.indicial.roots):
+        assert abs(f - to_complex(x)) <= 1e-12
+    (ft,) = wronskian(ef, ffs.solutions).terms
+    assert abs(ft.exponent - to_complex(t.exponent)) <= 1e-9
+    assert len(ft.body.coeffs) == len(t.body.coeffs)
+    for f, x in zip(ft.body.coeffs, t.body.coeffs):
+        assert abs(f - to_complex(x)) <= 1e-9
+
+
 def test_wronskian_of_system_of_one_and_two_solutions():
     """One solution is its own wronskian; two give y1 y2' - y2 y1'."""
     e = Ode.from_rows([[0, 0, 1], [0, 1], [0, 0, 1]], trunc=8)

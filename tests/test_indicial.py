@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frobode.indicial import (
+    _ORDER,
+    CaseTag,
     analyze,
     classify_case,
     congruence_classes,
@@ -71,6 +73,70 @@ def test_case_iii_and_mixed():
     r = GaussianRational
     assert str(classify_case([r(2), r(0), r(0)])) == "case_iii(2)"
     assert classify_case([r(1), r(1), half_i()]).tag == "mixed"
+
+
+def _ladder(roots):
+    """The case tag from the integer gaps of the root pairs (r1, r2),
+    (r2, r3) and (r1, r3), the way `classify_case` once decided it: an
+    oracle for the tag that `classify_case` reads from the congruence
+    classes."""
+    if len(roots) == 2:
+        d = integer_difference(roots[0], roots[1])
+        if d == 0:
+            return CaseTag("o2_equal")
+        if d is not None and d > 0:
+            return CaseTag("o2_integer_diff", m=d)
+        return CaseTag("non_exceptional")
+    r1, r2, r3 = roots
+    d12 = integer_difference(r1, r2)
+    d23 = integer_difference(r2, r3)
+    d13 = integer_difference(r1, r3)
+    if d12 == 0 and d23 == 0:
+        return CaseTag("case_i")
+    if d12 == 0 and d23 is not None and d23 > 0:
+        return CaseTag("case_ii", m=d23)
+    if d23 == 0 and d12 is not None and d12 > 0:
+        return CaseTag("case_iii", m=d12)
+    if d12 is not None and d12 > 0 and d23 is not None and d23 > 0:
+        return CaseTag("case_iv", m=d12, p=d23)
+    if d12 == 0:
+        return CaseTag("mixed", detail="r1=r2, r3 non-congruent")
+    if d23 == 0:
+        return CaseTag("mixed", detail="r2=r3, r1 non-congruent")
+    if d12 is not None and d12 > 0:
+        return CaseTag("mixed", m=d12, detail="r1-r2 integer, r3 non-congruent")
+    if d23 is not None and d23 > 0:
+        return CaseTag("mixed", m=d23, detail="r2-r3 integer, r1 non-congruent")
+    if d13 is not None and d13 > 0:
+        return CaseTag("mixed", m=d13, detail="r1-r3 integer, r2 non-congruent")
+    return CaseTag("non_exceptional")
+
+
+_PART = st.fractions(-3, 3, max_denominator=4)
+
+
+@st.composite
+def _exact_roots(draw):
+    """Two or three Gaussian-rational roots, each after the first equal to
+    an earlier one, an integer 1 to 3 away from one, or drawn afresh; in the
+    order of `solve_roots`."""
+    roots = [GaussianRational(draw(_PART), draw(_PART))]
+    for _ in range(draw(st.integers(1, 2))):
+        prev = draw(st.sampled_from(roots))
+        how = draw(st.sampled_from(["equal", "gap", "fresh"]))
+        if how == "equal":
+            roots.append(prev)
+        elif how == "gap":
+            roots.append(prev + draw(st.sampled_from([-3, -2, -1, 1, 2, 3])))
+        else:
+            roots.append(GaussianRational(draw(_PART), draw(_PART)))
+    return sorted(roots, key=_ORDER)
+
+
+@settings(max_examples=300)
+@given(_exact_roots())
+def test_case_tag_from_the_classes_matches_the_pairwise_ladder(roots):
+    assert classify_case(roots) == _ladder(roots)
 
 
 def half_i():
@@ -175,6 +241,14 @@ def test_rational_root_beside_an_irrational_pair_stays_exact():
     assert not exact
     assert roots[1] == GaussianRational(1) and str(roots[1]) == "1"
     assert abs(roots[0] - 2 ** 0.5) < 1e-15 and abs(roots[2] + 2 ** 0.5) < 1e-15
+
+
+def test_gaussian_roots_of_a_complex_cubic_are_exact():
+    # (r - i)(r - 1 - i)(r - 2) = r^3 - (3 + 2i) r^2 + (1 + 5i) r + 2 - 2i
+    g = GaussianRational
+    roots, exact = solve_roots([g(2, -2), g(1, 5), g(-3, -2), g(1)])
+    assert exact
+    assert roots == (g(2), g(1, 1), g(0, 1))
 
 
 def test_exact_repeated_gaussian_roots():

@@ -794,15 +794,15 @@ def test_int_series_reduces_alike_whatever_the_order_of_entries(t, rnd):
 
 def _two_pass_normalize(terms):
     """The earlier `_normalize_terms`: representatives chosen in one pass over
-    the terms, every term matched against them again in a second."""
+    the terms, every term matched against them again in a second, exponents
+    merged within INT_TOL (the tolerance of `integer_difference`)."""
     from frobode.scalars import integer_difference
-    from frobode.series import EXP_TOL
 
     scale = max(1.0, max(t.body.magnitude() for t in terms))
     reps = []
     for t in terms:
         for i, r in enumerate(reps):
-            k = integer_difference(t.exponent, r, EXP_TOL)
+            k = integer_difference(t.exponent, r)
             if k is not None:
                 if k < 0:
                     reps[i] = t.exponent
@@ -813,7 +813,7 @@ def _two_pass_normalize(terms):
     trunc = min(t.body.trunc for t in terms)
     for t in terms:
         for i, r in enumerate(reps):
-            k = integer_difference(t.exponent, r, EXP_TOL)
+            k = integer_difference(t.exponent, r)
             if k is not None:
                 body = t.body.truncate(trunc).shift(k)
                 key = (i, t.logpow)
