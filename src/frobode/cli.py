@@ -5,7 +5,7 @@ Document format (version 1)::
     {
       "format": 1,
       "order": 3,
-      "form": "general",              # or "frobenius"
+      "form": "general",
       "point": 0,                     # number, [re, im], "p/q", or "infinity"
       "coeffs": [[...], [...], ...],  # rows, highest derivative first;
                                       # entries: number, [re, im], "p/q",
@@ -162,9 +162,8 @@ def parse_document(obj: dict) -> dict:
     order = obj.get("order")
     if order not in (2, 3):
         raise DocumentError("'order' must be 2 or 3")
-    form = obj.get("form", "general")
-    if form not in ("general", "frobenius"):
-        raise DocumentError("'form' must be 'general' or 'frobenius'")
+    if obj.get("form", "general") != "general":
+        raise DocumentError("'form' must be 'general'")
     options = obj.get("options", {})
     if not isinstance(options, dict):
         raise DocumentError("'options' must be an object")
@@ -207,7 +206,7 @@ def serialize_document(ctx: dict) -> dict:
     return {
         "format": 1,
         "order": e.order,
-        "form": raw.get("form", "general"),
+        "form": "general",
         "point": raw.get("point", 0),
         "coeffs": [dump_series(r) for r in e.coeffs],
         "rhs": dump_series(e.rhs) if e.rhs is not None else None,

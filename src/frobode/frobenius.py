@@ -30,8 +30,8 @@ from .indicial import (
     integer_difference,
 )
 from .ode import FrobeniusForm, Ode, to_frobenius_form
-from .scalars import (DIVERGENT_RADIUS, RESIDUAL_TOL, ZERO_TOL, GaussianRational, Scalar,
-                      is_exact, scalar_is_zero, to_complex)
+from .scalars import (RESIDUAL_TOL, ZERO_TOL, GaussianRational, Scalar, is_exact,
+                      scalar_is_zero, to_complex)
 from .series import (
     GSTerm,
     GeneralizedSeries,
@@ -386,13 +386,12 @@ def frobenius_solve(f: FrobeniusForm, N: int = 32) -> FundamentalSystem:
     constants: dict = {}
     warnings: list[str] = []
     for cls in congruence_classes(roots):
-        above = 0  # total multiplicity of class members above the current one
-        for v, mu in cls:
-            sols, consts, warns = _member_solutions(f, roots, v, mu, above, N)
+        for i, (v, mu, k) in enumerate(cls):
+            gaps = [ka - k for _, mua, ka in cls[:i] for _ in range(mua)]  # to the roots above
+            sols, consts, warns = _member_solutions(f, roots, v, mu, gaps, N)
             entries.extend(((v, j), s) for j, s in enumerate(sols))
             constants.update(consts)
             warnings.extend(warns)
-            above += mu
     entries.sort(key=lambda e: (roots.index(e[0][0]), e[0][1]))
     sols = tuple(s for _, s in entries)
     return FundamentalSystem(sols, ind, N, constants, tuple(warnings))
@@ -403,23 +402,23 @@ def _member_solutions(
     roots: Sequence[Scalar],
     base: Scalar,
     mu: int,
-    above: int,
+    gaps: list[int],
     N: int,
 ) -> tuple[list[GeneralizedSeries], dict, list[str]]:
-    """The mu solutions attached to a class member at exponent `base`, with
-    `above` roots of its class above it, their log constants and warnings.
+    """The mu solutions attached to a class member at exponent `base`, with the
+    roots of its class above it at `gaps`, their log constants and warnings.
 
     Seeds (r-base)^s are tried in increasing order starting from the paper's
     choice, s = 0 for a repeated root or the top member (nothing above it
     to cancel) and s = 1 otherwise; a seed fails (JetValuationError) when an
     eps-cancellation it relies on does not occur, in which case the next
-    seed always absorbs one more resonance and eventually s = `above` is
+    seed always absorbs one more resonance and eventually s = len(gaps) is
     unconditionally safe.
     """
-    s_first = 0 if mu > 1 or not above else 1
+    s_first = 0 if mu > 1 or not gaps else 1
     last_err: Exception | None = None
-    for s in range(s_first, above + 1):
-        jet_order = s + mu - 1 + above
+    for s in range(s_first, len(gaps) + 1):
+        jet_order = s + mu - 1 + len(gaps)
         try:
             jets = recurrence_jets(f, roots, base, s, jet_order, N)
             sols = [_emit_solution(base, jets, j, N) for j in range(s, s + mu)]
@@ -428,23 +427,19 @@ def _member_solutions(
             continue
         warns = [f"seed (r-base)^{s} used at exponent {base!r}: the paper's"
                  f" lower-order seed hit an uncancelled resonance"] if s > s_first else []
-        return sols, _read_log_constants(jets, roots, base, s, N), warns
+        return sols, _read_log_constants(jets, gaps, s, N), warns
     raise JetValuationError(
         f"no admissible seed at exponent {base!r}: {last_err}"
     )
 
 
-def _read_log_constants(jets: list[Series], roots, base, s: int, N: int) -> dict:
+def _read_log_constants(jets: list[Series], gaps: list[int], s: int, N: int) -> dict:
     """The c / c_tilde constants: the eps^0 coefficient of D at the first
     resonant index, which multiplies the leading exponent of the higher
     solution in the log term."""
     if s not in (1, 2):
         return {}
-    # resonant indices above the base exponent (with repetition by multiplicity)
-    res = sorted(
-        n for r in roots
-        if (n := integer_difference(r, base)) is not None and 0 < n <= N
-    )
+    res = sorted(n for n in gaps if n <= N)  # the resonant indices
     if not res:
         return {}
     val = jets[res[0]].coeffs[0]
@@ -463,6 +458,9 @@ def solve(e: Ode, N: int = 32) -> FundamentalSystem:
 # ---------------------------------------------------------------------------
 # formal probing at arbitrary (possibly irregular) points
 # ---------------------------------------------------------------------------
+
+#: radius estimate below which formal solutions are reported divergent
+DIVERGENT_RADIUS = 1e-3
 
 
 @dataclass(frozen=True)

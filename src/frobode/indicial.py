@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 from math import lcm
 from typing import Optional, Sequence
 
@@ -54,7 +53,7 @@ class CaseTag:
 @dataclass(frozen=True)
 class IndicialData:
     poly: tuple  # scalar coefficients of q(r), low power first, monic
-    roots: tuple  # ordered Re(r1) >= Re(r2) [>= Re(r3)], ties by decreasing Im (`_compare`)
+    roots: tuple  # ordered Re(r1) >= Re(r2) [>= Re(r3)], ties by decreasing Im (`_ordered`)
     case: CaseTag
     exact: bool  # whether the roots are exact Gaussian rationals
 
@@ -130,18 +129,25 @@ def _snap(x, g: int):
     return Fraction(round(x * g), g)
 
 
-def _compare(r: Scalar, s: Scalar) -> int:
-    """-1 when root r comes before s: by decreasing real part, and by
-    decreasing imaginary part when the real parts agree (within INT_TOL for a
-    float root, so that the roots of a float polynomial come in the order of
-    the exact ones)."""
-    z, w = to_complex(r), to_complex(s)
-    tol = 0 if is_exact(r) and is_exact(s) else INT_TOL
-    d = w.real - z.real if abs(w.real - z.real) > tol else w.imag - z.imag
-    return (d > 0) - (d < 0)
-
-
-_ORDER = cmp_to_key(_compare)
+def _ordered(roots: Sequence[Scalar]) -> tuple:
+    """The roots in one total order, whatever order they come in.  Taken
+    exactly by decreasing (Re, Im), each joins a group of equal roots (as
+    `_classes` merges a member) or starts one, in the last band when its real
+    part agrees with that of the band's last group (within INT_TOL unless both
+    are exact); a band's groups and a group's roots go by decreasing Im."""
+    key = lambda r: (-r.re, -r.im) if is_exact(r) else (-r.real, -r.imag)
+    bands: list[list[list]] = []
+    for r in sorted(roots, key=key):
+        last = bands[-1][-1][0] if bands else r
+        tol = 0 if is_exact(r) and is_exact(last) else INT_TOL
+        if g := next((g for b in bands for g in b if integer_difference(r, g[0]) == 0), None):
+            g.append(r)
+        elif bands and key(r)[0] - key(last)[0] <= tol:
+            bands[-1].append([r])
+        else:
+            bands.append([[r]])
+    return tuple(r for b in bands for g in sorted(b, key=lambda g: key(g[0])[1])
+                 for r in sorted(g, key=lambda r: key(r)[1]))
 
 
 def solve_roots(poly: Sequence[Scalar]) -> tuple[tuple, bool]:
@@ -176,7 +182,7 @@ def solve_roots(poly: Sequence[Scalar]) -> tuple[tuple, bool]:
                     z = z - poly_eval(work, z) / dp
             roots.append(z)
     roots = roots if exact_in else [complex(r) for r in roots]
-    return tuple(sorted(roots, key=_ORDER)), exact_in and all(map(is_exact, roots))
+    return _ordered(roots), exact_in and all(map(is_exact, roots))
 
 
 def classify_case(roots: Sequence[Scalar]) -> CaseTag:
@@ -224,11 +230,11 @@ def _classes(roots: Sequence[Scalar]) -> list[list[tuple[int, list[int]]]]:
     return classes
 
 
-def congruence_classes(roots: Sequence[Scalar]) -> list[list[tuple[Scalar, int]]]:
-    """The ordered roots grouped into integer-difference classes, each a list
-    of (value, multiplicity) in the order of the roots, with near-equal
-    floating roots merged into one multiplicity."""
-    return [[(roots[pos[0]], len(pos)) for _, pos in cls] for cls in _classes(roots)]
+def congruence_classes(roots: Sequence[Scalar]) -> list[list[tuple[Scalar, int, int]]]:
+    """The ordered roots grouped into integer-difference classes, each a list of
+    (value, multiplicity, offset from the class's first root) in the order of
+    the roots, with near-equal floating roots merged into one multiplicity."""
+    return [[(roots[pos[0]], len(pos), k) for k, pos in cls] for cls in _classes(roots)]
 
 
 def analyze(f: FrobeniusForm) -> IndicialData:

@@ -3,12 +3,13 @@ and completing a fundamental system from two known solutions."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .frobenius import (FundamentalSystem, residual, wronskian, wronskian_of_system,
-                        wronskian_ode_solution)
+from .frobenius import (FundamentalSystem, residual, residual_valuation, wronskian,
+                        wronskian_of_system, wronskian_ode_solution)
 from .ode import Ode
-from .scalars import SOLUTION_TOL, GaussianRational, integer_difference
+from .scalars import GaussianRational, integer_difference
 from .series import (
     GeneralizedSeries,
     Series,
@@ -133,9 +134,8 @@ def third_from_two(e: Ode, y1: GeneralizedSeries, y2: GeneralizedSeries) -> Gene
 
 
 def _require_solution(e: Ode, g: GeneralizedSeries) -> None:
-    hom = Ode(e.order, e.coeffs, e.chart, None)
-    res = residual(hom, g)
-    scale = max(1.0, g.magnitude()) * max(r.magnitude() for r in e.coeffs)
-    lead = max((t.body.magnitude() for t in res.terms), default=0.0)
-    if lead > SOLUTION_TOL * scale:
-        raise ValueError("the supplied series is not a solution within tolerance")
+    """Raise unless g passes the solver's certificate, as `cli._certify` judges it."""
+    res = residual(Ode(e.order, e.coeffs, e.chart, None), g)
+    scale = max(1.0, max(r.magnitude() for r in e.coeffs)) * max(1.0, g.magnitude())
+    if residual_valuation(res, _ZERO, scale) < math.inf:
+        raise ValueError("the supplied series is not a solution: its residual does not vanish")

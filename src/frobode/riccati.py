@@ -19,8 +19,8 @@ import numpy as np
 
 from .classify import classify_infinity
 from .ode import Ode, poly_degree
-from .scalars import (as_exact, is_exact, poly_derivative, poly_divide_linear, poly_eval,
-                      poly_gcd, to_complex)
+from .scalars import (RESIDUAL_TOL, as_exact, is_exact, poly_derivative, poly_divide_linear,
+                      poly_eval, poly_gcd, scalar_is_zero, to_complex)
 
 __all__ = [
     "RiccatiModel",
@@ -46,8 +46,6 @@ _TERM_CAP = 400
 _STEP_CAP = 10_000
 #: relative size of the last terms at which a Taylor step stops
 _EPS = 2.0 ** -53
-#: relative Riccati residual within which a rational gamma is accepted
-_GAMMA_TOL = 1e-8
 #: defect |det T exp(integral of b/a) - 1| within which a loop's holonomy is accepted
 _ABEL_TOL = 1e-6
 
@@ -351,14 +349,14 @@ def liouvillian_solution(
     """
     m = riccati_model(e)
     g0, mg = 0j, None
-    if not all(abs(x) < 1e-14 for x in m.c):
+    if e.coeffs[2].valuation() is not None:
         if gamma is None:
             raise ValueError("gamma required unless c is identically zero")
         P, Q = [tuple(complex(x) for x in p) for p in gamma]
         dP, dQ = poly_derivative(P), poly_derivative(Q)
         pts = [anchor, *(list(grid) or [anchor + 0.13 + 0.07j * i for i in range(1, 6)])]
         qs = [poly_eval(Q, z) for z in pts]
-        if min(map(abs, qs)) < 1e-12:
+        if any(map(scalar_is_zero, qs)):
             raise ValueError("gamma has a pole at the anchor or a grid point")
         gs = [poly_eval(P, z) / q for z, q in zip(pts, qs)]
         g0 = gs[0]
@@ -366,7 +364,7 @@ def liouvillian_solution(
         # residual check at the grid: gamma' - rhs_t(z, gamma) must vanish
         for z, q, g in zip(pts[1:], qs[1:], gs[1:]):
             res = (poly_eval(dP, z) - g * poly_eval(dQ, z)) / q - m.rhs_t(z, g)
-            if abs(res) > _GAMMA_TOL * max(1.0, abs(g)):
+            if abs(res) > RESIDUAL_TOL * max(1.0, abs(g)):
                 raise ValueError(f"gamma fails the Riccati residual at z={z}: {abs(res):.3e}")
 
     def u(z: complex, k: complex = 1.0, ell: complex = 0.0) -> complex:

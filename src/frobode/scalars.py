@@ -32,8 +32,6 @@ __all__ = [
     "INT_TOL",
     "RESIDUAL_TOL",
     "NEWTON_TOL",
-    "DIVERGENT_RADIUS",
-    "SOLUTION_TOL",
 ]
 
 # -- the float tolerance table ----------------------------------------------
@@ -47,10 +45,6 @@ INT_TOL = 1e-8
 RESIDUAL_TOL = 1e-9
 #: smallest derivative a floating Newton step divides by
 NEWTON_TOL = 1e-14
-#: radius estimate below which formal solutions are reported divergent
-DIVERGENT_RADIUS = 1e-3
-#: relative residual within which a supplied series counts as a solution
-SOLUTION_TOL = 1e-6
 
 _RAT = (int, Fraction)
 

@@ -22,7 +22,6 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .scalars import (
-    INT_TOL,
     GaussianRational,
     Scalar,
     as_exact,
@@ -133,10 +132,6 @@ class Series:
 
     def magnitude(self) -> float:
         return max(map(abs, self.complex_coeffs()), default=0.0)
-
-    def is_zero(self, scale: float | None = None) -> bool:
-        s = scale if scale is not None else 1.0
-        return all(scalar_is_zero(c, s) for c in self.coeffs)
 
     def valuation(self, scale: float | None = None) -> int | None:
         """Index of the first non-negligible coefficient, or None if all vanish.
@@ -592,10 +587,10 @@ def _normalize_terms(terms: tuple[GSTerm, ...]) -> tuple[GSTerm, ...]:
     out = []
     for i, m in sorted(merged, key=lambda key: (where[key[0]].real, where[key[0]].imag, key[1])):
         body = merged[i, m]
-        v = body.valuation() if exact else None if body.is_zero(scale) else next(
-            n for n, c in enumerate(body.coeffs) if c)
+        v = body.valuation(scale)
         if v is None:
             continue
+        v = v if exact else next(n for n, c in enumerate(body.coeffs) if c)
         rho = classes[i][2]
         if v:
             # compact: exactly-zero leading coefficients go into the exponent
@@ -657,7 +652,7 @@ def gs_integrate(g: GeneralizedSeries) -> GeneralizedSeries:
             if not d:
                 continue
             s1 = rho + n + 1  # s + 1
-            if not s1 or not is_exact(s1) and abs(s1) <= INT_TOL:
+            if integer_difference(s1, _ZERO) == 0:
                 # integral of x^{-1} log^m is log^{m+1}/(m+1)
                 log_raised[n] = d / (m + 1)
                 continue

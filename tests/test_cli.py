@@ -63,6 +63,13 @@ def test_document_validation_errors():
         parse_document({"format": 1, "order": 2, "coeffs": [[1], [1]]})
 
 
+def test_a_document_form_other_than_general_exits_2(tmp_path, capsys):
+    with pytest.raises(DocumentError):
+        parse_document(dict(DOC, form="frobenius"))
+    assert main(["solve", _write(tmp_path, dict(DOC, form="frobenius"))]) == 2
+    assert serialize_document(parse_document(DOC))["form"] == "general"
+
+
 def test_document_round_trip():
     for point in (0, "1/2"):
         ctx = parse_document(dict(DOC, point=point))

@@ -1,5 +1,6 @@
 """Indicial polynomials, exact roots and exceptional-case tags."""
 
+import itertools
 import time
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frobode.indicial import (
-    _ORDER,
+    _ordered,
     CaseTag,
     analyze,
     classify_case,
@@ -130,7 +131,7 @@ def _exact_roots(draw):
             roots.append(prev + draw(st.sampled_from([-3, -2, -1, 1, 2, 3])))
         else:
             roots.append(GaussianRational(draw(_PART), draw(_PART)))
-    return sorted(roots, key=_ORDER)
+    return list(_ordered(roots))
 
 
 @settings(max_examples=300)
@@ -159,12 +160,24 @@ def test_integer_difference():
     assert integer_difference(2.0000000001 + 0j, 1.0 + 0j) == 1
 
 
+def test_root_order_is_total_at_the_integer_tolerance():
+    """Three float roots whose real parts lie 8e-9, 1.0e-8 and 2.7e-9 apart,
+    two of them near-equal: every input order gives one output order, the
+    exact roots' order (1/2, 1/2, 1/2 - i), with the near-equal pair adjacent."""
+    roots = (0.5000000000542526 - 3.7e-11j, 0.5000000080175202 - 0.99999990619957j,
+             0.4999999977872904 + 5.7e-10j)
+    orders = {_ordered(p) for p in itertools.permutations(roots)}
+    assert len(orders) == 1
+    (order,) = orders
+    assert classify_case(order) == CaseTag("mixed", detail="r1=r2, r3 non-congruent")
+
+
 def test_congruence_classes_group_and_merge():
     r = GaussianRational
     classes = congruence_classes([r(2), r(1, 1), r(0), r(0, 1)])
     assert len(classes) == 2
     first = classes[0]
-    assert first[0] == (r(2), 1) and first[1] == (r(0), 1)
+    assert first[0] == (r(2), 1, 0) and first[1] == (r(0), 1, -2)
 
 
 @settings(max_examples=60)

@@ -15,8 +15,8 @@ from frobode.frobenius import (
 )
 from frobode.nonhom import reduce_order, third_from_two, variation_of_parameters
 from frobode.ode import FrobeniusForm, Ode, to_frobenius_form
-from frobode.scalars import GaussianRational
-from frobode.series import Series, gs_differentiate, gs_div_single
+from frobode.scalars import GaussianRational, to_complex
+from frobode.series import GSTerm, GeneralizedSeries, Series, gs_differentiate, gs_div_single
 
 G = GaussianRational
 
@@ -111,6 +111,46 @@ def test_reduce_order_rejects_non_solutions():
 
     with pytest.raises(ValueError):
         reduce_order(e, gs_from_series(Series([1, 5, 5], trunc=12)))
+
+
+#: README's x^3 y''' + x^3 y'' + x^2 y' - x y = 0: case iv, roots 2, 1, 0
+_README_ROWS = [[0, 0, 0, 1], [0, 0, 0, 1], [0, 0, 1], [0, -1]]
+
+
+def _nudged(y, power, delta):
+    """y with delta added to its x^power coefficient."""
+    (t,) = y.terms
+    cs = list(t.body.coeffs)
+    cs[power - round(to_complex(t.exponent).real)] += delta
+    return GeneralizedSeries([GSTerm(t.exponent, 0, Series(cs))])
+
+
+def test_an_exact_near_solution_is_rejected_exactly():
+    """1/10^9 added to the x^7 coefficient of y1 leaves an exact residual
+    that does not vanish: no tolerance lets it pass as a solution."""
+    e = Ode.from_rows(_README_ROWS, trunc=16)
+    y1, y2, _ = frobenius_solve(to_frobenius_form(e), 16).solutions
+    reduce_order(e, y1)
+    third_from_two(e, y1, y2)
+    bad = _nudged(y1, 7, Fraction(1, 10 ** 9))
+    with pytest.raises(ValueError):
+        reduce_order(e, bad)
+    with pytest.raises(ValueError):
+        third_from_two(e, bad, y2)
+
+
+def test_a_float_series_is_judged_by_the_residual_tolerance():
+    """L(x^7) = 210 x^7 + 48 x^8, so nudging the x^7 coefficient of the float
+    y1 by 1e-7/210 leaves a residual of 1e-7 of the scale: above RESIDUAL_TOL."""
+    e = Ode.from_rows([[float(c) for c in row] for row in _README_ROWS], trunc=16)
+    y1, y2, _ = frobenius_solve(to_frobenius_form(e), 16).solutions
+    third_from_two(e, y1, y2)
+    bad = _nudged(y1, 7, 1e-7 / 210)
+    assert _scale_of(e, bad) == 1.0
+    with pytest.raises(ValueError):
+        reduce_order(e, bad)
+    with pytest.raises(ValueError):
+        third_from_two(e, y1, bad)
 
 
 #: x^3 y''' + x^2 y'' + x y' + x^3 y = 0: roots 1 + i, 1 - i, 0

@@ -278,7 +278,7 @@ def test_differentiate_then_integrate_is_identity():
     g = gs_from_series(Series([1, 2, -1, 4], trunc=6), GaussianRational(1, 1), logpow=1)
     back = gs_integrate(gs_differentiate(g))
     diff = back - g.truncate(back.trunc)
-    assert all(t.body.is_zero(scale=10.0) for t in diff.terms)
+    assert all(t.body.valuation(10.0) is None for t in diff.terms)
 
 
 def test_integrate_log_raises_power_at_minus_one():
@@ -824,7 +824,7 @@ def _two_pass_normalize(terms):
     for key in sorted(merged, key=lambda k: (to_complex(rep_of[k]).real,
                                              to_complex(rep_of[k]).imag, k[1])):
         body, rho = merged[key], rep_of[key]
-        if body.is_zero(scale):
+        if body.valuation(scale) is None:
             continue
         v = next(n for n, c in enumerate(body.coeffs) if c)
         if v:
