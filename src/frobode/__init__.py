@@ -68,7 +68,6 @@ from .series import (
     gs_evaluate,
     gs_from_series,
     gs_integrate,
-    laurent_ratio,
     series_div,
     series_inverse,
 )

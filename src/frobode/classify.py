@@ -37,17 +37,10 @@ def classify_point(e: Ode) -> SingularityClass:
     # order is v(A_lead) - v(A_i) (negative means a zero), None for a zero row
     orders = {i: None if (v := row.valuation()) is None else vlead - v
               for i, row in enumerate(e.coeffs[1:], start=1)}
-    if all(o is None or o <= 0 for o in orders.values()):
-        # still singular if the leading row vanishes at 0 deeper than the others
-        # compensate: ordinary iff the ratios are analytic AND lead(0) != 0
-        if vlead == 0:
-            tag = ORDINARY
-        else:
-            tag = REGULAR_SINGULAR
-    elif all(o is None or o <= i for i, o in orders.items()):
-        tag = REGULAR_SINGULAR
-    else:
-        tag = IRREGULAR_SINGULAR
+    if any(o is not None and o > i for i, o in orders.items()):
+        tag = IRREGULAR_SINGULAR  # Fuchs' criterion fails: deg P_0 < order
+    else:  # a unit leading row leaves every ratio analytic
+        tag = ORDINARY if vlead == 0 else REGULAR_SINGULAR
     return SingularityClass(tag, {f"ratio_{i}": o for i, o in orders.items()}, e.trunc)
 
 

@@ -1,19 +1,19 @@
 """Series fundamental systems at regular singular points.
 
-The engine runs the coefficient recurrence
+The engine runs the recurrence of the equation's theta-form (`FrobeniusForm`),
+x^order L = x^v sum_k x^k P_k(theta) with theta = x d/dx and P_0 = lead_0 q:
 
-    E_n(r) = sum_{j<n} [ (j+r)(j+r-1) a_{n-j} + (j+r) b_{n-j} + c_{n-j} ] D_j(r)
-    D_n(r) = -E_n(r) / q(n+r),      D_0 = seed(r)
+    P_0(n + r) D_n(r) = lead_n q(r) D_0 - sum_{k=1..min(n,d)} P_k(n-k+r) D_{n-k}(r)
 
-(order 2 drops the quadratic block) with the root variable carried as a
+D_0 = seed(r).  Nothing is divided by the leading row, and d is bounded by
+the degrees of the rows, so the loop costs O(N d).  The root variable is a
 nilpotent jet r = base + eps, so that derivatives with respect to r -- which
 produce the logarithmic solutions in the exceptional cases -- come out of the
-same O(N^2) loop.  Repeated roots and positive-integer root gaps make
+same loop.  Repeated roots and positive-integer root gaps make
 q(n + base + eps) vanish to some order in eps at the resonant indices; seeds
-(r - base)^s supply matching eps-valuation so the division cancels.  A
-log-free head needs no derivative: at jet order 0 the same recurrence runs
-on plain scalars (one Gaussian-integer numerator and denominator per D_n in
-exact mode), with the operations of the jet loop.
+(r - base)^s supply matching eps-valuation so the division cancels.  At jet
+order 0 the recurrence runs on plain scalars.  `residual` applies the same
+rows to a series.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .indicial import (
     congruence_classes,
     integer_difference,
 )
-from .ode import FrobeniusForm, Ode, to_frobenius_form
+from .ode import FrobeniusForm, Ode, theta_columns, to_frobenius_form
 from .scalars import (RESIDUAL_TOL, ZERO_TOL, GaussianRational, Scalar, is_exact,
                       scalar_is_zero, to_complex)
 from .series import (
@@ -47,7 +47,7 @@ from .series import (
     _unit_inverse,
     gs_differentiate,
     gs_from_series,
-    laurent_ratio,
+    series_div,
 )
 
 __all__ = [
@@ -97,76 +97,78 @@ def recurrence_jets(
     jet_order: int,
     N: int,
 ) -> list[Series]:
-    """Run the recurrence with r = base + eps, seed D_0 = eps^seed_pow.
-
-    `roots` are the indicial roots, or any exponents: q(n + r) is the
-    product of the (n + base - r_i + eps) factors.  Exact data runs on
-    Gaussian integers (`_recurrence_exact`).  Any other data is complex: the
-    form, the base and the roots are converted once, and a factor at an
-    integer gap of 0 snaps to 0j, which makes resonance detection structural
-    rather than a floating tolerance question.
-    """
+    """The jets D_0 .. D_N of the module's recurrence on the form's rows, with
+    r = base + eps and the seed D_0 = eps^seed_pow.  `roots` are the `order`
+    indicial roots, or any exponents: P_0(n + r) is lead_0 times the product of
+    the (n + base - r_i + eps) factors, q(r) that product at n = 0.  The
+    forcing lead_n q(r) D_0 makes D_n the jets of the form over its lead.
+    Exact data runs on Gaussian integers (`_recurrence_exact`), any other on
+    complex numbers, where a factor at an integer gap of 0 snaps to 0j: a
+    resonance is structural, not a tolerance question."""
     if seed_pow > jet_order:
         raise ValueError("seed power exceeds jet order")
-    if _all_exact([base, *roots]) and _form_exact(f):
-        return _recurrence_exact(f, roots, base, seed_pow, jet_order, N)
+    if len(roots) != f.order:
+        raise ValueError(f"an order-{f.order} recurrence needs {f.order} roots")
+    return _recurrence(f.columns(), roots, base, seed_pow, jet_order, N)
+
+
+def _recurrence(cols: Sequence[Series], roots: Sequence[Scalar], base: Scalar, seed_pow: int,
+                jet_order: int, N: int) -> list[Series]:
+    """`recurrence_jets` on the columns of theta^(0), ..., theta^(len(roots))."""
+    if _all_exact([base, *roots]) and all(col._ints() for col in cols):
+        return _recurrence_exact(cols, roots, base, seed_pow, jet_order, N)
+    cols = [col.complex_coeffs() for col in cols]
+    if cols[-1][0] != 1:
+        inv = 1 / cols[-1][0]
+        cols = [[x * inv for x in col] for col in cols]
     base, roots = complex(base), [complex(r) for r in roots]
-    return _recurrence_jets(_complex_form(f), roots, base, seed_pow, jet_order, N)
-
-
-def _form_exact(f: FrobeniusForm) -> bool:
-    rows = (f.b, f.c) + ((f.a,) if f.order == 3 else ())
-    return all(row._ints() for row in rows)
-
-
-def _complex_form(f: FrobeniusForm) -> FrobeniusForm:
-    """The form with complex rows."""
-    b, c, a = (Series(row.complex_coeffs()) if row is not None else None
-               for row in (f.b, f.c, f.a))
-    return FrobeniusForm(f.order, b, c, a)
+    return _recurrence_jets(cols, roots, base, seed_pow, jet_order, N)
 
 
 def _recurrence_jets(
-    f: FrobeniusForm,
+    cols: Sequence[Sequence[complex]],
     roots: Sequence[complex],
     base: complex,
     seed_pow: int,
     jet_order: int,
     N: int,
 ) -> list[Series]:
-    """The recurrence for complex data; the divisor is the jet
+    """The recurrence for complex columns over lead_0; the divisor is the jet
     q(n + base + eps) from `_q_jet`, or at jet order 0 its one coefficient.
-
-    E_n is summed on lists of complex numbers by the operations of the
-    `Series` expression sum_j (w D_j + c_k D_j), w = b_k (j + r) + a_k (j + r)(j + r - 1),
-    j ascending, over the rows with a non-zero entry, so every value and
-    rounding is that of `Series` arithmetic.  At jet order 0 every jet has one
-    coefficient, and the same operations run on plain complex numbers:
-    D_n = (1/q) (-E_n), with no `Series` until the end.
+    The sum runs on lists of complex numbers by the operations of the `Series`
+    expression sum_k (w D_j + c_k D_j), w = sum_i P_k,i (j + r)^(i) over the
+    falling powers i >= 1 with a non-zero entry, over the rows with a non-zero
+    entry, j = n - k ascending: every rounding is that of `Series` arithmetic.
+    At jet order 0 the same operations run on plain complex numbers.
     """
     m = jet_order + 1
-    rows = []  # (k, a_k, b_k, c_k, a_k != 0) for the rows with a non-zero entry, k descending
-    for k in range(N, 0, -1):
-        ak = f.a[k] if f.order == 3 else 0j
-        bk, ck = f.b[k], f.c[k]
-        if ak or bk or ck:
-            rows.append((k, ak, bk, ck, bool(ak)))
+    running = max(1.0, *(max(map(abs, col), default=0.0) for col in cols))
+    cols = [list(col[: N + 1]) + [0j] * (N + 1 - len(col)) for col in cols]
+    lead = cols[-1]
+    rows = [(k, ws[0], ws[1:]) for k in range(N, 0, -1)  # (k, c_k, [P_k,1 ...]), k descending
+            if any(ws := [col[k] for col in cols])]  # for the rows that are not 0
+    top = max((i for _, _, ws in rows for i, w in enumerate(ws, 1) if w), default=1)
     start = len(rows)  # rows[start:] are the rows with k <= n
     if m == 1:
-        p1 = [base + j for j in range(N)]  # (j + r) and (j + r)(j + r - 1)
-        p2 = [0j + v * (v - 1) for v in p1]
+        p = [[base + j for j in range(N)]]  # p[i - 1][j] = (j + r)^(i), falling
+        for i in range(1, top):
+            p.append([0j + u * (v - i) for u, v in zip(p[-1], p[0])])
+        qs = reduce(lambda u, r: 0j + u * _q_factor(r, base, 0), roots, 1 + 0j)
         d = [1 + 0j]
         for n in range(1, N + 1):
             while start and rows[start - 1][0] <= n:
                 start -= 1
             acc = None
-            for k, ak, bk, ck, has_a in rows[start:]:
+            for k, ck, ws in rows[start:]:
                 dj = d[n - k]
-                w = bk * p1[n - k]
-                if has_a:
-                    w = w + ak * p2[n - k]
+                w = ws[0] * p[0][n - k]
+                for i in range(1, top):
+                    if ws[i]:
+                        w = w + ws[i] * p[i][n - k]
                 term = (0j + w * dj) + ck * dj
                 acc = term if acc is None else acc + term
+            if lead[n]:
+                acc = (0j if acc is None else acc) - lead[n] * qs
             q = reduce(lambda u, r: 0j + u * _q_factor(r, base, n), roots, 1 + 0j)
             if scalar_is_zero(q, abs(q)):
                 raise ZeroDivisionError("jet division by zero")
@@ -175,27 +177,30 @@ def _recurrence_jets(
     seed = [0j] * m
     seed[seed_pow] = 1 + 0j
     D = [Series(seed)]
-    # (j + r) and (j + r)(j + r - 1) jets for all j
+    qs = (_q_jet(roots, base, 0, jet_order) * D[0]).coeffs
+    # the falling powers (j + r)^(i) as jets for all j
     x = [Series.variable(base + j, jet_order) for j in range(N)]
-    p1 = [xj.coeffs for xj in x]
-    if f.order == 3:
-        p2 = [(xj * Series.variable(base + j - 1, jet_order)).coeffs for j, xj in enumerate(x)]
-    running = max(1.0, f.b.magnitude(), f.c.magnitude(),
-                  f.a.magnitude() if f.a is not None else 0.0)
+    p = [[xj.coeffs for xj in x]]
+    for i in range(1, top):
+        x = [xj * Series.variable(base + j - i, jet_order) for j, xj in enumerate(x)]
+        p.append([xj.coeffs for xj in x])
     for n in range(1, N + 1):
         while start and rows[start - 1][0] <= n:
             start -= 1
         acc: Optional[list] = None
-        for k, ak, bk, ck, has_a in rows[start:]:
+        for k, ck, ws in rows[start:]:
             d = D[n - k].coeffs
             L = len(d)
-            w = [bk * v for v in p1[n - k][:L]]
-            if has_a:
-                w = [u + ak * v for u, v in zip(w, p2[n - k])]
+            w = [ws[0] * v for v in p[0][n - k][:L]]
+            for i in range(1, top):
+                if ws[i]:
+                    w = [u + ws[i] * v for u, v in zip(w, p[i][n - k])]
             term = [u + ck * v for u, v in zip(_complex_product(w, d, L), d)]
             acc = term if acc is None else [u + v for u, v in zip(acc, term)]
         if acc is None:
             acc = [0j] * m
+        if lead[n]:
+            acc = [u - lead[n] * v for u, v in zip(acc, qs)]
         dn = Series([-u for u in acc]).div(_q_jet(roots, base, n, jet_order), scale=running)
         D.append(dn)
         running = max(running, dn.magnitude(), max(map(abs, acc)))
@@ -220,102 +225,124 @@ def _support(re: list, im: list) -> list:
     return [(t, u, v) for t, (u, v) in enumerate(zip(re, im)) if u or v]
 
 
+def _times_linear(jets: list, factors: list, L: int) -> list:
+    """Each jet times (f + L eps), f a Gaussian integer (re, im), keeping its
+    length: jets as (re, im) lists."""
+    if len(jets[0]) == 1:
+        return [[(u * fr - v * fi, u * fi + v * fr)] for ((u, v),), (fr, fi) in zip(jets, factors)]
+    return [[(u * fr - v * fi + L * p, u * fi + v * fr + L * q)
+             for (u, v), (p, q) in zip(b, [(0, 0)] + b)] for b, (fr, fi) in zip(jets, factors)]
+
+
+def _falling_jets(x: list, L: int, top: int, m: int) -> list:
+    """The jets B_i(X) = X (X - L) ... (X - (i-1) L), i = 1 .. top, through
+    eps^(m-1) at X = x + L eps, for each Gaussian integer x = (re, im) given."""
+    b, out = [[(1, 0)] + [(0, 0)] * (m - 1)] * len(x), []
+    for i in range(top):
+        b = _times_linear(b, [(xr - i * L, xi) for xr, xi in x], L)
+        out.append(b)
+    return list(zip(*out)) if out else [()] * len(x)
+
+
 def _recurrence_exact(
-    f: FrobeniusForm,
+    cols: Sequence[Series],
     roots: Sequence[GaussianRational],
     base: GaussianRational,
     seed_pow: int,
     jet_order: int,
     N: int,
 ) -> list[Series]:
-    """`_recurrence_jets` for exact data, on Gaussian integers.
-
-    a, b, c, base and the roots r_i are written over one common denominator
-    L, read from the rows' integer forms.  With X_j = L (j + base + eps) the
-    row weight a_k x(x - 1) + b_k x + c_k at x = j + base + eps is
-    (A_k X_j (X_j - L) + L B_k X_j + L^2 C_k) / L^3, and the divisor
-    q(n + base + eps) = prod (n + base + eps - r_i) is Q_n / L^(deg + 1),
-    Q_n = L prod (X_n - L r_i), deg the number of roots.  Each D_n is a jet
+    """`_recurrence_jets` for exact data, on Gaussian integers.  Over the
+    common denominator L of the columns, base and roots, P_k,i = C_k,i / L and
+    X_j = L (j + base + eps); with o the order, the weight P_k(j + r) is
+    sum_i L^(o-i) C_k,i B_i(X_j) / L^(o+1), B_i(X) = X (X - L) ... (X - (i-1) L),
+    the divisor P_0(n + r) is H_n / L^(o+1), H_n = C_0,o prod (X_n - L r_i), and
+    the forcing is C_n,o prod (X_0 - L r_i) D_0 / L^(o+1).  Each D_n is a jet
     of Gaussian-integer numerators over one positive denominator, reduced by
     their gcd; E_n is summed over the lcm of the earlier denominators and
-    divided by Q_n with the fraction-free unit inverse, after multiplying
-    both by conj(Q_n) when Q_n is complex.  At jet order 0 each D_n is one
-    numerator over its denominator, Q_n one Gaussian integer, and the same
-    division is a product by conj(Q_n).
+    divided by H_n (times conj(H_n) when complex) with the fraction-free unit
+    inverse, or at jet order 0 by one Gaussian integer.
     """
     m = jet_order + 1
-    deg = len(roots)
-    rows = (f.a, f.b, f.c) if f.order == 3 else (f.b, f.c)
-    forms = [_to_int([base, *roots])] + [row._ints() for row in rows]
+    order = len(cols) - 1
+    forms = [_to_int([base, *roots])] + [col._ints() for col in cols]
     L = math.lcm(*(d for d, _, _ in forms))
-    (beta, *R), *coef = [  # base, the roots and the entries 1 .. N of a, b, c over L
-        [(L // d * u, L // d * v) for u, v in zip(_cut(re, lo, n), _cut(im or [], lo, n))]
-        for (d, re, im), lo, n in zip(forms, (0, 1, 1, 1), (deg + 1, N, N, N))]
+    scale = [1] + [L ** (order - i) for i in range(order + 1)]
+    (beta, *R), *coef = [  # L (base, roots) and L^(o-i) C_k,i for k = 0 .. N
+        [(f * L // d * u, f * L // d * v) for u, v in zip(_cut(re, 0, n), _cut(im or [], 0, n))]
+        for (d, re, im), f, n in zip(forms, scale, [order + 1] + [N + 1] * (order + 1))]
     real = not any(im for _, _, im in forms)
-    L2 = L * L
-    weights = []  # (k, A, L B, L^2 C) as integers, for the rows with a non-zero entry
-    for k, abc in enumerate(zip(*coef), 1):
-        A, B, C = abc if f.order == 3 else ((0, 0), *abc)
-        if any(A + B + C):
-            weights.append((k, *A, L * B[0], L * B[1], L2 * C[0], L2 * C[1]))
-    # X_j = x_j + L eps, X_j (X_j - L) = x_j (x_j - L) + s_j eps + L^2 eps^2
+    lead = coef[-1]
+    weights = [(k, P[0], P[1:]) for k, P in enumerate(zip(*coef))  # the rows k >= 1 not 0
+               if k and any(u or v for u, v in P)]
+    top = max((i for _, _, P in weights for i, (u, v) in enumerate(P, 1) if u or v), default=0)
     x = [(j * L + beta[0], beta[1]) for j in range(N + 1)]
-    xy = [(u * (u - L) - v * v, v * (2 * u - L)) for u, v in x]
-    lift = L ** (deg - 2)  # L^(deg + 1) of q over the L^3 of the weights
+    basis = _falling_jets(x, L, top, m)
+    zeros = [(0, 0)] * (m - 1)
+    H = [[lead[0]] + zeros] * (N + 1)  # H_n = C_0,o prod (X_n - L r_i)
+    force = [[(1, 0)] + zeros]  # q(r) D_0 L^o
+    for rr, ri in R:
+        H = _times_linear(H, [(xr - rr, xi - ri) for xr, xi in x], L)
+        force = _times_linear(force, [(x[0][0] - rr, x[0][1] - ri)], L)
+    force = ([(0, 0)] * seed_pow + force[0])[:m]
     if m == 1:
+        (fr, fi), = force
         D1, lam = [(1, 0, 1)], 1  # D_n = (u + v i) / d; lam is the lcm of the d
         for n in range(1, N + 1):
             er = ei = 0
-            for k, ar, ai, br, bi, cr, ci in weights:
+            for k, (wr, wi), P in weights:
                 if k > n:
                     break
-                (u, v, d), (xr, xi), (yr, yi) = D1[n - k], x[n - k], xy[n - k]
-                wr = ar * yr - ai * yi + br * xr - bi * xi + cr
-                wi = ar * yi + ai * yr + br * xi + bi * xr + ci
-                er += lam // d * (wr * u - wi * v)
-                ei += lam // d * (wr * v + wi * u)
-            (xr, xi), hr, hi = x[n], L, 0  # Q_n
-            for rr, ri in R:
-                ur, ui = xr - rr, xi - ri
-                hr, hi = hr * ur - hi * ui, hr * ui + hi * ur
+                u, v, d = D1[n - k]
+                for (pr, pi), ((br, bi),) in zip(P, basis[n - k]):
+                    wr += pr * br - pi * bi
+                    wi += pr * bi + pi * br
+                fac = lam // d
+                er += fac * (wr * u - wi * v)
+                ei += fac * (wr * v + wi * u)
+            lr, li = lead[n]
+            er -= lam * (lr * fr - li * fi)
+            ei -= lam * (lr * fi + li * fr)
+            ((hr, hi),) = H[n]
             if not (hr or hi):
                 raise ZeroDivisionError("jet division by zero")
             if hi:
                 er, ei, hr = er * hr + ei * hi, ei * hr - er * hi, hr * hr + hi * hi
-            sign = -lift if hr > 0 else lift
+            sign = -1 if hr > 0 else 1
             er, ei, d = sign * er, sign * ei, abs(hr) * lam
             g = math.gcd(d, er, ei)
             D1.append((er // g, ei // g, d // g))
             lam = math.lcm(lam, d // g)
         return [_int_series(d, [u], None if real else [v]) for u, v, d in D1]
-    s = [(L * (2 * u - L), L * 2 * v) for u, v in x]
     seed = [int(t == seed_pow) for t in range(m)]
     D = [_int_series(1, seed, None if real else [0] * m)]
     nums, lens, dens, lam = [_support(seed, [0] * m)], [m], [1], 1  # lam: lcm of dens
     for n in range(1, N + 1):
         re, im = [0] * m, [0] * m
         ell = m
-        for k, ar, ai, br, bi, cr, ci in weights:
+        for k, w0, P in weights:
             if k > n:
                 break
             j = n - k
-            (xr, xi), (yr, yi), (sr, si) = x[j], xy[j], s[j]
-            w = [(0, ar * yr - ai * yi + br * xr - bi * xi + cr,
-                  ar * yi + ai * yr + br * xi + bi * xr + ci),
-                 (1, ar * sr - ai * si + L * br, ar * si + ai * sr + L * bi),
-                 (2, L2 * ar, L2 * ai)]
+            wr, wi = [0] * m, [0] * m
+            wr[0], wi[0] = w0
+            for (pr, pi), jet in zip(P, basis[j]):
+                if pr or pi:
+                    for t, (br, bi) in enumerate(jet):
+                        wr[t] += pr * br - pi * bi
+                        wi[t] += pr * bi + pi * br
             ell = min(ell, lens[j])
-            tr, ti = _convolve(w, nums[j], lens[j], real)
+            tr, ti = _convolve(_support(wr, wi), nums[j], lens[j], real)
             fac = lam // dens[j]
             for t in range(lens[j]):
                 re[t] += fac * tr[t]
                 im[t] += fac * ti[t]
-        xr, xi = x[n]
-        h = [(L, 0)] + [(0, 0)] * (m - 1)  # Q_n
-        for rr, ri in R:  # h <- h (X_n - L r_i)
-            ur, ui = xr - rr, xi - ri
-            h = [(u * ur - v * ui + L * p, u * ui + v * ur + L * q)
-                 for (u, v), (p, q) in zip(h, [(0, 0)] + h)]
+        lr, li = lead[n]
+        if lr or li:
+            for t, (fr, fi) in enumerate(force):
+                re[t] -= lam * (lr * fr - li * fi)
+                im[t] -= lam * (lr * fi + li * fr)
+        h = H[n]
         v = next((t for t, p in enumerate(h) if p != (0, 0)), None)
         if v is None:
             raise ZeroDivisionError("jet division by zero")
@@ -337,7 +364,7 @@ def _recurrence_exact(
             num = _support(*_convolve(num, conj, mm, False))
             den = _support(*_convolve(den, conj, mm, False))
         C, pw = _unit_inverse(den, mm)
-        sign = -lift if pw[mm] > 0 else lift
+        sign = -1 if pw[mm] > 0 else 1
         inv = [(t, sign * C[t] * pw[mm - 1 - t], 0) for t in range(mm) if C[t]]
         out_re, out_im = _convolve(num, inv, mm, real)
         d = abs(pw[mm]) * lam
@@ -354,23 +381,22 @@ def _recurrence_exact(
 def _emit_solution(base: Scalar, D: list[Series], j: int, N: int) -> GeneralizedSeries:
     """The j-th r-derivative of x^r sum D_n(r) x^n at r = base, as a
     GeneralizedSeries: sum_t C(j,t) (log x)^t x^base sum_n D_n^{(j-t)} x^n.
-    Exact jets give bodies in integer form over the lcm of their denominators;
-    a jet that ends below eps^j raises JetValuationError."""
+    A jet that ends below eps^j raises JetValuationError."""
     if any(D[n].trunc < j for n in range(N + 1)):
         raise JetValuationError(f"a jet ends below eps^{j} at exponent {base!r}")
-    terms = []
+    return GeneralizedSeries([GSTerm(base, t, _stack(D, j - t, math.perm(j, j - t), N))
+                              for t in range(j + 1)])
+
+
+def _stack(D: list[Series], i: int, fac: int, N: int) -> Series:
+    """fac times the eps^i coefficients of D_0 .. D_N, as one series; exact
+    jets give it in integer form over the lcm of their denominators."""
     forms = [D[n]._ints() for n in range(N + 1)]
-    lam = math.lcm(*(d for d, _, _ in forms)) if all(forms) else None
-    for t in range(j + 1):
-        fac = math.comb(j, t) * math.factorial(j - t)
-        i = j - t
-        if lam and all(i < len(re) for _, re, _ in forms):
-            body = _int_series(lam, [fac * (lam // d) * re[i] for d, re, _ in forms],
-                               [fac * (lam // d) * im[i] if im else 0 for d, _, im in forms])
-        else:
-            body = Series([fac * D[n].coeff(i) for n in range(N + 1)])
-        terms.append(GSTerm(base, t, body))
-    return GeneralizedSeries(terms)
+    if all(forms) and all(i < len(re) for _, re, _ in forms):
+        lam = math.lcm(*(d for d, _, _ in forms))
+        return _int_series(lam, [fac * (lam // d) * re[i] for d, re, _ in forms],
+                           [fac * (lam // d) * im[i] if im else 0 for d, _, im in forms])
+    return Series([fac * D[n].coeff(i) for n in range(N + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -643,57 +669,20 @@ def _abel_rows(e: Ode) -> tuple:
     v, vb, T = a.valuation(), b.valuation(), min(a.trunc, b.trunc)
     if vb is None or vb >= v - 1:
         return a.window(v, T + 1 - v), b.window(v - 1, T + 2 - v), {}
-    shift, unit = laurent_ratio(b, a)
+    shift, unit = vb - v, series_div(b.window(vb, b.trunc + 1 - v), a.window(v, a.trunc + 1 - v))
     scale = max(1.0, unit.magnitude())
     return None, None, {shift + j + 1: -u / (shift + j + 1) for j, u in
                         enumerate(unit.coeffs[: -1 - shift]) if not scalar_is_zero(u, scale)}
 
 
 def _abel_body(alpha: Series, beta: Series, lead: Scalar = _ONE) -> tuple:
-    """(rho, w): x^rho w solves x alpha W' + beta W = 0, with rho = -beta_0/alpha_0,
-    w_0 = lead and alpha_0 m w_m = -sum_{k>=1} (alpha_k (m - k) + gamma_k) w_(m-k),
-    gamma = beta + rho alpha, through gamma's order and at most one past alpha's
-    (w_m reads alpha_k for k < m only).  Exact rows run on Gaussian integers a, b
-    (the rows times one factor that makes a_0 a positive integer): w_m = u_m/E_m,
-    E_m = m! a_0^(2m), u_m = -sum_k (a_0 a_k (m - k) + a_0 b_k - b_0 a_k) u_(m-k)
-    E_(m-1)/E_(m-k).  Other rows run in complex."""
-    t, s = alpha._ints(), beta._ints()
-    if not (t and s):
-        a, b = ([*r.complex_coeffs()] for r in (alpha, beta))
-        rho = -b[0] / a[0]
-        M = min(len(a) - bool(rho), len(b) - 1)
-        sup = [(k, x / a[0], (y + rho * x) / a[0]) for k, (x, y) in enumerate(zip(a + [0j], b))
-               if 0 < k <= M and (x or y)]
-        w = [to_complex(lead)]
-        for m in range(1, M + 1):
-            w.append(-sum(((x * (m - k) + y) * w[m - k] for k, x, y in sup if k <= m), 0j) / m)
-        return rho, Series(w)
-    (da, ra, ia), (db, rb, ib) = t, s
-    ia, ib = ia or [0] * len(ra), ib or [0] * len(rb)
-    cr, ci = ra[0], -ia[0]  # both rows times da db conj(alpha_0 da)
-    a = [((u * cr - v * ci) * db, (u * ci + v * cr) * db) for u, v in zip(ra, ia)] + [(0, 0)]
-    b = [((u * cr - v * ci) * da, (u * ci + v * cr) * da) for u, v in zip(rb, ib)]
-    (a0, _), (b0r, b0i) = a[0], b[0]
-    M = min(len(a) - 1 - bool(b0r or b0i), len(b) - 1)
-    sup = [(k, a0 * xr, a0 * xi, a0 * yr - b0r * xr + b0i * xi, a0 * yi - b0r * xi - b0i * xr)
-           for k, ((xr, xi), (yr, yi)) in enumerate(zip(a[1 : M + 1], b[1:]), 1)
-           if xr or xi or yr or yi]
-    (dk, (kr,), ki) = _to_int([lead])
-    E, ur, ui = [1], [kr], [ki[0] if ki else 0]
-    for m in range(1, M + 1):
-        xr = xi = 0
-        for k, pr, pi, gr, gi in sup:
-            if k > m:
-                break
-            f = E[m - 1] // E[m - k]
-            qr, qi, vr, vi = (pr * (m - k) + gr) * f, (pi * (m - k) + gi) * f, ur[m - k], ui[m - k]
-            xr += qr * vr - qi * vi
-            xi += qr * vi + qi * vr
-        E.append(E[-1] * m * a0 * a0)
-        ur.append(-xr)
-        ui.append(-xi)
-    return _gr(-b0r, -b0i, a0), _int_series(E[M] * dk, [u * (E[M] // d) for u, d in zip(ur, E)],
-                                            [v * (E[M] // d) for v, d in zip(ui, E)])
+    """(rho, w): x^rho w solves x alpha W' + beta W = 0, the theta-equation
+    (alpha theta + beta) W = 0, with rho = -beta_0/alpha_0 and w_0 = lead: the
+    recurrence of the columns (beta, alpha) at rho, through beta's order and
+    at most one past alpha's (w_m reads alpha_k for k < m only)."""
+    rho = -beta[0] / alpha[0]
+    M = min(alpha.trunc + 1 - bool(rho), beta.trunc)
+    return rho, _stack(_recurrence([beta, alpha], [rho], rho, 0, 0, M), 0, 1, M).scale(lead)
 
 
 def wronskian_ode_solution(e: Ode) -> WronskianResult:
@@ -751,17 +740,53 @@ def wronskian_of_system(solutions) -> GeneralizedSeries:
 
 
 def residual(e: Ode, g: GeneralizedSeries) -> GeneralizedSeries:
-    """L(g) minus the right-hand side, in GeneralizedSeries arithmetic."""
-    derivs = [g]
-    for _ in range(e.order):
-        derivs.append(gs_differentiate(derivs[-1]))
-    out = None
-    for i, row in enumerate(e.coeffs):  # row multiplies y^(order - i)
-        term = gs_from_series(row) * derivs[e.order - i]
-        out = term if out is None else out + term
+    """L(g) minus the right-hand side, from the theta-form of the rows,
+    x^order L = x^w sum_j col_j theta^(j) (`theta_columns`), applied termwise
+    (`_theta_bodies`): no derivative and no product of generalized series.
+    The rows are read as polynomials, 0 past their trunc, and each body is cut
+    at the rows' trunc: a body of g known through x^N gives a residual known
+    through x^(N + w - order) over its exponent."""
+    w, cols = theta_columns(e)
+    top = min(r.trunc for r in e.coeffs)
+    terms = [GSTerm(t.exponent + w - e.order, t.logpow - i, body) for t in g.terms
+             for i, body in enumerate(_theta_bodies(cols, t, min(t.body.trunc, top)))]
+    out = GeneralizedSeries(terms)
     if e.rhs is not None:
         out = out - gs_from_series(e.rhs)
     return out
+
+
+def _theta_bodies(cols: Sequence[Series], t: GSTerm, top: int) -> list:
+    """The bodies through x^top of sum_j col_j theta^(j) applied to
+    x^s (log x)^M body: item i is the body of x^s (log x)^(M - i).  On
+    x^(s + n), theta^(j) is (s + n + delta)^(j), delta = d/dlog, so item i
+    sums col_j times the body whose x^n entry is M!/(M - i)! [delta^i]
+    (s + n + delta)^(j) body_n; with s = S/e, that is [delta^i]
+    B_j(S + n e + e delta) / e^j (`_falling_jets`).  Exact data runs on
+    Gaussian integers over one denominator, complex data as the real parts
+    of (re, im) pairs, with every denominator 1."""
+    s, M, order = t.exponent, t.logpow, len(cols) - 1
+    parts = [Series([s]), t.body.window(0, top + 1), *cols]
+    exact = all(x._ints() for x in parts)
+    (e, (p,), q), (db, ur, ui), *forms = [  # complex data runs on the real parts
+        x._ints() if exact else (1, list(x.complex_coeffs()), None) for x in parts]
+    q, ui = q[0] if q else 0, ui or [0] * len(ur)
+    real = not q and not any(ui) and not any(ci for _, _, ci in forms)
+    lam = math.lcm(*(d for d, _, _ in forms))
+    jets = _falling_jets([(p + n * e, q) for n in range(top + 1)], e, order, M + 1)
+    out = [([0] * (top + 1), [0] * (top + 1)) for _ in range(M + 1)]
+    for j, (d, cr, ci) in enumerate(forms):
+        f = lam // d * e ** (order - j)
+        col = _support([f * u for u in cr[: top + 1]], [f * v for v in ci or [0] * len(cr)])
+        for i in range(min(j, M) + 1) if col else ():
+            f, b = math.perm(M, i), [jet[j - 1][i] if j else (1, 0) for jet in jets]
+            h = [(n, f * (br * u - bi * v), f * (br * v + bi * u))
+                 for n, ((br, bi), u, v) in enumerate(zip(b, ur, ui)) if u or v]
+            out[i] = [[x + y for x, y in zip(a, b)]
+                      for a, b in zip(out[i], _convolve(col, h, top + 1, real))]
+    if exact:
+        return [_int_series(db * lam * e ** order, r, None if real else v) for r, v in out]
+    return [Series(r) for r, _ in out]
 
 
 def residual_valuation(res: GeneralizedSeries, base: Scalar, scale: float = 1.0) -> float:

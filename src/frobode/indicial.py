@@ -59,12 +59,15 @@ class IndicialData:
 
 
 def indicial_polynomial(f: FrobeniusForm) -> tuple:
-    """q(r) for the Frobenius form, monic, low power first."""
-    b0, c0 = f.b[0], f.c[0]
+    """q(r) = P_0(r) / lead_0, the form's row 0 made monic, low power first."""
+    c0, b0, *rest = (col[0] for col in f.columns())
+    if rest[-1] != 1:
+        inv = 1 / rest[-1]
+        c0, b0, *rest = (x * inv for x in (c0, b0, *rest))
     if f.order == 2:
         # r(r-1) + b0 r + c0
         return (c0, b0 - 1, _ONE)
-    a0 = f.a[0]
+    a0 = rest[0]
     # r(r-1)(r-2) + a0 r(r-1) + b0 r + c0
     return (c0, GaussianRational(2) - a0 + b0, a0 - GaussianRational(3), _ONE)
 

@@ -2,9 +2,8 @@
 
 An :class:`Ode` stores the raw coefficient rows ``A_n(x) y^(n) + ... + A_0(x) y``
 as truncated series, together with the chart they live in (a finite point or
-infinity).  :class:`FrobeniusForm` is the normalized shape
-``x^n y^(n) + x^(n-1) a(x) y^(n-1) + ... + c(x) y`` that the series solver
-consumes.
+infinity).  :class:`FrobeniusForm` is the same equation in falling powers of
+theta = x d/dx, the shape the series solver consumes.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from typing import Optional, Sequence
 
 from .scalars import (GaussianRational, Scalar, is_exact, poly_divide_linear, poly_mul,
                       scalar_is_zero, to_complex)
-from .series import Series, laurent_ratio
+from .series import Series
 
 __all__ = [
     "Ode",
@@ -25,6 +24,7 @@ __all__ = [
     "transform_to_infinity",
     "moebius_pullback",
     "to_frobenius_form",
+    "theta_columns",
 ]
 
 _ZERO = GaussianRational(0)
@@ -71,41 +71,39 @@ class Ode:
 
 @dataclass(frozen=True)
 class FrobeniusForm:
-    """Normalized equation x^n y^(n) + x^(n-1) a y^(n-1) + x b y' + c y (order 3)
-    or x^2 y'' + x b y' + c y (order 2)."""
+    """An equation in falling powers theta^(j) = theta (theta - 1) ... (theta - j + 1)
+    = x^j D^j of theta = x d/dx, with power-series coefficients:
+
+        lead theta^(3) + a theta^(2) + b theta + c    (order 3)
+        lead theta^(2) + b theta + c                  (order 2)
+
+    Its row k, P_k(theta) = lead_k theta^(n) + a_k theta^(n-1) + b_k theta + c_k,
+    multiplies x^k, and P_0 = lead_0 q(theta), q the indicial polynomial.
+    `to_frobenius_form` writes x^order times an equation as x^v times this
+    form.  Without a lead (lead = 1) it is the normalized equation
+    x^n y^(n) + x^(n-1) a y^(n-1) + x b y' + c y."""
 
     order: int
     b: Series
     c: Series
     a: Optional[Series] = None  # order 3 only
+    lead: Optional[Series] = None  # a unit series; None is 1
 
     def __post_init__(self):
         if self.order == 3 and self.a is None:
             raise ValueError("order-3 Frobenius form needs the a(x) series")
 
-    @property
-    def trunc(self) -> int:
-        rows = [self.b, self.c] + ([self.a] if self.a is not None else [])
-        return min(r.trunc for r in rows)
-
-    def rows(self) -> tuple:
-        """Raw Ode coefficient rows equivalent to this form."""
-        n = self.trunc
-        if self.order == 2:
-            return (
-                Series([_ZERO, _ZERO, _ONE], trunc=n),
-                self.b.shift(1),
-                self.c,
-            )
-        return (
-            Series([_ZERO, _ZERO, _ZERO, _ONE], trunc=n),
-            self.a.shift(2),
-            self.b.shift(1),
-            self.c,
-        )
+    def columns(self) -> tuple:
+        """The coefficient series of theta^(0), ..., theta^(order)."""
+        cols = (self.c, self.b) + ((self.a,) if self.order == 3 else ())
+        if self.lead is not None:
+            return cols + (self.lead,)
+        return cols + (Series([_ONE], trunc=min(c.trunc for c in cols)),)
 
     def as_ode(self, rhs: Optional[Series] = None) -> Ode:
-        return Ode(self.order, self.rows(), _ZERO, rhs)
+        """The equation sum_j x^j col_j y^(j) of this form."""
+        rows = [col.shift(j) for j, col in enumerate(self.columns())]
+        return Ode(self.order, tuple(reversed(rows)), _ZERO, rhs)
 
 
 def poly_degree(s: Series) -> int:
@@ -234,28 +232,30 @@ def _sum_products(terms: list) -> list:
     return out
 
 
-def to_frobenius_form(e: Ode) -> FrobeniusForm:
-    """Normalize so the leading coefficient is exactly x^order.
+def theta_columns(e: Ode) -> tuple[int, list]:
+    """(w, columns): x^order times e is x^w sum_j col_j(x) theta^(j), with w the
+    least val(A_i) + i.  Row i, which multiplies y^(order-i) = x^(i-order)
+    theta^(order-i), gives col_(order-i) = x^(i-w) A_i, known through
+    x^(T_i + i - w); a float entry negligible against its row is 0."""
+    rows = []
+    for r in e.coeffs:
+        if not r._ints():
+            scale = max(1.0, r.magnitude())
+            r = Series([0j if scalar_is_zero(c, scale) else c for c in r.coeffs])
+        rows.append(r)
+    w = min(v + i for i, r in enumerate(rows) if (v := r.valuation()) is not None)
+    return w, [r.window(w - i, r.trunc + 1 + i - w) for i, r in reversed(list(enumerate(rows)))]
 
-    Fails with :class:`IrregularPointError` when the required division would
-    introduce negative powers (irregular singular point).
-    """
+
+def to_frobenius_form(e: Ode) -> FrobeniusForm:
+    """The theta-form of e about the chart origin, x^order e = x^v (lead
+    theta^(order) + ...), v the valuation of the leading row (`theta_columns`);
+    nothing is divided.  Fails with :class:`IrregularPointError` unless
+    deg P_0 = order (Fuchs' criterion), i.e. when some row A_i vanishes to an
+    order below v - i."""
     if not isinstance(e.chart, str) and not scalar_is_zero(e.chart, 1.0):
         raise ValueError("to_frobenius_form expands about the chart origin")
-    ratios = [laurent_ratio(row, e.coeffs[0]) for row in e.coeffs[1:]]
-    T = min(u.trunc for _, u in ratios)
-    out = []
-    for i, (shift, unit) in enumerate(ratios, start=1):
-        # row i (1-based below leading) must become x^{order-i} * series
-        lift = shift + i
-        if unit.valuation() is None:
-            out.append(Series([_ZERO], trunc=T))
-            continue
-        if lift < 0:
-            raise IrregularPointError(
-                "irregular singular point: coefficient ratio has too deep a pole"
-            )
-        out.append(unit.truncate(T).shift(lift))
-    if e.order == 2:
-        return FrobeniusForm(2, b=out[0], c=out[1])
-    return FrobeniusForm(3, a=out[0], b=out[1], c=out[2])
+    _, (c, b, *rest) = theta_columns(e)
+    if not rest[-1][0]:
+        raise IrregularPointError("irregular singular point: deg P_0 < order (Fuchs' criterion)")
+    return FrobeniusForm(e.order, b=b, c=c, a=rest[0] if e.order == 3 else None, lead=rest[-1])

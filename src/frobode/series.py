@@ -40,7 +40,6 @@ __all__ = [
     "GeneralizedSeries",
     "series_inverse",
     "series_div",
-    "laurent_ratio",
     "gs_differentiate",
     "gs_integrate",
     "gs_evaluate",
@@ -436,25 +435,6 @@ def _unit_inverse(support: Sequence, n: int) -> tuple[list, list]:
 
 def series_div(a: Series, b: Series) -> Series:
     return a * series_inverse(b)
-
-
-def laurent_ratio(num: Series, den: Series) -> tuple[int, Series]:
-    """num/den as x^shift * unit, where unit has an invertible constant term.
-
-    Returns (shift, unit-quotient).  shift < 0 means the ratio has a pole of
-    order -shift.  The quotient's trunc shrinks by the cancelled valuations.
-    """
-    vd = den.valuation()
-    if vd is None:
-        raise ZeroDivisionError("division by a series that vanishes through trunc")
-    vn = num.valuation()
-    if vn is None:
-        return 0, Series([_ZERO], trunc=num.trunc)
-    v = max(vn, vd)
-    nn = num.window(vn, num.trunc + 1 - vn)
-    dd = den.window(vd, den.trunc + 1 - vd)
-    q = series_div(nn.truncate(num.trunc - v), dd.truncate(den.trunc - v))
-    return vn - vd, q
 
 
 class JetValuationError(ArithmeticError):

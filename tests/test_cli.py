@@ -1,5 +1,6 @@
 """Document parsing, command dispatch and exit-code contract."""
 
+import dataclasses
 import json
 import math
 import re
@@ -9,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from frobode import cli
 from frobode.cli import (
     MAX_TERMS,
     DocumentError,
@@ -166,16 +168,47 @@ def test_residual_compares_reported_valuations_exactly(tmp_path, capsys):
     assert "bundle failed re-validation" in capsys.readouterr().err
 
 
-def test_solve_exits_3_when_an_exact_certificate_fails(tmp_path, capsys):
-    # the log solution of x^2 y'' + x y' + x^2 y at 8 terms has an exact
-    # residual of valuation 2 (the generalized-series bookkeeping; at 16
-    # terms both residuals vanish)
+def test_solve_exits_3_when_an_exact_certificate_fails(tmp_path, capsys, monkeypatch):
+    """x^2 y'' + x y' + x^2 y = 0 at 8 terms with 1 added to the x^8
+    coefficient of y1: a_8 enters the residual at x^(rho + N - order + v) =
+    x^8, which the certificate covers, so solve names the valuations and exits
+    3."""
+    solve = cli.frobenius_solve
+
+    def nudged(f, N):
+        fs = solve(f, N)
+        (t,) = fs.solutions[0].terms
+        body = Series(list(t.body.coeffs[:-1]) + [t.body.coeffs[-1] + 1])
+        y1 = GeneralizedSeries([GSTerm(t.exponent, 0, body)])
+        return dataclasses.replace(fs, solutions=(y1,) + fs.solutions[1:])
+
+    monkeypatch.setattr(cli, "frobenius_solve", nudged)
     doc = {"format": 1, "order": 2, "coeffs": [[0, 0, 1], [0, 1], [0, 0, 1]]}
-    path = _write(tmp_path, doc)
-    assert main(["solve", path, "--terms", "8"]) == 3
+    assert main(["solve", _write(tmp_path, doc), "--terms", "8"]) == 3
     captured = capsys.readouterr()
-    assert captured.out == "" and "['clean', 2]" in captured.err
-    assert main(["solve", path, "--terms", "16"]) == 0
+    assert captured.out == "" and "[8, 'clean']" in captured.err
+
+
+@pytest.mark.parametrize("terms", [8, 16])
+def test_solve_certifies_the_log_solution_of_bessel_zero(tmp_path, terms):
+    """x^2 y'' + x y' + x^2 y = 0 (a double root 0): both solutions are
+    certified clean at 8 terms as at 16."""
+    doc = {"format": 1, "order": 2, "coeffs": [[0, 0, 1], [0, 1], [0, 0, 1]],
+           "options": {"terms": terms}}
+    assert _solve_bundle(tmp_path, doc)["residual_valuations"] == ["clean", "clean"]
+
+
+def test_legendre_three_at_one_is_a_polynomial(tmp_path):
+    """(1 - x^2) y'' - 2x y' + 12 y = 0 at x = 1 (v = 1): y1 is P_3 in
+    t = x - 1, so its t^4 .. t^32 coefficients are exactly 0, and both
+    solutions are certified."""
+    doc = {"format": 1, "order": 2, "point": 1, "coeffs": [[1, 0, -1], [0, -2], [12]],
+           "options": {"terms": 32}}
+    bundle = _solve_bundle(tmp_path, doc)
+    assert bundle["residual_valuations"] == ["clean", "clean"]
+    (y1,) = bundle["solutions"][0]["terms"]
+    assert y1["exponent"] == "0" and y1["coeffs"][:4] == ["1", "6", "15/2", "5/2"]
+    assert y1["coeffs"][4:] == ["0"] * 29
 
 
 def _solve_bundle(tmp_path, doc):

@@ -22,10 +22,10 @@ from frobode.frobenius import (
     wronskian_ode_solution,
 )
 from frobode.indicial import analyze, indicial_polynomial
-from frobode.ode import FrobeniusForm, Ode, to_frobenius_form
+from frobode.ode import FrobeniusForm, Ode, shift_to_origin, theta_columns, to_frobenius_form
 from frobode.scalars import GaussianRational, to_complex
-from frobode.series import (GeneralizedSeries, JetValuationError, Series, gs_differentiate,
-                            gs_from_series, series_inverse)
+from frobode.series import (GeneralizedSeries, GSTerm, JetValuationError, Series,
+                            gs_differentiate, gs_from_series, series_inverse)
 
 G = GaussianRational
 
@@ -171,8 +171,213 @@ def test_euler_closed_form():
 
 
 # ---------------------------------------------------------------------------
+# the theta-form of polynomial rows
+# ---------------------------------------------------------------------------
+
+
+def _falling(x, j):
+    out = Fraction(1)
+    for u in range(j):
+        out *= x - u
+    return out
+
+
+def _theta_oracle(rows, rho, N):
+    """The log-free coefficients D_0 = 1, ..., D_N at the root rho, from the
+    polynomial rows as Fractions: x^order L = x^v sum_k x^k P_k(theta), with
+    P_k(theta) = sum_i A_i[k + v - i] theta^(order - i) in falling powers, and
+    P_0(n + rho) D_n = -sum_k P_k(n - k + rho) D_(n-k)."""
+    order = len(rows) - 1
+    A = [[Fraction(c) for c in r] for r in rows]
+    v = next(j for j, c in enumerate(A[0]) if c)
+
+    def P(k, x):
+        return sum((r[k + v - i] * _falling(x, order - i) for i, r in enumerate(A)
+                    if 0 <= k + v - i < len(r)), Fraction(0))
+
+    D = [Fraction(1)]
+    for n in range(1, N + 1):
+        D.append(-sum(P(k, n - k + rho) * D[n - k] for k in range(1, n + 1)) / P(0, n + rho))
+    return D
+
+
+#: the benchmark's o2_equal_n16 rows (seed 3): double root -1/4, leading row x^2 + x^3/2
+_O2_EQUAL_ROWS = [[0, 0, 1, "1/2"], [0, "3/2", "1/5", "-2/3"], ["1/16", "1/3", "-2/5"]]
+
+
+def test_last_coefficients_follow_the_polynomial_rows():
+    """With a leading row that is not a monomial, the x^15 and x^16
+    coefficients of y1 (and every other) are those of the theta-recurrence
+    on the polynomial rows."""
+    fs = solve(Ode.from_rows(_O2_EQUAL_ROWS, trunc=16), N=16)
+    (t,) = fs.solutions[0].terms
+    assert t.exponent == _gr(-1, 4)
+    want = _theta_oracle(_O2_EQUAL_ROWS, Fraction(-1, 4), 16)
+    assert [t.body[n] for n in (15, 16)] == [G(want[15]), G(want[16])]
+    assert list(t.body.coeffs) == [G(c) for c in want]
+
+
+def _legendre_three_at_one(N):
+    return shift_to_origin(Ode.from_rows([[1, 0, -1], [0, -2], [12]], trunc=N), G(1))
+
+
+@pytest.mark.parametrize("make, N", [
+    (lambda N: Ode.from_rows(_O2_EQUAL_ROWS, trunc=N), 16),
+    (_legendre_three_at_one, 24),
+    (lambda N: Ode.from_rows([[0, 0, 0, 1, 1], [0, 0, 3, "1/2"], [0, 1, 0, 1], [0, 0, 0, 1]],
+                             trunc=N), 12),
+])
+def test_certificate_covers_the_last_coefficient(make, N):
+    """a_N of y1 enters the residual at x^(rho + N - order + v): the exact
+    certificate of the solver's y1 is clean, and with 1 added to a_N it is
+    finite there."""
+    e = make(N)
+    fs = solve(e, N=N)
+    rho = fs.indicial.roots[0]
+    (t,) = fs.solutions[0].terms
+    assert residual_valuation(residual(e, fs.solutions[0]), rho) == math.inf
+    body = Series(list(t.body.coeffs[:-1]) + [t.body.coeffs[-1] + 1])
+    bad = GeneralizedSeries([GSTerm(t.exponent, 0, body)])
+    v = e.coeffs[0].valuation()
+    assert v >= 1
+    assert residual_valuation(residual(e, bad), rho) == N - e.order + v
+
+
+def test_float_log_solution_follows_the_exact_one_under_a_lead():
+    """(2 + x) x^2 y'' + ... with roots 1/4 and -7/4: the float log solution,
+    whose jets carry the forcing of the lead at eps^2, equals the exact one
+    within rounding."""
+    rows = [[0, 0, 2, 1], [0, 5, "1/3"], ["-7/8", "1/2", 1]]
+    exact = solve(Ode.from_rows(rows, trunc=12), N=12)
+    floats = solve(Ode.from_rows([[complex(Fraction(c)) for c in r] for r in rows], trunc=12), N=12)
+    assert str(exact.indicial.case) == "o2_integer_diff(2)"
+    assert abs(complex(floats.constants["c"]) - complex(exact.constants["c"])) < 1e-12
+    for a, b in zip(exact.solutions, floats.solutions):
+        for ta, tb in zip(a.terms, b.terms):
+            assert (ta.logpow, complex(ta.exponent)) == (tb.logpow, tb.exponent)
+            for x, y in zip(ta.body.coeffs, tb.body.coeffs):
+                assert abs(complex(x) - y) <= 1e-12 * max(1.0, abs(complex(x)))
+
+
+def _cases_of(order):
+    """Offsets from a base root for each case tag: a gap of 0 repeats a root,
+    an integer gap makes a class, 1/3 and 2/3 are off every class."""
+    m, p = st.integers(1, 4), st.integers(1, 4)
+    third = Fraction(1, 3)
+    if order == 2:
+        return st.one_of(st.just([0, 0]), m.map(lambda m: [0, -m]), st.just([0, third]))
+    return st.one_of(
+        st.just([0, 0, 0]), m.map(lambda m: [0, 0, -m]), m.map(lambda m: [0, -m, -m]),
+        st.builds(lambda m, p: [0, -m, -m - p], m, p), st.just([0, 0, third]),
+        m.map(lambda m: [0, -m, third]), st.just([0, third, 2 * third]))
+
+
+@st.composite
+def _theta_equation(draw):
+    """Exact polynomial rows with a leading row x^v (lc + ...) that is not a
+    monomial, v in {order, order + 1}, whose indicial polynomial has the
+    drawn roots, all within 8 of each other."""
+    order = draw(st.sampled_from([2, 3]))
+    base = Fraction(draw(st.integers(-6, 6)), 4)
+    roots = [base + k for k in draw(_cases_of(order))]
+    q = [Fraction(1)]  # prod (z - r), low power first
+    for r in roots:
+        q = [u - r * w for u, w in zip([Fraction(0)] + q, q + [Fraction(0)])]
+    falling = [q[1] + 1, q[0]] if order == 2 else [q[2] + 3, q[1] + q[2] + 1, q[0]]
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    lc = draw(small.filter(bool))
+    v = order + draw(st.integers(0, 1))
+    rows = [[0] * v + [lc, draw(small.filter(bool))] + draw(st.lists(small, max_size=2))]
+    for i, c in enumerate(falling, 1):
+        rows.append([0] * (v - i) + [lc * c] + draw(st.lists(small, max_size=3)))
+    return rows, draw(st.integers(8, 16))  # every integer gap within N
+
+
+def _coefficients(g, rho, N):
+    """{(log power, offset from rho): coefficient as a string} through x^(rho + N)."""
+    out = {}
+    for t in g.terms:
+        k = round(to_complex(t.exponent - rho).real)
+        for n, c in enumerate(t.body.coeffs):
+            if k + n <= N:
+                out[t.logpow, k + n] = str(c)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(_theta_equation())
+def test_solutions_are_stable_in_the_number_of_terms(case):
+    """solve(N) and solve(N + 8) agree as strings through x^(rho + N), log
+    constants included, on equations of every case tag whose leading row is
+    not a monomial."""
+    rows, N = case
+    short = solve(Ode.from_rows(rows, trunc=N), N=N)
+    long = solve(Ode.from_rows(rows, trunc=N + 8), N=N + 8)
+    assert short.indicial.case == long.indicial.case
+    assert short.constants == long.constants
+    for a, b, rho in zip(short.solutions, long.solutions, short.indicial.roots):
+        got, want = _coefficients(a, rho, N), _coefficients(b, rho, N)
+        assert {k: c for k, c in got.items() if c != "0"} == {k: c for k, c in want.items() if c != "0"}
+
+
+# ---------------------------------------------------------------------------
 # residual certificates and wronskians
 # ---------------------------------------------------------------------------
+
+
+def _derivative_residual(e, g):
+    """sum_i A_i g^(order - i) in generalized-series arithmetic: each product
+    known through the shorter of its operands."""
+    derivs = [g]
+    for _ in range(e.order):
+        derivs.append(gs_differentiate(derivs[-1]))
+    out = gs_from_series(e.coeffs[0]) * derivs[e.order]
+    for i, row in enumerate(e.coeffs[1:], 1):
+        out = out + gs_from_series(row) * derivs[e.order - i]
+    return out
+
+
+def _by_offset(g, s):
+    """{(log power, offset from s): coefficient}, and the last offset known
+    (that of the shortest body; none for no term)."""
+    coeffs, top = {}, math.inf
+    for t in g.terms:
+        k = round(to_complex(t.exponent - s).real)
+        coeffs.update(((t.logpow, k + n), c) for n, c in enumerate(t.body.coeffs))
+        top = min(top, k + t.body.trunc)
+    return coeffs, top
+
+
+@st.composite
+def _residual_case(draw):
+    """Exact polynomial rows, at a regular or irregular point, and a series
+    x^s sum_m (log x)^m body_m with a Gaussian-rational s."""
+    order = draw(st.sampled_from([2, 3]))
+    coef = st.one_of(st.just(G(0)), _gaussian())
+    rows = [[0] * draw(st.integers(0, 3)) + draw(st.lists(coef, min_size=1, max_size=4))
+            for _ in range(order + 1)]
+    rows[0].append(G(1))
+    N = draw(st.integers(4, 12))
+    s = draw(_gaussian())
+    bodies = [[draw(_gaussian().filter(bool))] + draw(st.lists(coef, max_size=N))
+              for _ in range(draw(st.integers(1, 3)))]
+    g = GeneralizedSeries([GSTerm(s, m, Series(b, trunc=N)) for m, b in enumerate(bodies)])
+    return Ode.from_rows(rows, trunc=N + 4), g, s, N
+
+
+@settings(max_examples=80, deadline=None)
+@given(_residual_case())
+def test_theta_residual_matches_the_derivative_residual(case):
+    """The theta-form residual equals L(g) computed with derivatives and
+    products wherever both are known, log powers and complex exponents
+    included; the theta-form one is known through x^(N + w - order) over
+    the exponent of g, x^w the lowest power of x^order L."""
+    e, g, s, N = case
+    want, top = _by_offset(_derivative_residual(e, g), s)
+    got, _ = _by_offset(residual(e, g), s)
+    top = min(top, N + theta_columns(e)[0] - e.order)
+    assert all(got.get(key, G(0)) == want.get(key, G(0))
+                   for key in set(got) | set(want) if key[1] <= top)
 
 
 def test_residuals_vanish_through_reliable_order():
@@ -786,6 +991,22 @@ def test_exact_free_recurrence_matches_jet_oracle(case):
     assert got == want
 
 
+@settings(max_examples=40, deadline=None)
+@given(_exact_root_case(), st.lists(_gaussian(), min_size=1, max_size=3))
+def test_theta_form_runs_the_recurrence_of_the_form_over_its_lead(case, unit):
+    """Multiplying every column of a form by a polynomial lead l leaves its
+    jets unchanged: the forcing l_n q(r) D_0 accounts for the lead, at any
+    exponent and seed."""
+    f, r, seed_pow, jet_order, N = case
+    lead = Series([G(2, 1)] + unit, trunc=N)
+    cols = [col * lead for col in (f.b, f.c, f.a) if col is not None]
+    g = FrobeniusForm(f.order, *cols[:2], a=cols[2] if f.order == 3 else None, lead=lead)
+    roots = analyze(f).roots
+    assert analyze(g).roots == roots
+    want = _outcome(lambda: recurrence_jets(f, roots, r, seed_pow, jet_order, N))
+    assert _outcome(lambda: recurrence_jets(g, roots, r, seed_pow, jet_order, N)) == want
+
+
 def test_exact_recurrence_on_resonant_and_complex_forms():
     forms = [
         # case_iv, roots 2, 1, 0: seeds 1 and 2 at the bottom root; seed 0
@@ -979,7 +1200,7 @@ def test_jet_order_zero_runs_on_scalars(monkeypatch):
     mixed = FrobeniusForm(3, b=Series([-2, 1, 0, "1/5"], trunc=16),
                           c=Series([2, "-1/3", 1], trunc=16), a=Series([2, "1/7"], trunc=16))
     floats = FrobeniusForm(3, **{k: Series([complex(c) for c in getattr(exact, k).coeffs])
-                                 for k in "abc"})
+                                 for k in ("a", "b", "c", "lead")})
     runs = [
         lambda: recurrence_jets(exact, analyze(exact).roots, analyze(exact).roots[0], 0, 0, 16),
         lambda: recurrence_jets(mixed, analyze(mixed).roots, analyze(mixed).roots[1], 0, 0, 16),

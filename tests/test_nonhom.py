@@ -201,3 +201,14 @@ def test_abel_wronskian_matches_the_determinant_at_order_3(rows, N):
     assert n <= len(abel.body.coeffs)
     lead = det.body[0]
     assert [c / lead for c in det.body.coeffs] == list(abel.body.coeffs[:n])
+
+
+@pytest.mark.parametrize("N", [8, 15, 23])
+def test_third_from_two_accepts_the_solvers_log_solutions(N):
+    """Criterion 1's x^3 y''' + 3x^2 y'' + x y' + x^3 y = 0 (case_i): the two
+    log solutions pass the certificate at every N, and complete a system."""
+    e = Ode.from_rows([[0, 0, 0, 1], [0, 0, 3], [0, 1], [0, 0, 0, 1]], trunc=N)
+    y1, y2, _ = frobenius_solve(to_frobenius_form(e), N).solutions
+    assert y2.max_logpow() == 1
+    y3 = third_from_two(e, y1, y2)
+    assert not wronskian_of_system([y1, y2, y3]).is_zero()

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from frobode.ode import Ode, theta_columns, to_frobenius_form
 from frobode.scalars import GaussianRational, to_complex
 from frobode.series import (
     GeneralizedSeries,
@@ -16,7 +17,6 @@ from frobode.series import (
     gs_evaluate,
     gs_from_series,
     gs_integrate,
-    laurent_ratio,
     series_div,
     series_inverse,
 )
@@ -199,17 +199,6 @@ def test_mixed_exact_float_operands_take_the_float_path():
     for got, want in checks:
         for g, (re, im) in zip(got.coeffs, want):
             assert g == pytest.approx(complex(float(re), float(im)), rel=1e-12)
-
-
-def test_laurent_ratio_cancels_valuations():
-    num = Series([0, 0, 0, 2, 4], trunc=8)
-    den = Series([0, 1, 1], trunc=8)
-    shift, unit = laurent_ratio(num, den)
-    assert shift == 2
-    assert unit[0] == GaussianRational(2)
-    back = unit * den.truncate(unit.trunc)
-    want = num.shift(-2).truncate(back.trunc)
-    assert back.coeffs == want.coeffs
 
 
 def test_derivative_drops_trunc():
@@ -555,7 +544,8 @@ def test_exact_zero_tests_compute_no_magnitude(monkeypatch):
     big = Series([0, 0, 10**40, Fraction(1, 3)], trunc=6)
     assert big.valuation() == 2
     assert Series([0, 0], trunc=3).valuation() is None
-    assert laurent_ratio(Series([0, 3, 1], trunc=5), big)[0] == -1
+    e = Ode(2, (big, Series([0, 3, 1], trunc=5), big))
+    assert theta_columns(e)[0] == 2 and to_frobenius_form(e).b[0] == GaussianRational(3)
     one, two = GaussianRational(1), GaussianRational(2)
     g = GeneralizedSeries([GSTerm(one, 0, big), GSTerm(two, 1, big)])
     assert [t.exponent for t in g.terms] == [GaussianRational(3), GaussianRational(4)]
