@@ -18,6 +18,7 @@ rows to a series.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import reduce
@@ -38,14 +39,14 @@ from .series import (
     JetValuationError,
     Series,
     _all_exact,
-    _complex_product,
     _convolve,
     _cut,
     _gr,
     _int_series,
+    _support,
+    _theta,
     _to_int,
     _unit_inverse,
-    gs_differentiate,
     gs_from_series,
     series_div,
 )
@@ -195,7 +196,8 @@ def _recurrence_jets(
             for i in range(1, top):
                 if ws[i]:
                     w = [u + ws[i] * v for u, v in zip(w, p[i][n - k])]
-            term = [u + ck * v for u, v in zip(_complex_product(w, d, L), d)]
+            wd, _ = _convolve(_support(w, None), _support(d, None), L, True)
+            term = [u + ck * v for u, v in zip(wd, d)]
             acc = term if acc is None else [u + v for u, v in zip(acc, term)]
         if acc is None:
             acc = [0j] * m
@@ -219,10 +221,6 @@ def _q_factor(r: Scalar, base: Scalar, n: int) -> Scalar:
     to 0j (an exact one at that gap is 0 already)."""
     d = base + n - r
     return 0j if d and integer_difference(base + n, r) == 0 else d
-
-
-def _support(re: list, im: list) -> list:
-    return [(t, u, v) for t, (u, v) in enumerate(zip(re, im)) if u or v]
 
 
 def _times_linear(jets: list, factors: list, L: int) -> list:
@@ -717,26 +715,73 @@ def wronskian(e: Ode, solutions) -> GeneralizedSeries:
 
 
 def wronskian_of_system(solutions) -> GeneralizedSeries:
-    """Determinant of the derivative matrix in GeneralizedSeries arithmetic,
-    expanded along the first row: the minor of column j is the determinant
-    of the rows below over the other columns, taken cyclically from j + 1,
-    which gives it the sign (-1)^(j (n - 1))."""
+    """det[D^i y_j] = x^(-n(n-1)/2) det[theta^i y_j], as [D^i y] is [theta^i y] times a
+    triangular matrix of diagonal x^(-i), and theta keeps a frame (`_frames`) whole: W sums
+    the determinant of each choice of one frame per column, through the shortest, whose row
+    i holds (e theta)^i of column j's numerators over D_j (`_expand`), e and D_j the common
+    denominators of the E_j and of column j (1 for complex data)."""
     if isinstance(solutions, FundamentalSystem):
         solutions = solutions.solutions
-    mat = [list(solutions)]
-    while len(mat) < len(mat[0]):
-        mat.append([gs_differentiate(g) for g in mat[-1]])
+    n, terms = len(solutions), []
+    if n == 1:
+        return solutions[0]
+    h, cols = n * (n - 1) // 2, [_frames(g) for g in solutions]
+    exact = all(is_exact(E) and C._ints() for col in cols for E, _, _, C in col)
+    for pick in itertools.product(*cols):
+        L = min(S for _, _, S, _ in pick)
+        forms = [[x._ints() if exact else (1, x.complex_coeffs(), None) for x in (Series([E]), C)]
+                 for E, _, _, C in pick]
+        e = math.lcm(*(f for (f, _, _), _ in forms))
+        real, mat = not any(q or im for (_, _, q), (_, _, im) in forms), []
+        for (_, M, S, _), ((f, (p,), q), (_, re, im)) in zip(pick, forms):
+            im = None if real else im or [0] * len(re)
+            mat.append([[(re[m * S:m * S + L], im and im[m * S:m * S + L]) for m in range(M)]])
+            while len(mat[-1]) < n:  # mat[j][i]: (e theta)^i y_j
+                mat[-1].append(_theta(p * (e // f), q[0] * (e // f) if q else 0, e, mat[-1][-1]))
+        den, E = e ** h * math.prod(d for _, (d, _, _) in forms), sum(E for E, _, _, _ in pick) - h
+        terms += [GSTerm(E, m, _int_series(den, re, im) if exact else Series(re))
+                  for m, (re, im) in enumerate(_expand(mat, 0, list(range(n)), L, real, exact))]
+    return GeneralizedSeries(terms)
 
-    def det(k: int, cols: list) -> GeneralizedSeries:
-        if len(cols) == 1:
-            return mat[k][cols[0]]
-        out = None
-        for j, c in enumerate(cols):
-            term = mat[k][c] * det(k + 1, cols[j + 1:] + cols[:j])
-            out = term if out is None else out - term if j * (len(cols) - 1) % 2 else out + term
-        return out
 
-    return det(0, list(range(len(mat))))
+def _frames(g: GeneralizedSeries) -> list:
+    """(E, M, S, C) per congruence class of g's terms: E the lowest exponent,
+    and C the bodies over x^E of (log x)^m, m < M, end to end in one series,
+    each of the S terms that every term of the class is known through."""
+    classes: dict = {}  # the first exponent met -> [(offset from it, term)]
+    for t in g.terms:
+        first = next((c for c in classes if integer_difference(t.exponent, c) is not None),
+                     t.exponent)
+        classes.setdefault(first, []).append((integer_difference(t.exponent, first), t))
+    out = []
+    for ts in classes.values():
+        (low, lowest), M = min(ts, key=lambda kt: kt[0]), 1 + max(t.logpow for _, t in ts)
+        S = min(k + t.body.trunc for k, t in ts) - low + 1
+        out.append((lowest.exponent, M, S, reduce(Series.__add__, (t.body.window(
+            low - k, S).window(-t.logpow * S, M * S) for k, t in ts))))
+    return out
+
+
+def _expand(mat: list, k: int, cols: list, L: int, real: bool, exact: bool) -> list:
+    """The determinant of rows k.. over cols of mat[column][row], by log power (re, im),
+    along row k: the minor of column j is over the other columns taken cyclically from
+    j + 1, of sign (-1)^(j (n - 1)), and an exact minor's content joins the products after
+    them.  A complex body negligible against its running sums is 0."""
+    if len(cols) == 1:
+        return mat[cols[0]][k]
+    out, scale = [([0] * L, [0] * L)] * (1 + sum(len(mat[c][0]) - 1 for c in cols)), 0.0
+    for j, c in enumerate(cols):
+        minor = _expand(mat, k + 1, cols[j + 1:] + cols[:j], L, real, exact)
+        g = (math.gcd(*(u for b in minor for p in b if p for u in p)) or 1) if exact else 1
+        minor = [_support(*([u // g for u in p] if p and g > 1 else p for p in b)) for b in minor]
+        g = -g if j * (len(cols) - 1) % 2 else g
+        for (s, x), (t, y) in itertools.product(enumerate(_support(*b) for b in mat[c][k]),
+                                                enumerate(minor)):
+            prod = _convolve(x, y, L, real)
+            out[s + t] = tuple([u + g * v for u, v in zip(a, b)] for a, b in zip(out[s + t], prod))
+            scale = scale if exact else max(scale, *map(abs, out[s + t][0]))
+    tol = ZERO_TOL * max(1.0, scale)
+    return out if exact else [(r, i) if max(map(abs, r)) > tol else ([0j] * L, i) for r, i in out]
 
 
 def residual(e: Ode, g: GeneralizedSeries) -> GeneralizedSeries:

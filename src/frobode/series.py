@@ -171,10 +171,12 @@ class Series:
             a = self._ints()
             n = min(len(a[1]), len(b[1]))
             real = a[2] is None and b[2] is None
-            re, im = _convolve(_int_support(a, n), _int_support(b, n), n, real)
+            re, im = _convolve(*(_support(t[1][:n], t[2] and t[2][:n]) for t in (a, b)), n, real)
             return _int_series(a[0] * b[0], re, im)
         a, b = self.complex_coeffs(), other.complex_coeffs()
-        return Series(_complex_product(a, b, min(len(a), len(b))))
+        n = min(len(a), len(b))
+        re, _ = _convolve(_support(a[:n], None), _support(b[:n], None), n, True)
+        return Series([c or 0j for c in re])
 
     def scale(self, k: Scalar) -> "Series":
         if self._int is not False and isinstance(k, (GaussianRational, int, Fraction)):
@@ -271,21 +273,6 @@ def series_inverse(a: Series) -> Series:
     return Series(out)
 
 
-def _complex_product(a: Sequence[complex], b: Sequence[complex], n: int) -> list:
-    """The first n coefficients of the product of two complex coefficient
-    lists.  A zero coefficient adds no term: a sum that starts at 0j is never
-    -0, so a finite zero term would change none of its bits."""
-    out = [0j] * n
-    sb = [(j, y) for j, y in enumerate(b[:n]) if y]
-    for i, x in enumerate(a[:n]):
-        if x:
-            for j, y in sb:
-                if i + j >= n:
-                    break
-                out[i + j] += x * y
-    return out
-
-
 # ---------------------------------------------------------------------------
 # exact kernels: Gaussian-integer numerators over one common denominator
 # ---------------------------------------------------------------------------
@@ -353,10 +340,11 @@ def _int_sum(a: tuple, b: tuple, sign: int) -> Series:
     return _int_series(d, re, [fa * x + fb * y for x, y in zip(ia or zeros, ib or zeros)])
 
 
-def _int_support(t: tuple, n: int) -> list:
-    """The non-zero (k, u, v), c_k = (u + v i)/d, among the first n of an integer form."""
-    _, re, im = t
-    return [(k, u, v) for k, (u, v) in enumerate(zip(re[:n], im[:n] if im else [0] * n)) if u or v]
+def _support(re: list, im: list | None) -> list:
+    """The non-zero (k, u, v) of the Gaussian integers u + v i, im None when real."""
+    if im is None:
+        return [(k, u, 0) for k, u in enumerate(re) if u]
+    return [(k, u, v) for k, (u, v) in enumerate(zip(re, im)) if u or v]
 
 
 def _cut(xs: list, lo: int, n: int) -> list:
@@ -585,38 +573,33 @@ def gs_from_series(body: Series, exponent: Scalar = _ZERO, logpow: int = 0) -> G
 
 
 def gs_differentiate(g: GeneralizedSeries) -> GeneralizedSeries:
-    """d/dx termwise; body truncation drops by one (last coefficient unreliable)."""
+    """d/dx = x^-1 theta termwise (`_theta`); body truncation drops by one
+    (last coefficient unreliable)."""
     out = []
     for t in g.terms:
-        rho, m = t.exponent, t.logpow
-        body = t.body.truncate(max(t.body.trunc - 1, 0))
-        exact = body._ints()
-        if isinstance(rho, GaussianRational) and exact:
-            power_body, log_body = _differentiate_exact(rho, m, exact)
-        else:
-            power_body = Series([(rho + n) * c for n, c in enumerate(body.coeffs)])
-            log_body = body.scale(m) if m else None
-        out.append(GSTerm(rho - 1, m, power_body))
-        if m:
-            out.append(GSTerm(rho - 1, m - 1, log_body))
+        rho, m, body = t.exponent, t.logpow, t.body.truncate(max(t.body.trunc - 1, 0))
+        exact = isinstance(rho, GaussianRational) and body._ints()
+        (e, (p,), q), (d, re, im) = ((_to_int([rho]), exact) if exact
+                                     else ((1, (rho,), None), (1, body.coeffs, None)))
+        im = [0] * len(re) if q and im is None else im
+        B = _theta(p, q[0] if q else 0, e, [([0] * len(re), im and [0] * len(re))] * m + [(re, im)])
+        out += [GSTerm(rho - 1, i, _int_series(d * e, *B[i]) if exact else Series(B[i][0]))
+                for i in range(m, max(m - 2, -1), -1)]
     return GeneralizedSeries(out)
 
 
-def _differentiate_exact(rho: GaussianRational, m: int, body: tuple) -> tuple:
-    """The bodies (rho + n) c_n and m c_n, with rho = (p + q i)/e and c_n = (u + v i)/d
-    in integer form, as Gaussian-integer products over e d and d."""
-    e, (p,), q = _to_int([rho])
-    q = q[0] if q else 0
-    d, re, im = body
-    a = [p + n * e for n in range(len(re))]
-    if im is None and not q:
-        power = _int_series(d * e, [x * u for x, u in zip(a, re)], None)
-    else:
-        im = im or [0] * len(re)
-        power = _int_series(d * e, [x * u - q * v for x, u, v in zip(a, re, im)],
-                            [x * v + q * u for x, u, v in zip(a, re, im)])
-    log = _int_series(d, [m * u for u in re], im and [m * v for v in im]) if m else None
-    return power, log
+def _theta(p, q, e: int, bodies: list) -> list:
+    """e theta on x^((p + q i)/e) sum_m (log x)^m B_m, in the same frame:
+    B'_m = (p + n e + q i) B_m + e (m + 1) B_(m+1), on the numerators (re, im)
+    of each B_m, with im None throughout for real data (and q = 0)."""
+    out = []
+    for m, ((re, im), (nr, ni)) in enumerate(zip(bodies, bodies[1:] + [([], [])])):
+        a, f = [p + n * e for n in range(len(re))], e * (m + 1)
+        r = [x * u - q * v for x, u, v in zip(a, re, im)] if im else [x * u for x, u in zip(a, re)]
+        i = im and [x * v + q * u for x, u, v in zip(a, re, im)]
+        out.append(([x + f * u for x, u in zip(r, nr)] if nr else r,
+                    i and ([x + f * v for x, v in zip(i, ni)] if ni else i)))
+    return out
 
 
 def gs_integrate(g: GeneralizedSeries) -> GeneralizedSeries:
@@ -678,11 +661,8 @@ def gs_div_single(g: GeneralizedSeries, d: GeneralizedSeries) -> GeneralizedSeri
     v = dt.body.valuation()
     if v is None:
         raise ZeroDivisionError("divisor vanishes through trunc")
-    unit = dt.body.window(v, dt.body.trunc + 1 - v)
-    inv = series_inverse(unit)
-    out = []
-    for t in g.terms:
-        out.append(
-            GSTerm(t.exponent - dt.exponent - v, t.logpow, t.body * inv)
-        )
-    return GeneralizedSeries(out)
+    # each quotient is cut to its numerator's body, so the inverse goes no further
+    n = min(dt.body.trunc + 1 - v, 1 + max((t.body.trunc for t in g.terms), default=0))
+    inv = series_inverse(dt.body.window(v, n))
+    return GeneralizedSeries([GSTerm(t.exponent - dt.exponent - v, t.logpow, t.body * inv)
+                              for t in g.terms])

@@ -1,7 +1,9 @@
 """Fundamental systems, formal probes, wronskians and residual certificates."""
 
 import math
+import os
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -9,6 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frobode.frobenius import (
+    _abel_body,
+    _abel_rows,
     _emit_solution,
     _q_jet,
     formal_probe,
@@ -26,6 +30,9 @@ from frobode.ode import FrobeniusForm, Ode, shift_to_origin, theta_columns, to_f
 from frobode.scalars import GaussianRational, to_complex
 from frobode.series import (GeneralizedSeries, GSTerm, JetValuationError, Series,
                             gs_differentiate, gs_from_series, series_inverse)
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+import check  # noqa: E402  (the benchmark's output checks)
 
 G = GaussianRational
 
@@ -320,6 +327,51 @@ def test_solutions_are_stable_in_the_number_of_terms(case):
         assert {k: c for k, c in got.items() if c != "0"} == {k: c for k, c in want.items() if c != "0"}
 
 
+@settings(max_examples=40, deadline=None)
+@given(_theta_equation())
+def test_wronskian_of_a_solve_is_abels_through_all_its_terms(case):
+    """On equations of every case tag, the determinant of solve(N) is
+    log-free, leads at x^(sum rho - n(n-1)/2), has N + 1 coefficients, and
+    equals K w from Abel's identity on the rows given with N + 8 terms."""
+    rows, N = case
+    fs = solve(Ode.from_rows(rows, trunc=N), N=N)
+    n = len(rows) - 1
+    (t,) = wronskian_of_system(fs).terms
+    assert t.logpow == 0 and t.exponent == sum(fs.indicial.roots, G(0)) - n * (n - 1) // 2
+    assert len(t.body.coeffs) == N + 1
+    alpha, beta, _ = _abel_rows(Ode.from_rows(rows, trunc=N + 8))
+    rho, w = _abel_body(alpha, beta, t.body[0])
+    assert rho == t.exponent
+    assert [str(c) for c in t.body.coeffs] == [str(c) for c in w.coeffs[: N + 1]]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_theta_equation())
+def test_float_wronskian_of_a_solve_passes_the_benchmarks_float_check(case):
+    """The same equations in floats, where the float solve finds the exact
+    case: the determinant is log-free with N + 1 coefficients, and solves
+    Abel's equation within the benchmark's (N + 1) eps error model
+    (`perfbench/check.py`)."""
+    rows, N = case
+    exact = solve(Ode.from_rows(rows, trunc=N), N=N)
+    n = len(rows) - 1
+    e = Ode(n, tuple(Series([complex(c) for c in r], trunc=N) for r in rows))
+    try:
+        fs = solve(e, N)
+    except (JetValuationError, ZeroDivisionError):  # float root clusters
+        return
+    if str(fs.indicial.case) != str(exact.indicial.case):
+        return
+    W = wronskian_of_system(fs)
+    (t,) = W.terms
+    assert t.logpow == 0 and not t.body._ints() and len(t.body.coeffs) == N + 1
+    exact_rows = check.local_rows([[Fraction(c) for c in r] for r in rows], Fraction(0), "exact")
+    check.check_wronskian(check.normalized_rows(exact_rows, N + n + 2), exact_rows,
+                          check.indicial_poly(exact_rows), check.gs_terms(W),
+                          [check.gs_terms(s) for s in fs.solutions], N,
+                          check.root_gap([check.num(r) for r in fs.indicial.roots]))
+
+
 # ---------------------------------------------------------------------------
 # residual certificates and wronskians
 # ---------------------------------------------------------------------------
@@ -501,8 +553,7 @@ def test_exact_wronskian_is_the_determinant_of_a_longer_solve(case):
     exactly, and equals as strings the determinant of the solutions of an
     (N + 8)-term solve wherever that determinant agrees with the one of an
     (N + 16)-term solve, and no further than the shorter of the two: the top
-    coefficients of a solution can be wrong, and a determinant inherits them
-    (the log cases, even inside its known order)."""
+    coefficients of a solution can be wrong, and a determinant inherits them."""
     e, N = case
     fs, t = _abel_parts(e, N)
     assert fs.indicial.exact and t.logpow == 0 and t.body._ints()
@@ -591,12 +642,32 @@ def test_float_roots_of_equal_real_part_come_in_the_exact_order():
 
 
 def test_wronskian_of_system_of_one_and_two_solutions():
-    """One solution is its own wronskian; two give y1 y2' - y2 y1'."""
-    e = Ode.from_rows([[0, 0, 1], [0, 1], [0, 0, 1]], trunc=8)
-    y1, y2 = solve(e, 8).solutions
+    """One solution is its own wronskian; two give y1 y2' - y2 y1' as
+    generalized-series arithmetic does, through the order that product is
+    known to, and go on through x^(lead + N)."""
+    N = 8
+    e = Ode.from_rows([[0, 0, 1], [0, 1], [0, 0, 1]], trunc=N)
+    y1, y2 = solve(e, N).solutions
     assert wronskian_of_system([y1]) is y1
+    W = wronskian_of_system([y1, y2])
     expected = y1 * gs_differentiate(y2) - y2 * gs_differentiate(y1)
-    assert str(wronskian_of_system([y1, y2]).terms) == str(expected.terms)
+    assert str(W.truncate(expected.trunc).terms) == str(expected.terms)
+    (t,) = W.terms
+    assert t.exponent == -1 and t.body.trunc == N
+
+
+def test_wronskian_of_a_log_system_is_right_inside_its_known_order():
+    """x^3 y''' + 15x^2 y'' + 58xy' + (54 + x)y = 0 (roots -3, -3, -6,
+    case_ii(3)) at N = 12: W is exactly 18x^-15 through x^-3, with no log
+    term, as Abel's identity says; a determinant of generalized series cut
+    at every product came out as 18 - 13/4 x + ... with log terms."""
+    N = 12
+    e = Ode.from_rows([[0, 0, 0, 1], [0, 0, 15], [0, 58], [54, 1]], trunc=N)
+    fs = solve(e, N)
+    assert str(fs.indicial.case).startswith("case_ii")
+    (t,) = wronskian_of_system(fs).terms
+    assert (t.exponent, t.logpow) == (-15, 0)
+    assert [str(c) for c in t.body.coeffs] == ["18"] + ["0"] * N
 
 
 # ---------------------------------------------------------------------------
