@@ -347,8 +347,10 @@ def _recurrence_exact(
         if v > 0:
             nv = next((t for t in range(ell) if re[t] or im[t]), None)
             if nv is None:
+                if ell <= v:  # a zero known below eps^v leaves D_n unknown
+                    raise JetValuationError(f"numerator known to order {ell - 1} < divisor valuation {v}")
                 nums.append([])
-                lens.append(max(1, ell - v))
+                lens.append(ell - v)
                 dens.append(1)
                 D.append(_int_series(1, [0] * lens[-1], None))
                 continue

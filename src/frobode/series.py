@@ -194,9 +194,13 @@ class Series:
             raise ZeroDivisionError("jet division by zero")
         if v > 0:
             nv = self.valuation(max(scale, self.magnitude(), 1.0))
-            if nv is None:  # an identically zero numerator divides cleanly
+            if nv is None:  # a zero numerator divides cleanly if known to x^v
+                if len(self.coeffs) <= v:
+                    raise JetValuationError(
+                        f"numerator known to order {len(self.coeffs) - 1} < divisor valuation {v}"
+                    )
                 zero = 0j if self._int is False or other._int is False else _ZERO
-                return Series([zero] * max(1, len(self.coeffs) - v))
+                return Series([zero] * (len(self.coeffs) - v))
             if nv < v:
                 raise JetValuationError(
                     f"numerator valuation {nv} < divisor valuation {v}"

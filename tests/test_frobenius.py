@@ -938,7 +938,9 @@ def _oracle_jets(f, q_at, base, seed_pow, jet_order, N):
             raise ZeroDivisionError("jet division by zero")
         nv = next((t for t, u in enumerate(acc) if u != 0), None)
         if v and nv is None:
-            D.append([zero] * max(1, len(acc) - v))
+            if len(acc) <= v:
+                raise JetValuationError(f"numerator known to order {len(acc) - 1} < divisor valuation {v}")
+            D.append([zero] * (len(acc) - v))
             continue
         if v and nv < v:
             raise JetValuationError(f"numerator valuation {nv} < divisor valuation {v}")
@@ -1067,7 +1069,10 @@ def test_exact_free_recurrence_matches_jet_oracle(case):
 def test_theta_form_runs_the_recurrence_of_the_form_over_its_lead(case, unit):
     """Multiplying every column of a form by a polynomial lead l leaves its
     jets unchanged: the forcing l_n q(r) D_0 accounts for the lead, at any
-    exponent and seed."""
+    exponent and seed.  How far a jet is known follows the rows that reach
+    it, and the lead adds rows, so the two agree through the order both know;
+    where only one completes, the other met a jet it does not know, never a
+    numerator valuation below the divisor's."""
     f, r, seed_pow, jet_order, N = case
     lead = Series([G(2, 1)] + unit, trunc=N)
     cols = [col * lead for col in (f.b, f.c, f.a) if col is not None]
@@ -1075,7 +1080,38 @@ def test_theta_form_runs_the_recurrence_of_the_form_over_its_lead(case, unit):
     roots = analyze(f).roots
     assert analyze(g).roots == roots
     want = _outcome(lambda: recurrence_jets(f, roots, r, seed_pow, jet_order, N))
-    assert _outcome(lambda: recurrence_jets(g, roots, r, seed_pow, jet_order, N)) == want
+    got = _outcome(lambda: recurrence_jets(g, roots, r, seed_pow, jet_order, N))
+    raised = [o for o in (got, want) if isinstance(o, tuple)]
+    if len(raised) == 1:
+        assert raised[0][0] is JetValuationError and raised[0][1].startswith("numerator known to order")
+    elif not raised:
+        assert len(got) == len(want) == N + 1
+        for a, b in zip(got, want):
+            assert a[: len(b)] == b[: len(a)]
+
+
+def test_a_zero_numerator_known_below_the_divisor_leaves_the_jet_unknown():
+    """A third-order form times the lead (2+i) + (-1+2i) x, at r = -4 + eps
+    with roots 3, 2, -1 and jet order 1: the lead's rows reach D_6 from D_3, a
+    zero known only at eps^0, so E_6 is 0 only through eps^0 while P_0(6 + r)
+    has valuation 1.  D_6 = -46/135 - 154/1215 i, as the form over its lead
+    finds; the lead form raises rather than answer 0, exact or in floats."""
+    N = 6
+    f = FrobeniusForm(3, Series([-2, 0, G(-1, Fraction(-7, 3))], trunc=N), Series([6], trunc=N),
+                      a=Series([-1], trunc=N))
+    lead = Series([G(2, 1), G(-1, 2)], trunc=N)
+    g = FrobeniusForm(3, f.b * lead, f.c * lead, a=f.a * lead, lead=lead)
+    roots = analyze(f).roots
+    assert roots == (3, 2, -1)
+    assert [str(c) for c in recurrence_jets(f, roots, G(-4), 0, 1, N)[6].coeffs] == ["(-46/135-154/1215i)"]
+    unknown = "numerator known to order 0 < divisor valuation 1"
+    with pytest.raises(JetValuationError, match=unknown):
+        recurrence_jets(g, roots, G(-4), 0, 1, N)
+    cg = FrobeniusForm(3, *(Series([complex(c) for c in col.coeffs], trunc=N) for col in (g.b, g.c)),
+                       a=Series([complex(c) for c in g.a.coeffs], trunc=N),
+                       lead=Series([complex(c) for c in lead.coeffs], trunc=N))
+    with pytest.raises(JetValuationError, match=unknown):
+        recurrence_jets(cg, [complex(r) for r in roots], -4 + 0j, 0, 1, N)
 
 
 def test_exact_recurrence_on_resonant_and_complex_forms():

@@ -167,4 +167,6 @@ def test_infinity_matches_the_laurent_reference(rows, exact, N):
         T = len(ref[0]) - 1
         assert [repr(r) for r in got.coeffs] == [repr(Series(r, trunc=max(T, N))) for r in ref]
     else:
-        assert [repr(_trimmed(r.coeffs)) for r in got.coeffs] == [repr(_trimmed(r[k:])) for r in ref]
+        # a Series of the reference row takes the kind of its scalars, as `got` does
+        assert [repr(_trimmed(r.coeffs)) for r in got.coeffs] == [repr(_trimmed(Series(r[k:]).coeffs))
+                                                                    for r in ref]
