@@ -346,16 +346,15 @@ def _recurrence_exact(
             raise ZeroDivisionError("jet division by zero")
         if v > 0:
             nv = next((t for t in range(ell) if re[t] or im[t]), None)
-            if nv is None:
-                if ell <= v:  # a zero known below eps^v leaves D_n unknown
-                    raise JetValuationError(f"numerator known to order {ell - 1} < divisor valuation {v}")
+            if nv is None and ell > v:  # a zero known to eps^v divides cleanly
                 nums.append([])
                 lens.append(ell - v)
                 dens.append(1)
                 D.append(_int_series(1, [0] * lens[-1], None))
                 continue
-            if nv < v:
-                raise JetValuationError(f"numerator valuation {nv} < divisor valuation {v}")
+            if nv is None or nv < v:
+                known = f"valuation {nv}" if nv is not None else f"known to order {ell - 1}"
+                raise JetValuationError(f"numerator {known} < divisor valuation {v}")
         mm = ell - v
         num = _support(re[v:ell], im[v:ell])
         den = [(t, u, w) for t, (u, w) in enumerate(h[v : v + mm]) if u or w]

@@ -194,17 +194,12 @@ class Series:
             raise ZeroDivisionError("jet division by zero")
         if v > 0:
             nv = self.valuation(max(scale, self.magnitude(), 1.0))
-            if nv is None:  # a zero numerator divides cleanly if known to x^v
-                if len(self.coeffs) <= v:
-                    raise JetValuationError(
-                        f"numerator known to order {len(self.coeffs) - 1} < divisor valuation {v}"
-                    )
+            if nv is None and len(self.coeffs) > v:  # a zero known to x^v divides cleanly
                 zero = 0j if self._int is False or other._int is False else _ZERO
                 return Series([zero] * (len(self.coeffs) - v))
-            if nv < v:
-                raise JetValuationError(
-                    f"numerator valuation {nv} < divisor valuation {v}"
-                )
+            if nv is None or nv < v:
+                known = f"valuation {nv}" if nv is not None else f"known to order {len(self.coeffs) - 1}"
+                raise JetValuationError(f"numerator {known} < divisor valuation {v}")
         num, den = self.coeffs[v:], other.coeffs[v:]
         inv0 = 1 / den[0]  # den is a unit series
         out = []
