@@ -720,7 +720,13 @@ def wronskian_of_system(solutions) -> GeneralizedSeries:
     triangular matrix of diagonal x^(-i), and theta keeps a frame (`_frames`) whole: W sums
     the determinant of each choice of one frame per column, through the shortest, whose row
     i holds (e theta)^i of column j's numerators over D_j (`_expand`), e and D_j the common
-    denominators of the E_j and of column j (1 for complex data)."""
+    denominators of the E_j and of column j (1 for complex data).
+
+    With l = log x, theta = theta_body + delta for delta = d/dl, which commutes with theta,
+    so dW/dl = sum_j det(.., theta^i delta y_j, ..).  When every delta y_j is a combination
+    of the other columns up to terms W does not read (`_log_closed`), each such determinant
+    repeats a column and dW/dl = 0; l = 0 is a ring map, so W is then the determinant of
+    the log^0 bodies of the theta-rows, and only that one is expanded."""
     if isinstance(solutions, FundamentalSystem):
         solutions = solutions.solutions
     n, terms = len(solutions), []
@@ -728,6 +734,7 @@ def wronskian_of_system(solutions) -> GeneralizedSeries:
         return solutions[0]
     h, cols = n * (n - 1) // 2, [_frames(g) for g in solutions]
     exact = all(is_exact(E) and C._ints() for col in cols for E, _, _, C in col)
+    cut = exact and all(len(col) == 1 for col in cols) and any(col[0][1] > 1 for col in cols)
     for pick in itertools.product(*cols):
         L = min(S for _, _, S, _ in pick)
         forms = [[x._ints() if exact else (1, x.complex_coeffs(), None) for x in (Series([E]), C)]
@@ -739,10 +746,47 @@ def wronskian_of_system(solutions) -> GeneralizedSeries:
             mat.append([[(re[m * S:m * S + L], im and im[m * S:m * S + L]) for m in range(M)]])
             while len(mat[-1]) < n:  # mat[j][i]: (e theta)^i y_j
                 mat[-1].append(_theta(p * (e // f), q[0] * (e // f) if q else 0, e, mat[-1][-1]))
+        if cut and _log_closed(pick, [C for _, C in forms], L):
+            mat = [[bodies[:1] for bodies in col] for col in mat]
         den, E = e ** h * math.prod(d for _, (d, _, _) in forms), sum(E for E, _, _, _ in pick) - h
         terms += [GSTerm(E, m, _int_series(den, re, im) if exact else Series(re))
                   for m, (re, im) in enumerate(_expand(mat, 0, list(range(n)), L, real, exact))]
     return GeneralizedSeries(terms)
+
+
+def _log_closed(pick: tuple, forms: list, L: int) -> bool:
+    """Whether delta = d/dlog x sends each column u_j, cut to the L terms W reads, to
+    sum_k A_kj u_k over the columns k taken before it, plus terms at or past x^(E_j + L):
+    columns taken by log count, each class on its Gaussian-integer numerators at positions
+    (offset, log power), by fraction-free elimination (`_reduce`).  False also when a
+    column reduces to 0."""
+    bases: dict = {}  # the first exponent of a class -> [(pivot, reduced column)]
+    for (E, M, S, _), (_, re, im) in sorted(zip(pick, forms), key=lambda pf: pf[0][1]):
+        first = next((c for c in bases if integer_difference(E, c) is not None), E)
+        o, basis = integer_difference(E, first), bases.setdefault(first, [])
+        u = {(o + n, m): (re[m * S + n], im[m * S + n] if im else 0)
+             for m in range(M) for n in range(L) if re[m * S + n] or im and im[m * S + n]}
+        du = _reduce({(k, m - 1): (m * x, m * y) for (k, m), (x, y) in u.items() if m}, basis)
+        u = _reduce(u, basis)
+        if not u or any(k < o + L for k, _ in du):
+            return False
+        basis.append((min(u), u))
+    return True
+
+
+def _reduce(v: dict, basis: list) -> dict:
+    """v <- b_p v - v_p b for each (p, b) of basis in turn, on Gaussian integers (re, im),
+    keeping only the non-zero entries."""
+    for p, b in basis:
+        if p in v:
+            (br, bi), (cr, ci), w = b[p], v[p], {}
+            for k in v.keys() | b.keys():
+                (x, y), (s, t) = v.get(k, (0, 0)), b.get(k, (0, 0))
+                z = (br * x - bi * y - cr * s + ci * t, br * y + bi * x - cr * t - ci * s)
+                if any(z):
+                    w[k] = z
+            v = w
+    return v
 
 
 def _frames(g: GeneralizedSeries) -> list:

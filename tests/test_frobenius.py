@@ -6,10 +6,12 @@ import random
 import sys
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import frobode.frobenius as fro
 from frobode.frobenius import (
     _abel_body,
     _abel_rows,
@@ -266,32 +268,39 @@ def test_float_log_solution_follows_the_exact_one_under_a_lead():
                 assert abs(complex(x) - y) <= 1e-12 * max(1.0, abs(complex(x)))
 
 
-def _cases_of(order):
+def _cases_of(order, logs=False):
     """Offsets from a base root for each case tag: a gap of 0 repeats a root,
-    an integer gap makes a class, 1/3 and 2/3 are off every class."""
+    an integer gap makes a class, 1/3 and 2/3 are off every class; with
+    `logs`, only the tags whose systems can have a log term."""
     m, p = st.integers(1, 4), st.integers(1, 4)
     third = Fraction(1, 3)
     if order == 2:
-        return st.one_of(st.just([0, 0]), m.map(lambda m: [0, -m]), st.just([0, third]))
+        return st.one_of(st.just([0, 0]), m.map(lambda m: [0, -m]),
+                         *[] if logs else [st.just([0, third])])
     return st.one_of(
         st.just([0, 0, 0]), m.map(lambda m: [0, 0, -m]), m.map(lambda m: [0, -m, -m]),
         st.builds(lambda m, p: [0, -m, -m - p], m, p), st.just([0, 0, third]),
-        m.map(lambda m: [0, -m, third]), st.just([0, third, 2 * third]))
+        m.map(lambda m: [0, -m, third]), *[] if logs else [st.just([0, third, 2 * third])])
 
 
 @st.composite
-def _theta_equation(draw):
+def _theta_equation(draw, logs=False, complex_=False):
     """Exact polynomial rows with a leading row x^v (lc + ...) that is not a
     monomial, v in {order, order + 1}, whose indicial polynomial has the
-    drawn roots, all within 8 of each other."""
+    drawn roots, all within 8 of each other (`_cases_of`); with `complex_`,
+    Gaussian-rational rows and roots."""
     order = draw(st.sampled_from([2, 3]))
     base = Fraction(draw(st.integers(-6, 6)), 4)
-    roots = [base + k for k in draw(_cases_of(order))]
+    if complex_:
+        base = G(base, Fraction(draw(st.integers(-6, 6)), 4))
+    roots = [base + k for k in draw(_cases_of(order, logs))]
     q = [Fraction(1)]  # prod (z - r), low power first
     for r in roots:
         q = [u - r * w for u, w in zip([Fraction(0)] + q, q + [Fraction(0)])]
     falling = [q[1] + 1, q[0]] if order == 2 else [q[2] + 3, q[1] + q[2] + 1, q[0]]
     small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    if complex_:
+        small = _gaussian((-3, 3), 3)
     lc = draw(small.filter(bool))
     v = order + draw(st.integers(0, 1))
     rows = [[0] * v + [lc, draw(small.filter(bool))] + draw(st.lists(small, max_size=2))]
@@ -378,26 +387,23 @@ def test_float_wronskian_of_a_solve_passes_the_benchmarks_float_check(case):
 
 
 def _derivative_residual(e, g):
-    """sum_i A_i g^(order - i) in generalized-series arithmetic: each product
-    known through the shorter of its operands."""
-    derivs = [g]
+    """sum_i A_i g^(order - i) on plain {(exponent, log power): c} sums, each
+    D applied termwise (`_dx`) and the rows read as polynomials: exact, with
+    no term cut."""
+    derivs = [_known_terms(g)]
     for _ in range(e.order):
-        derivs.append(gs_differentiate(derivs[-1]))
-    out = gs_from_series(e.coeffs[0]) * derivs[e.order]
-    for i, row in enumerate(e.coeffs[1:], 1):
-        out = out + gs_from_series(row) * derivs[e.order - i]
+        derivs.append(_dx(derivs[-1]))
+    out = {}
+    for i, row in enumerate(e.coeffs):
+        for k, a in enumerate(row.coeffs):
+            for (x, m), c in derivs[e.order - i].items():
+                out[x + k, m] = out.get((x + k, m), 0) + a * c
     return out
 
 
-def _by_offset(g, s):
-    """{(log power, offset from s): coefficient}, and the last offset known
-    (that of the shortest body; none for no term)."""
-    coeffs, top = {}, math.inf
-    for t in g.terms:
-        k = round(to_complex(t.exponent - s).real)
-        coeffs.update(((t.logpow, k + n), c) for n, c in enumerate(t.body.coeffs))
-        top = min(top, k + t.body.trunc)
-    return coeffs, top
+def _offset(x, s):
+    """x - s as the integer offset within their class."""
+    return round(to_complex(x - s).real)
 
 
 @st.composite
@@ -419,17 +425,21 @@ def _residual_case(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(_residual_case())
+@example((Ode.from_rows([[0, 1], [0], [0]], trunc=8),  # x y'' on i + i x^4: 12i x^3
+          GeneralizedSeries([GSTerm(G(0), 0, Series([G(0, 1), 0, 0, 0, G(0, 1)], trunc=4))]),
+          G(0), 4))
 def test_theta_residual_matches_the_derivative_residual(case):
-    """The theta-form residual equals L(g) computed with derivatives and
-    products wherever both are known, log powers and complex exponents
-    included; the theta-form one is known through x^(N + w - order) over
-    the exponent of g, x^w the lowest power of x^order L."""
+    """The theta-form residual equals L(g) computed termwise with derivatives
+    through x^(N + w - order) over the exponent of g, x^w the lowest power of
+    x^order L, log powers and complex exponents included: the order the
+    theta-form residual is known to."""
     e, g, s, N = case
-    want, top = _by_offset(_derivative_residual(e, g), s)
-    got, _ = _by_offset(residual(e, g), s)
-    top = min(top, N + theta_columns(e)[0] - e.order)
+    want = {(m, _offset(x, s)): c for (x, m), c in _derivative_residual(e, g).items()}
+    got = {(t.logpow, _offset(t.exponent, s) + n): c
+           for t in residual(e, g).terms for n, c in enumerate(t.body.coeffs)}
+    top = N + theta_columns(e)[0] - e.order
     assert all(got.get(key, G(0)) == want.get(key, G(0))
-                   for key in set(got) | set(want) if key[1] <= top)
+               for key in set(got) | set(want) if key[1] <= top)
 
 
 def test_residuals_vanish_through_reliable_order():
@@ -746,6 +756,132 @@ def test_wronskian_of_columns_in_two_classes_is_their_cofactor_determinant(case)
     for key in set(got) | {key for key in want if key[0].re < bound}:
         a, b = got.get(key, 0), want.get(key, 0)
         assert a == b if exact else abs(to_complex(a) - to_complex(b)) <= 1e-9 * scale, key
+
+
+def _oracle_wronskian(ys):
+    """The cofactor determinant of D^i y_j on plain sums of the columns ys."""
+    mat = [[_known_terms(y) for y in ys]]
+    while len(mat) < len(ys):
+        mat.append([_dx(p) for p in mat[-1]])
+    return _cofactor_det(mat)
+
+
+def _wronskian_and_cut(ys):
+    """W of ys, and what each call of `_log_closed`, the test for the log^0
+    cut, returned in it."""
+    seen, closed = [], fro._log_closed
+
+    def spy(*args):
+        seen.append(closed(*args))
+        return seen[-1]
+
+    with mock.patch.object(fro, "_log_closed", spy):
+        return wronskian_of_system(ys), seen
+
+
+def _assert_is_the_oracle(W, want, bound):
+    """W is known below x^bound, and every coefficient it gives, and every one of
+    `want` below x^bound of any log power, is want's."""
+    assert all(t.exponent.re + t.body.trunc + 1 == bound for t in W.terms)
+    got = {(t.exponent + k, t.logpow): c for t in W.terms for k, c in enumerate(t.body.coeffs)}
+    for key in set(got) | {key for key in want if key[0].re < bound}:
+        assert got.get(key, 0) == want.get(key, 0), key
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.booleans().flatmap(lambda c: _theta_equation(logs=True, complex_=c)))
+def test_wronskian_of_a_log_system_takes_the_log0_cut(case):
+    """On exact systems of every log case tag, real and Gaussian, W takes the
+    log^0 cut exactly when a solution has a log term, and every coefficient it
+    gives, of every log power, is the cofactor determinant of D^i y_j of the
+    same equation solved 4 terms further."""
+    rows, N = case
+    fs = solve(Ode.from_rows(rows, trunc=N), N=N)
+    W, seen = _wronskian_and_cut(fs.solutions)
+    assert seen == ([True] if any(s.max_logpow() for s in fs.solutions) else [])
+    (t,) = W.terms
+    assert t.logpow == 0
+    longer = solve(Ode.from_rows(rows, trunc=N + 4), N=N + 4).solutions
+    _assert_is_the_oracle(W, _oracle_wronskian(longer), _known_order(fs.solutions))
+
+
+#: third-order Bessel, x^3 y''' + 3x^2 y'' + x y' + x^3 y = 0: case_i, roots 0, 0, 0
+_BESSEL3_ROWS = [[0, 0, 0, 1], [0, 0, 3], [0, 1], [0, 0, 0, 1]]
+
+
+def _bump(y, m, k):
+    """y with 1 added to its coefficient of x^(low + k) (log x)^m, low its
+    lowest exponent; every body keeps its length."""
+    low = min(y.terms, key=lambda t: t.exponent.re).exponent
+    terms = []
+    for t in y.terms:
+        cs = list(t.body.coeffs)
+        if t.logpow == m:
+            cs[k + _offset(low, t.exponent)] += 1
+        terms.append(GSTerm(t.exponent, t.logpow, Series(cs)))
+    return GeneralizedSeries(terms, normalize=False)
+
+
+def _full_path_with_log_terms(ys):
+    """W of ys declines the cut, has a log term, and is the oracle's."""
+    W, seen = _wronskian_and_cut(ys)
+    assert seen == [False] and any(t.logpow for t in W.terms)
+    _assert_is_the_oracle(W, _oracle_wronskian(ys), _known_order(ys))
+
+
+@pytest.mark.parametrize("j, m, k", [(2, 1, 5), (2, 2, 0), (2, 2, 12), (1, 1, 12), (2, 1, 3)])
+def test_a_log_body_changed_where_w_reads_it_takes_the_full_path(j, m, k):
+    """1 added to a log body of a case_i system, 13 terms long, at an offset
+    below 13: delta y_j leaves the span of the other columns there, the test
+    fails, and W is the oracle's with its log terms."""
+    ys = list(solve(Ode.from_rows(_BESSEL3_ROWS, trunc=12), N=12).solutions)
+    ys[j] = _bump(ys[j], m, k)
+    _full_path_with_log_terms(ys)
+
+
+def test_a_log_body_changed_where_w_does_not_read_it_leaves_w_unchanged():
+    """With y1 cut to 10 terms W reads 10 terms of each column: 1 added to the
+    log body of y3 at x^11 changes no coefficient of W, and both take the cut."""
+    ys = [y.truncate(9) if j == 0 else y for j, y in
+          enumerate(solve(Ode.from_rows(_BESSEL3_ROWS, trunc=12), N=12).solutions)]
+    W, seen = _wronskian_and_cut(ys)
+    bumped, seen_bumped = _wronskian_and_cut(ys[:2] + [_bump(ys[2], 1, 11)])
+    assert seen == seen_bumped == [True]
+    assert str(bumped.terms) == str(W.terms)
+    (t,) = W.terms
+    assert t.logpow == 0 and len(t.body.coeffs) == 10
+
+
+@pytest.mark.parametrize("pick", [(0, 2), (1, 2)])
+def test_a_subset_that_is_not_log_closed_takes_the_full_path(pick):
+    """{y1, y3} and {y2, y3} of a case_i system: delta y3 needs y2, delta y2
+    needs y1, so W keeps its log terms, which are the oracle's."""
+    fs = solve(Ode.from_rows(_BESSEL3_ROWS, trunc=12), N=12)
+    _full_path_with_log_terms([fs.solutions[j] for j in pick])
+
+
+def test_a_column_in_the_span_of_those_before_it_takes_the_full_path():
+    """{y1, y2, y2} of a case_i system: the second y2 reduces to 0, the test
+    declines the cut, and W is 0."""
+    y1, y2, _ = solve(Ode.from_rows(_BESSEL3_ROWS, trunc=12), N=12).solutions
+    W, seen = _wronskian_and_cut([y1, y2, y2])
+    assert seen == [False] and W.is_zero()
+
+
+def test_columns_at_different_offsets_are_compared_where_they_align():
+    """case_iii, roots 0, -2, -2: y1 starts 2 above y2 and y3, and delta y2 is
+    c y1.  With the log term of y2 moved down to x^-2 it matches y1 offset by
+    offset from each column's start, but not power by power: the test fails,
+    and W is the oracle's with its log terms."""
+    rows = [[0, 0, 0, 1, 1], [0, 0, 7, 1], [0, 9, 1], [0, 1]]  # q = z (z + 2)^2
+    fs = solve(Ode.from_rows(rows, trunc=12), N=12)
+    assert str(fs.indicial.case) == "case_iii(2)"
+    y1, y2, y3 = fs.solutions
+    W, seen = _wronskian_and_cut(fs.solutions)
+    assert seen == [True] and [t.logpow for t in W.terms] == [0]
+    moved = GeneralizedSeries([GSTerm(t.exponent - 2 * t.logpow, t.logpow, t.body)
+                               for t in y2.terms], normalize=False)
+    _full_path_with_log_terms([y1, moved, y3])
 
 
 def test_wronskian_of_a_log_system_is_right_inside_its_known_order():
