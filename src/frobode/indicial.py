@@ -4,10 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import inf, lcm, prod
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .ode import FrobeniusForm
 from .scalars import (INT_TOL, NEWTON_TOL, GaussianRational, Scalar, as_exact, gr_sqrt,
@@ -24,9 +22,11 @@ __all__ = [
     "congruence_classes",
 ]
 
-#: most exact Newton steps spent refining one numpy root towards a
-#: rational root; a converging start stops after two or three
+#: most exact Newton steps from one seed that fail to shrink the step by a
+#: quarter; a converging start, or one sliding into a cluster, spends none
 _NEWTON_STEPS = 8
+#: most sweeps of the Weierstrass iteration for the seeds, and the relative move that ends it
+_SWEEPS, _SETTLED = 64, 2.0 ** -46
 #: a prime p = 5 (mod 8), so 2 is not a square and _I^2 = -1 (mod p):
 #: a + bi -> a + b _I maps the dyadic Gaussian rationals, every float among
 #: them, to Z/p as a ring, and a discriminant with a non-zero image is not 0
@@ -95,11 +95,12 @@ def _cubic_root(poly: Sequence[GaussianRational]) -> Optional[GaussianRational]:
     triple root).  For a square-free cubic, let D be the lcm of the
     denominators of the coefficients' parts: D r is then a root of a monic
     cubic over Z[i], which is integrally closed, so every root in Q(i) lies
-    on the lattice (1/D) Z[i] (on (1/D) Z for real coefficients).  Each
-    numpy root (its real part, for real coefficients) is refined by exact
-    Newton steps, the iterates rounded to a grid finer than 1/(4 D^2), which
-    keeps their size bounded when a start does not converge; the lattice
-    point nearest to an iterate is accepted once P vanishes there exactly.
+    on the lattice (1/D) Z[i] (on (1/D) Z for real coefficients).  Exact
+    Newton steps from each `_seeds` root, the most nearly real first (its real
+    part for real coefficients), are rounded to a grid finer than 1/(4 D^2),
+    which bounds their size, and the lattice point nearest to an iterate is
+    accepted once P vanishes there.  Steps that shrink linearly, into a cluster
+    the floats do not resolve, are not counted against _NEWTON_STEPS.
     """
     c, b, a, _ = poly
     if not _discriminant(poly):
@@ -112,9 +113,9 @@ def _cubic_root(poly: Sequence[GaussianRational]) -> Optional[GaussianRational]:
     dp = poly_derivative(p)
     lead = lcm(*(f.denominator for x in poly for f in (x.re, x.im)))
     grid = 1 << (2 * lead.bit_length() + 2)
-    for z in np.roots([complex(x) for x in reversed(poly)]):
-        x = Fraction(z.real) if real else GaussianRational(z.real, z.imag)
-        for _ in range(_NEWTON_STEPS):
+    for z in sorted(_seeds([complex(x) for x in poly]), key=lambda z: abs(z.imag)):
+        x, step, slow = Fraction(z.real) if real else GaussianRational(z.real, z.imag), inf, 0
+        while slow < _NEWTON_STEPS:
             if not poly_eval(p, cand := _snap(x, lead)):
                 return as_exact(cand)
             if not (d := poly_eval(dp, x)):
@@ -122,7 +123,26 @@ def _cubic_root(poly: Sequence[GaussianRational]) -> Optional[GaussianRational]:
             x, last = _snap(x - poly_eval(p, x) / d, grid), x
             if x == last:  # settled on the grid, away from the lattice
                 break
+            size = abs(x - last) if real else abs((x - last).re) + abs((x - last).im)
+            slow, step = slow + (4 * size > 3 * step), size
     return None
+
+
+def _seeds(p: Sequence[complex]) -> list[complex]:
+    """Float approximations to the roots of a monic polynomial (low power
+    first): Weierstrass (Durand-Kerner) sweeps, each root updated in turn, from
+    a spiral inside Fujiwara's bound 2 max |p_k|^(1/(n-k)), until none moves."""
+    n = len(p) - 1
+    bound = 2 * max(abs(c) ** (1 / (n - k)) for k, c in enumerate(p[:-1])) or 1.0
+    z = [bound * (0.4 + 0.9j) ** k for k in range(n)]
+    for _ in range(_SWEEPS):
+        old = z[:]
+        for k, x in enumerate(z):
+            if d := prod(x - y for j, y in enumerate(z) if j != k):
+                z[k] = x - poly_eval(p, x) / d
+        if all(abs(a - b) <= _SETTLED * abs(a) for a, b in zip(z, old)):
+            break
+    return z
 
 
 def _snap(x, g: int):
@@ -161,7 +181,7 @@ def solve_roots(poly: Sequence[Scalar]) -> tuple[tuple, bool]:
     lies in Q(i).  Float input is read exactly (a float is a dyadic rational)
     unless the discriminant's image mod `_P` is non-zero.  The roots found in
     Q(i), by `_cubic_root` and from a quadratic's discriminant, are kept, and
-    numpy with two Newton steps takes the rest."""
+    numpy, loaded on first use, with two Newton steps takes the rest."""
     poly = list(poly)
     exact_in = all(is_exact(c) for c in poly)
     work = poly if exact_in else [to_complex(c) for c in poly]
@@ -176,6 +196,7 @@ def solve_roots(poly: Sequence[Scalar]) -> tuple[tuple, bool]:
         work = [to_complex(c) for c in work]
     # the rest: companion matrix + two Newton polish steps
     if len(work) > 1:
+        import numpy as np
         dpoly = poly_derivative(work)
         for z in np.roots(list(reversed(work))):
             z = complex(z)

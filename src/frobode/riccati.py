@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .classify import classify_infinity
 from .ode import Ode, poly_degree
 from .scalars import (RESIDUAL_TOL, as_exact, is_exact, poly_derivative, poly_divide_linear,
@@ -124,6 +122,7 @@ def riccati_model(e: Ode) -> RiccatiModel:
     """Riccati model of an order-2 polynomial-coefficient equation."""
     if e.order != 2:
         raise ValueError("riccati_model applies to order 2")
+    import numpy as np
     rows = [r.coeffs[: poly_degree(r) + 1] for r in e.coeffs]
     a, b, c = (tuple(to_complex(x) for x in row) for row in rows)
     # the distinct roots of a are those of a / gcd(a, a'), the gcd taken over
@@ -157,6 +156,7 @@ def _taylor_step(m: RiccatiModel, z0: complex, h: complex):
     (u, u') at z0 + h, and I is the integral of b/a, both summed from the
     Taylor series at z0.  The terms are kept scaled, v_n = u_n h^n, so that
     |h| <= rho/2 makes them fall at least like 2^-n."""
+    import numpy as np
     if h == 0:
         return np.eye(2, dtype=complex), 0j
     sa, sb, sc = (_shift(p, z0) for p in (m.a, m.b, m.c))
@@ -200,6 +200,7 @@ def _transition(m: RiccatiModel, path):
     circle and on each segment of a polyline; a path that needs more than
     _STEP_CAP steps raises ArithmeticError.  k turns of a circle are the
     one-turn matrix to the k-th power."""
+    import numpy as np
     if isinstance(path, Circle) and path.turns != 1:
         one, i1 = _transition(m, Circle(path.center, path.radius))
         with np.errstate(all="ignore"):  # an overflow fails Abel's identity
@@ -286,6 +287,7 @@ class MoebiusMap:
 
     def multipliers(self) -> tuple[complex, complex]:
         """Fixed-point multipliers (lambda, 1/lambda)."""
+        import numpy as np
         ev = np.linalg.eigvals(
             np.array([[self.a1, self.a2], [self.a3, self.a4]], dtype=complex)
         )
@@ -304,6 +306,7 @@ class MoebiusMap:
 def holonomy_of_loop(m: RiccatiModel, path) -> MoebiusMap:
     """The loop's map t -> (T22 t + T21)/(T12 t + T11) from its transition
     matrix T, checked by Abel's identity det T = exp(-(integral of b/a))."""
+    import numpy as np
     T, integral = _transition(m, path)
     with np.errstate(all="ignore"):  # an overflow makes the defect inf or nan
         defect = abs(np.linalg.det(T) * np.exp(integral) - 1)
@@ -347,6 +350,7 @@ def liouvillian_solution(
     the segment meets a pole of gamma, E is read from T, and ArithmeticError is
     raised if that cancels half its digits.
     """
+    import numpy as np
     m = riccati_model(e)
     g0, mg = 0j, None
     if e.coeffs[2].valuation() is not None:

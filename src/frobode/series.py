@@ -572,11 +572,11 @@ def gs_from_series(body: Series, exponent: Scalar = _ZERO, logpow: int = 0) -> G
 
 
 def gs_differentiate(g: GeneralizedSeries) -> GeneralizedSeries:
-    """d/dx = x^-1 theta termwise (`_theta`); body truncation drops by one
-    (last coefficient unreliable)."""
+    """d/dx = x^-1 theta termwise (`_theta`): the derivative of x^rho times a
+    body known through x^N is x^(rho-1) times a body known through x^N."""
     out = []
     for t in g.terms:
-        rho, m, body = t.exponent, t.logpow, t.body.truncate(max(t.body.trunc - 1, 0))
+        rho, m, body = t.exponent, t.logpow, t.body
         exact = isinstance(rho, GaussianRational) and body._ints()
         (e, (p,), q), (d, re, im) = ((_to_int([rho]), exact) if exact
                                      else ((1, (rho,), None), (1, body.coeffs, None)))

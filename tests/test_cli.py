@@ -3,13 +3,17 @@
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import time
 import warnings
 from fractions import Fraction
 
 import pytest
 
+import frobode
 from frobode import cli
 from frobode.cli import (
     MAX_TERMS,
@@ -294,6 +298,30 @@ def test_eval_command(tmp_path, capsys):
 
     assert re == pytest.approx(0.1 * (1 - math.exp(-0.1)), abs=1e-9)
     assert im == pytest.approx(0.0, abs=1e-12)
+
+
+_BESSEL0 = {"format": 1, "order": 2, "coeffs": [[0, 0, 1], [0, 1], [0, 0, 1]], "rhs": [0, 1],
+            "options": {"terms": 12}}
+
+
+@pytest.mark.parametrize("doc", [dict(DOC, rhs=[0, 0, 1]), _BESSEL0], ids=["case_iv", "bessel0"])
+def test_exact_documents_run_without_numpy(tmp_path, doc):
+    """Indicial roots in Q(i) need neither numpy's roots nor a holonomy
+    matrix: a fresh process runs every command on such a document without
+    importing numpy."""
+    path, bundle = _write(tmp_path, doc), str(tmp_path / "bundle.json")
+    runs = [("solve", path, ["--output", bundle]), ("residual", bundle, []),
+            ("eval", bundle, ["--grid", "0.1:0.5:3"]), ("classify", path, []),
+            ("probe", path, []), ("particular", path, [])]
+    code = ("import json, sys\nfrom frobode.cli import main\n"
+            f"codes = [main([c, d, *a]) for c, d, a in {runs!r}]\n"
+            "print(json.dumps([codes, 'numpy' in sys.modules]))")
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(frobode.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[0] * len(runs), False]
 
 
 def test_indicial_command(tmp_path, capsys):

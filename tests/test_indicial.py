@@ -303,3 +303,49 @@ def test_exact_cubic_with_a_repeated_gaussian_root_comes_back_exactly(d, s):
     roots, exact = solve_roots(poly)
     assert exact
     assert sorted(roots, key=repr) == sorted([d, d, s], key=repr)
+
+
+_RAT = st.fractions(-10**6, 10**6, max_denominator=10**6)
+_Q_I = st.builds(GaussianRational, _RAT, st.one_of(st.just(0), _RAT))
+_SMALL = st.builds(GaussianRational, _PART, st.one_of(st.just(0), _PART))
+
+
+@st.composite
+def _exact_cubics(draw):
+    """Monic cubics over Q(i), low power first: three planted roots, two of
+    them 10^-12 apart or not, a planted root times a random quadratic, or
+    random coefficients."""
+    one = GaussianRational(1)
+    kind = draw(st.sampled_from(["planted", "cluster", "quadratic", "random"]))
+    if kind == "random":
+        return [draw(_SMALL) for _ in range(3)] + [one]
+    r = draw(_Q_I)
+    if kind == "quadratic":
+        rest = [draw(_SMALL), draw(_SMALL), one]
+    else:
+        s = r + Fraction(1, 10**12) * draw(st.sampled_from([one, GaussianRational(0, 1)]))
+        rest = poly_mul([-(s if kind == "cluster" else draw(_Q_I)), one], [-draw(_Q_I), one])
+    return poly_mul([-r, one], rest)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_exact_cubics())
+def test_exact_roots_are_those_that_sympy_finds_in_q_i(poly):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+
+    def sym(c):
+        return sympy.Rational(c.re.numerator, c.re.denominator) + sympy.I * sympy.Rational(
+            c.im.numerator, c.im.denominator)
+
+    want = []
+    for f, k in sympy.factor_list(sum(sym(c) * x**n for n, c in enumerate(poly)), x,
+                                  extension=sympy.I)[1]:
+        if sympy.degree(f, x) == 1:
+            a, b = sympy.Poly(f, x).all_coeffs()
+            re, im = (Fraction(int(v.p), int(v.q)) for v in sympy.expand(-b / a).as_real_imag())
+            want += [GaussianRational(re, im)] * k
+    roots, exact = solve_roots(poly)
+    got = [r for r in roots if isinstance(r, GaussianRational)]
+    assert sorted(got, key=repr) == sorted(want, key=repr)
+    assert exact == (len(want) == 3)

@@ -351,10 +351,11 @@ def test_mixed_inverse_is_the_inverse_of_the_converted_series():
 
 
 def _naive_differentiate(g: GeneralizedSeries) -> GeneralizedSeries:
-    """d/dx termwise, one GaussianRational product per coefficient."""
+    """d/dx termwise, one GaussianRational product per coefficient, every
+    known coefficient kept."""
     out = []
     for t in g.terms:
-        cs = t.body.coeffs[: max(t.body.trunc - 1, 0) + 1]
+        cs = t.body.coeffs
         power = [(t.exponent + n) * c for n, c in enumerate(cs)]
         out.append(GSTerm(t.exponent - 1, t.logpow, Series(power)))
         if t.logpow:
@@ -441,6 +442,17 @@ def test_exact_differentiate_edge_cases():
         assert repr(gs_differentiate(g)) == repr(_naive_differentiate(g))
     d = gs_differentiate(GeneralizedSeries([cases[0]], normalize=False))
     assert [t.body.trunc for t in d.terms] == [0, 0]
+
+
+def test_differentiate_keeps_the_last_known_coefficient():
+    """D of x^rho (log x)^m times a body known through x^(rho + N) is known
+    through x^(rho + N - 1): the top coefficient of the body is not lost."""
+    i = GaussianRational(0, 1)
+    g = GeneralizedSeries([GSTerm(GaussianRational(0), 0, Series([i, 0, 0, 0, i]))])
+    assert repr(gs_differentiate(g)) == "GeneralizedSeries(x^3*log^0*Series([(0+4i)]))"
+    g = GeneralizedSeries([GSTerm(GaussianRational(1, 2), 0, Series([1, 2, 3]))])
+    assert repr(gs_differentiate(g)) == (
+        "GeneralizedSeries(x^(0+2i)*log^0*Series([(1+2i), (4+4i), (9+6i)]))")
 
 
 @settings(max_examples=100)
