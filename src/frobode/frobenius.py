@@ -31,8 +31,8 @@ from .indicial import (
     integer_difference,
 )
 from .ode import FrobeniusForm, Ode, theta_columns, to_frobenius_form
-from .scalars import (RESIDUAL_TOL, ZERO_TOL, GaussianRational, Scalar, is_exact,
-                      scalar_is_zero, to_complex)
+from .scalars import (INT_TOL, RESIDUAL_TOL, ZERO_TOL, GaussianRational, Scalar, is_exact,
+                      scalar_is_zero, to_complex, zero_threshold)
 from .series import (
     GSTerm,
     GeneralizedSeries,
@@ -41,7 +41,6 @@ from .series import (
     _all_exact,
     _convolve,
     _cut,
-    _gr,
     _int_series,
     _support,
     _theta,
@@ -135,7 +134,7 @@ def _recurrence_jets(
     N: int,
 ) -> list[Series]:
     """The recurrence for complex columns over lead_0; the divisor is the jet
-    q(n + base + eps) from `_q_jet`, or at jet order 0 its one coefficient.
+    q(n + base + eps) from `_divisor_jet`, or at jet order 0 its one coefficient.
     The sum runs on lists of complex numbers by the operations of the `Series`
     expression sum_k (w D_j + c_k D_j), w = sum_i P_k,i (j + r)^(i) over the
     falling powers i >= 1 with a non-zero entry, over the rows with a non-zero
@@ -150,12 +149,10 @@ def _recurrence_jets(
             if any(ws := [col[k] for col in cols])]  # for the rows that are not 0
     top = max((i for _, _, ws in rows for i, w in enumerate(ws, 1) if w), default=1)
     start = len(rows)  # rows[start:] are the rows with k <= n
+    p = _falling_powers(base, N, top, m)
     if m == 1:
-        p = [[base + j for j in range(N)]]  # p[i - 1][j] = (j + r)^(i), falling
-        for i in range(1, top):
-            p.append([0j + u * (v - i) for u, v in zip(p[-1], p[0])])
-        qs = reduce(lambda u, r: 0j + u * _q_factor(r, base, 0), roots, 1 + 0j)
-        d = [1 + 0j]
+        p = [[u for u, in row] for row in p]
+        qs, d = _divisor_jet(roots, base, 0, 1)[0], [1 + 0j]
         for n in range(1, N + 1):
             while start and rows[start - 1][0] <= n:
                 start -= 1
@@ -170,7 +167,7 @@ def _recurrence_jets(
                 acc = term if acc is None else acc + term
             if lead[n]:
                 acc = (0j if acc is None else acc) - lead[n] * qs
-            q = reduce(lambda u, r: 0j + u * _q_factor(r, base, n), roots, 1 + 0j)
+            q = _divisor_jet(roots, base, n, 1)[0]
             if scalar_is_zero(q, abs(q)):
                 raise ZeroDivisionError("jet division by zero")
             d.append((1 / q) * -(0j if acc is None else acc))
@@ -178,13 +175,7 @@ def _recurrence_jets(
     seed = [0j] * m
     seed[seed_pow] = 1 + 0j
     D = [Series(seed)]
-    qs = (_q_jet(roots, base, 0, jet_order) * D[0]).coeffs
-    # the falling powers (j + r)^(i) as jets for all j
-    x = [Series.variable(base + j, jet_order) for j in range(N)]
-    p = [[xj.coeffs for xj in x]]
-    for i in range(1, top):
-        x = [xj * Series.variable(base + j - i, jet_order) for j, xj in enumerate(x)]
-        p.append([xj.coeffs for xj in x])
+    qs = (Series(_divisor_jet(roots, base, 0, m)) * D[0]).coeffs
     for n in range(1, N + 1):
         while start and rows[start - 1][0] <= n:
             start -= 1
@@ -203,24 +194,35 @@ def _recurrence_jets(
             acc = [0j] * m
         if lead[n]:
             acc = [u - lead[n] * v for u, v in zip(acc, qs)]
-        dn = Series([-u for u in acc]).div(_q_jet(roots, base, n, jet_order), scale=running)
+        dn = Series([-u for u in acc]).div(Series(_divisor_jet(roots, base, n, m)), scale=running)
         D.append(dn)
         running = max(running, dn.magnitude(), max(map(abs, acc)))
     return D
 
 
-def _q_jet(roots: Sequence[Scalar], base: Scalar, n: int, jet_order: int) -> Series:
-    out = Series([_ONE], trunc=jet_order)
+def _divisor_jet(roots: Sequence[complex], base: complex, n: int, m: int) -> list:
+    """q(n + base + eps) through eps^(m-1), the product of the factors
+    n + base - r + eps; a factor whose parts are both within INT_TOL (an
+    integer gap of 0, as `integer_difference` decides it) snaps to 0j."""
+    q = [1 + 0j] + [0j] * (m - 1)
     for r in roots:
-        out = out * Series.variable(_q_factor(r, base, n), jet_order)
-    return out
+        d = base + n - r
+        q = _times_variable(q, 0j if abs(d.real) <= INT_TOL and abs(d.imag) <= INT_TOL else d)
+    return q
 
 
-def _q_factor(r: Scalar, base: Scalar, n: int) -> Scalar:
-    """n + base - r; a non-zero float difference at an integer gap of 0 snaps
-    to 0j (an exact one at that gap is 0 already)."""
-    d = base + n - r
-    return 0j if d and integer_difference(base + n, r) == 0 else d
+def _falling_powers(base: complex, N: int, top: int, m: int) -> list:
+    """p[i - 1][j] = (j + base + eps)^(i), falling, i = 1 .. top, j < N, through eps^(m-1)."""
+    p = [[[base + j, 1 + 0j, *[0j] * (m - 2)][:m] for j in range(N)]]
+    for i in range(1, top):
+        p.append([_times_variable(x, base + j - i) for j, x in enumerate(p[-1])])
+    return p
+
+
+def _times_variable(jet: list, d: complex) -> list:
+    """The jet times d + eps, rounded as a `Series` product rounds it (finite entries)."""
+    out = [0j + u * d for u in jet]
+    return out[:1] + [v + u for u, v in zip(jet, out[1:])]
 
 
 def _times_linear(jets: list, factors: list, L: int) -> list:
@@ -441,14 +443,14 @@ def _member_solutions(
     unconditionally safe.
     """
     s_first = 0 if mu > 1 or not gaps else 1
-    last_err: Exception | None = None
+    last_err = ""
     for s in range(s_first, len(gaps) + 1):
         jet_order = s + mu - 1 + len(gaps)
         try:
             jets = recurrence_jets(f, roots, base, s, jet_order, N)
             sols = [_emit_solution(base, jets, j, N) for j in range(s, s + mu)]
         except JetValuationError as err:
-            last_err = err
+            last_err = str(err)  # not err: its traceback holds this frame, a cycle
             continue
         warns = [f"seed (r-base)^{s} used at exponent {base!r}: the paper's"
                  f" lower-order seed hit an uncancelled resonance"] if s > s_first else []
@@ -749,7 +751,7 @@ def wronskian_of_system(solutions) -> GeneralizedSeries:
         if cut and _log_closed(pick, [C for _, C in forms], L):
             mat = [[bodies[:1] for bodies in col] for col in mat]
         den, E = e ** h * math.prod(d for _, (d, _, _) in forms), sum(E for E, _, _, _ in pick) - h
-        terms += [GSTerm(E, m, _int_series(den, re, im) if exact else Series(re))
+        terms += [GSTerm(E, m, _int_series(den, re, im) if exact else Series([u or 0j for u in re]))
                   for m, (re, im) in enumerate(_expand(mat, 0, list(range(n)), L, real, exact))]
     return GeneralizedSeries(terms)
 
@@ -825,7 +827,7 @@ def _expand(mat: list, k: int, cols: list, L: int, real: bool, exact: bool) -> l
             prod = _convolve(x, y, L, real)
             out[s + t] = tuple([u + g * v for u, v in zip(a, b)] for a, b in zip(out[s + t], prod))
             scale = scale if exact else max(scale, *map(abs, out[s + t][0]))
-    tol = ZERO_TOL * max(1.0, scale)
+    tol = zero_threshold(scale)
     return out if exact else [(r, i) if max(map(abs, r)) > tol else ([0j] * L, i) for r, i in out]
 
 
@@ -876,7 +878,7 @@ def _theta_bodies(cols: Sequence[Series], t: GSTerm, top: int) -> list:
                       for a, b in zip(out[i], _convolve(col, h, top + 1, real))]
     if exact:
         return [_int_series(db * lam * e ** order, r, None if real else v) for r, v in out]
-    return [Series(r) for r, _ in out]
+    return [Series([u or 0j for u in r]) for r, _ in out]  # 0j: an int would go through as_exact
 
 
 def residual_valuation(res: GeneralizedSeries, base: Scalar, scale: float = 1.0) -> float:

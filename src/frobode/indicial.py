@@ -152,25 +152,36 @@ def _snap(x, g: int):
     return Fraction(round(x * g), g)
 
 
-def _ordered(roots: Sequence[Scalar]) -> tuple:
-    """The roots in one total order, whatever order they come in.  Taken
-    exactly by decreasing (Re, Im), each joins a group of equal roots (as
-    `_classes` merges a member) or starts one, in the last band when its real
-    part agrees with that of the band's last group (within INT_TOL unless both
-    are exact); a band's groups and a group's roots go by decreasing Im."""
-    key = lambda r: (-r.re, -r.im) if is_exact(r) else (-r.real, -r.imag)
-    bands: list[list[list]] = []
-    for r in sorted(roots, key=key):
-        last = bands[-1][-1][0] if bands else r
-        tol = 0 if is_exact(r) and is_exact(last) else INT_TOL
-        if g := next((g for b in bands for g in b if integer_difference(r, g[0]) == 0), None):
+def _key(r: Scalar) -> tuple:
+    return (-r.re, -r.im) if is_exact(r) else (-r.real, -r.imag)
+
+
+def _groups(roots: Sequence[Scalar]) -> list[list]:
+    """Groups of equal roots (`integer_difference` 0 from a group's first root), one
+    relation for the order and the classes; roots are taken by decreasing (Re, Im)."""
+    groups: list[list] = []
+    for r in sorted(roots, key=_key):
+        if g := next((g for g in groups if integer_difference(r, g[0]) == 0), None):
             g.append(r)
-        elif bands and key(r)[0] - key(last)[0] <= tol:
-            bands[-1].append([r])
         else:
-            bands.append([[r]])
-    return tuple(r for b in bands for g in sorted(b, key=lambda g: key(g[0])[1])
-                 for r in sorted(g, key=lambda r: key(r)[1]))
+            groups.append([r])
+    return groups
+
+
+def _ordered(roots: Sequence[Scalar]) -> tuple:
+    """The roots in one total order, whatever their order: groups (`_groups`) in
+    bands by real part (within INT_TOL of the band's last group unless both are
+    exact), a band's groups and a group's roots by decreasing Im."""
+    bands: list[list[list]] = []
+    for g in _groups(roots):
+        last = bands[-1][-1][0] if bands else g[0]
+        tol = 0 if is_exact(g[0]) and is_exact(last) else INT_TOL
+        if bands and _key(g[0])[0] - _key(last)[0] <= tol:
+            bands[-1].append(g)
+        else:
+            bands.append([g])
+    return tuple(r for b in bands for g in sorted(b, key=lambda g: _key(g[0])[1])
+                 for r in sorted(g, key=lambda r: _key(r)[1]))
 
 
 def solve_roots(poly: Sequence[Scalar]) -> tuple[tuple, bool]:
@@ -236,19 +247,23 @@ def _classes(roots: Sequence[Scalar]) -> list[list[tuple[int, list[int]]]]:
     classes.
 
     Each class is a list of members (offset, positions), in the order of the
-    roots: the roots of one member are equal, near-equal floating roots
-    included, and the offset is their integer difference from the class's
-    first root.
+    roots: the roots of one member are one group of equal roots (`_groups`),
+    near-equal floating roots included, and the offset is their integer
+    difference from the class's first root.
     """
+    exact = all(map(is_exact, roots))  # exact roots: a group is one value
+    group = {} if exact else {id(r): k for k, g in enumerate(_groups(roots)) for r in g}
     classes: list[list[tuple[int, list[int]]]] = []
     for i, r in enumerate(roots):
         for cls in classes:
-            if (k := integer_difference(r, roots[cls[0][1][0]])) is not None:
-                if integer_difference(r, roots[cls[-1][1][0]]) == 0:
-                    cls[-1][1].append(i)
-                else:
-                    cls.append((k, [i]))
-                break
+            last = roots[cls[-1][1][0]]
+            if (r == last) if exact else group[id(r)] == group[id(last)]:
+                cls[-1][1].append(i)
+            elif (k := integer_difference(r, roots[cls[0][1][0]])) is not None:
+                cls.append((k, [i]))
+            else:
+                continue
+            break
         else:
             classes.append([(0, [i])])
     return classes

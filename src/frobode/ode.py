@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .scalars import (GaussianRational, Scalar, is_exact, poly_divide_linear, poly_mul,
-                      scalar_is_zero, to_complex)
+                      scalar_is_zero, to_complex, zero_threshold)
 from .series import Series
 
 __all__ = [
@@ -240,8 +240,8 @@ def theta_columns(e: Ode) -> tuple[int, list]:
     rows = []
     for r in e.coeffs:
         if not r._ints():
-            scale = max(1.0, r.magnitude())
-            r = Series([0j if scalar_is_zero(c, scale) else c for c in r.coeffs])
+            tol = zero_threshold(r.magnitude())
+            r = Series([0j if abs(c) <= tol else c for c in r.coeffs])
         rows.append(r)
     w = min(v + i for i, r in enumerate(rows) if (v := r.valuation()) is not None)
     return w, [r.window(w - i, r.trunc + 1 + i - w) for i, r in reversed(list(enumerate(rows)))]

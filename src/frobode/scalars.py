@@ -20,6 +20,7 @@ __all__ = [
     "to_complex",
     "is_exact",
     "scalar_is_zero",
+    "zero_threshold",
     "frac_sqrt",
     "gr_sqrt",
     "integer_difference",
@@ -195,14 +196,16 @@ def is_exact(s: Scalar) -> bool:
     return isinstance(s, GaussianRational)
 
 
-def scalar_is_zero(s: Scalar, scale: float = 1.0) -> bool:
-    """Zero test: exact equality in exact mode, relative tolerance in floating mode.
+def zero_threshold(scale: float = 1.0) -> float:
+    """The largest magnitude of a floating zero, against a running magnitude `scale`."""
+    return ZERO_TOL * max(1.0, scale)
 
-    `scale` is the running maximum magnitude of the surrounding computation.
-    """
+
+def scalar_is_zero(s: Scalar, scale: float = 1.0) -> bool:
+    """Zero test: exact equality in exact mode, `zero_threshold` in floating mode."""
     if isinstance(s, GaussianRational):
         return not bool(s)
-    return abs(complex(s)) <= ZERO_TOL * max(1.0, scale)
+    return abs(complex(s)) <= zero_threshold(scale)
 
 
 def integer_difference(a: Scalar, b: Scalar) -> Optional[int]:

@@ -26,11 +26,11 @@ from .scalars import (
     Scalar,
     as_exact,
     integer_difference,
-    is_exact,
     poly_derivative,
     poly_eval,
     scalar_is_zero,
     to_complex,
+    zero_threshold,
 )
 
 __all__ = [
@@ -90,12 +90,6 @@ class Series:
             cs = (_ZERO,)
         self.coeffs = cs
 
-    @classmethod
-    def variable(cls, base: Scalar, order: int) -> "Series":
-        """base + t, truncated at t^order."""
-        one = GaussianRational(1) if is_exact(base) else 1.0 + 0j
-        return cls([base, one], trunc=order)
-
     def _ints(self) -> tuple | None:
         """The integer form (d, re, im), or None unless every coefficient is exact."""
         t = self._int
@@ -139,12 +133,8 @@ class Series:
         if t:
             _, re, im = t
             return next((n for n, u in enumerate(re) if u or (im and im[n])), None)
-        if scale is None:
-            scale = max(1.0, self.magnitude())
-        for n, c in enumerate(self.coeffs):
-            if not scalar_is_zero(c, scale):
-                return n
-        return None
+        tol = zero_threshold(self.magnitude() if scale is None else scale)
+        return next((n for n, c in enumerate(self.coeffs) if not abs(c) <= tol), None)
 
     # -- arithmetic (truncates to the shorter operand) ---------------------
     def __add__(self, other: "Series") -> "Series":

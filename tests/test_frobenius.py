@@ -1,5 +1,6 @@
 """Fundamental systems, formal probes, wronskians and residual certificates."""
 
+import gc
 import math
 import os
 import random
@@ -12,11 +13,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import frobode.frobenius as fro
+import frobode.ode as ode_mod
 from frobode.frobenius import (
     _abel_body,
     _abel_rows,
     _emit_solution,
-    _q_jet,
     formal_probe,
     frobenius_solve,
     recurrence_jets,
@@ -27,7 +28,7 @@ from frobode.frobenius import (
     wronskian_of_system,
     wronskian_ode_solution,
 )
-from frobode.indicial import analyze, indicial_polynomial
+from frobode.indicial import analyze, indicial_polynomial, integer_difference
 from frobode.ode import FrobeniusForm, Ode, shift_to_origin, theta_columns, to_frobenius_form
 from frobode.scalars import GaussianRational, to_complex
 from frobode.series import (GeneralizedSeries, GSTerm, JetValuationError, Series,
@@ -138,6 +139,23 @@ def test_case_ii_logs():
     assert fs.solutions[0].log_free()
     assert fs.solutions[1].max_logpow() == 1
     assert not fs.solutions[2].log_free()
+
+
+def test_a_seed_retry_leaves_no_reference_cycle():
+    """case_ii(1) retries its lowest member's seed.  The failed seed's error is
+    kept as a message: the exception's traceback holds the retry loop's frame,
+    which held the exception, a cycle that kept every frame and jet of the
+    failed run alive until the next cyclic collection (484 objects here)."""
+    e = Ode.from_rows([[0, 0, 0, 1], [0, 0, 1], [0, 0, 1], [0, 1]], trunc=16)
+    gc.collect()
+    gc.disable()
+    try:
+        warnings = solve(e, N=16).warnings
+        garbage = gc.collect()
+    finally:
+        gc.enable()
+    assert [w[:15] for w in warnings] == ["seed (r-base)^2"]
+    assert garbage == 0
 
 
 def test_emit_raises_on_a_jet_that_ends_below_its_derivative(monkeypatch):
@@ -1398,6 +1416,21 @@ def test_irrational_roots_take_the_float_recurrence():
 # ---------------------------------------------------------------------------
 
 
+def _variable(base, order):
+    """base + eps through eps^order, a `Series` of the base's kind."""
+    return Series([base, G(1) if isinstance(base, G) else 1.0 + 0j], trunc=order)
+
+
+def _q_jet(roots, base, n, jet_order):
+    """q(n + base + eps) as the `Series` product the recurrence once took, a
+    non-zero float factor at an integer gap of 0 snapped to 0j."""
+    out = Series([G(1)], trunc=jet_order)
+    for r in roots:
+        d = base + n - r
+        out = out * _variable(0j if d and integer_difference(base + n, r) == 0 else d, jet_order)
+    return out
+
+
 def _jet_loop(f, base, seed_pow, jet_order, N, q_at):
     """The recurrence in `Series` arithmetic, as complex data ran it before
     the list loop: the reference that loop must match bit for bit.  The seed
@@ -1411,9 +1444,9 @@ def _jet_loop(f, base, seed_pow, jet_order, N, q_at):
     seed = [one * 0] * (jet_order + 1)
     seed[seed_pow] = one
     D = [Series(seed)]
-    p1 = [Series.variable(base + j, jet_order) for j in range(N)]
+    p1 = [_variable(base + j, jet_order) for j in range(N)]
     if f.order == 3:
-        p2 = [p1[j] * Series.variable(base + j - 1, jet_order) for j in range(N)]
+        p2 = [p1[j] * _variable(base + j - 1, jet_order) for j in range(N)]
     running = max(1.0, f.b.magnitude(), f.c.magnitude(),
                   f.a.magnitude() if f.a is not None else 0.0)
     for n in range(1, N + 1):
@@ -1497,6 +1530,86 @@ def _float_case(draw):
 @given(_float_case())
 def test_float_recurrence_matches_the_jet_loop(case):
     _same_as_jet_loop(*case)
+
+
+@st.composite
+def _divisor_case(draw):
+    """Roots, base, n and jet order for the list-built jets: parts drawn with
+    zeros of either sign, and a root at an integer gap of 0 from base + n
+    whose factor snaps to 0j (exactly 0, or off by at most INT_TOL)."""
+    part = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-3, 3, allow_nan=False))
+    cplx = st.builds(complex, part, part)
+    base, n = draw(cplx), draw(st.integers(0, 4))
+    off = st.builds(complex, st.sampled_from([0.0, -0.0, 1e-8, -1e-8, 3e-9]),
+                    st.sampled_from([0.0, -0.0, 1e-8, -7e-9]))
+    roots = [draw(st.one_of(cplx, st.builds(lambda d: base + n - d, off)))
+             for _ in range(draw(st.integers(1, 3)))]
+    return roots, base, n, draw(st.integers(0, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_divisor_case())
+@example(([0.5 - 0.0j, 2.5 + 3e-9j, -1.0 + 0.0j], 0.5 + 0j, 2, 2))
+@example(([1 - 0.0j, 1 + 1e-8j, 0.25 - 0.0j], -1 - 0.0j, 2, 3))
+def test_list_built_jets_are_the_series_products(case):
+    """The divisor jets and falling powers the complex recurrence builds as
+    lists equal, repr for repr (signed zeros included), the `Series` products
+    they replace, at every jet order, with the snapped factors 0j."""
+    roots, base, n, jet_order = case
+    want = _q_jet(roots, base, n, jet_order).coeffs
+    assert repr(fro._divisor_jet(roots, base, n, jet_order + 1)) == repr(list(want))
+    N, top = n + 1, len(roots)
+    x = [_variable(base + j, jet_order) for j in range(N)]
+    want = [[list(xj.coeffs) for xj in x]]
+    for i in range(1, top):
+        x = [xj * _variable(base + j - i, jet_order) for j, xj in enumerate(x)]
+        want.append([list(xj.coeffs) for xj in x])
+    assert repr(fro._falling_powers(base, N, top, jet_order + 1)) == repr(want)
+
+
+def test_float_kernels_make_no_gaussian_rational(monkeypatch):
+    """Criterion 1's Bessel equation in float mode: the complex recurrence, the
+    theta-columns, the valuations, the residual bodies and the wronskian
+    neither build a `GaussianRational` nor convert one to complex."""
+    rows = [[0, 0, 0, 1], [0, 0, 3], [0, 1], [0, 0, 0, 1]]
+    e = Ode.from_rows([[complex(c) for c in r] for r in rows], trunc=26)
+    depth, entered, made = [0], set(), []
+
+    def spy(owner, name):
+        orig = getattr(owner, name)
+
+        def wrapped(*args, **kw):
+            depth[0] += 1
+            entered.add(name)
+            try:
+                return orig(*args, **kw)
+            finally:
+                depth[0] -= 1
+        monkeypatch.setattr(owner, name, wrapped)
+
+    def recording(name):
+        orig = getattr(GaussianRational, name)
+
+        def wrapped(self, *args):
+            if depth[0]:
+                made.append(name)
+            return orig(self, *args)
+        return wrapped
+
+    for owner, name in [(fro, "_recurrence_jets"), (fro, "theta_columns"), (ode_mod, "theta_columns"),
+                        (Series, "valuation"), (fro, "_theta_bodies"), (fro, "wronskian_of_system")]:
+        spy(owner, name)
+    for name in ("__init__", "__complex__"):
+        monkeypatch.setattr(GaussianRational, name, recording(name))
+    fs = solve(e, N=26)
+    W = fro.wronskian_of_system(fs)
+    residuals = [residual(e, s) for s in fs.solutions]
+    monkeypatch.undo()
+    assert made == []
+    assert entered == {"_recurrence_jets", "theta_columns", "valuation", "_theta_bodies",
+                       "wronskian_of_system"}
+    assert str(fs.indicial.case) == "case_i" and len(W.terms) == 1
+    assert all(isinstance(c, complex) for r in residuals for t in r.terms for c in t.body.coeffs)
 
 
 @st.composite

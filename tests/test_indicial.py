@@ -1,6 +1,7 @@
 """Indicial polynomials, exact roots and exceptional-case tags."""
 
 import itertools
+import random
 import time
 from fractions import Fraction
 
@@ -170,6 +171,44 @@ def test_root_order_is_total_at_the_integer_tolerance():
     assert len(orders) == 1
     (order,) = orders
     assert classify_case(order) == CaseTag("mixed", detail="r1=r2, r3 non-congruent")
+
+
+def test_near_equal_float_triples_are_one_member():
+    """Three float roots within 1e-8 of 1/2, each within INT_TOL of the top
+    one, are one group of equal roots, and `_classes` merges by those groups:
+    every such draw reads case_i, one member of multiplicity 3.  Merging by
+    the gap from a member's first root alone read 836 of them as mixed."""
+    rnd, n = random.Random(2), 0
+    for _ in range(20000):
+        roots = [complex(0.5 + rnd.uniform(-1e-8, 1e-8), rnd.uniform(-1e-8, 1e-8)) for _ in range(3)]
+        top = max(roots, key=lambda r: r.real)
+        if all(integer_difference(r, top) == 0 for r in roots):
+            n += 1
+            order = _ordered(roots)
+            assert classify_case(order) == CaseTag("case_i")
+            assert [[(m, k) for _, m, k in cls] for cls in congruence_classes(order)] == [[(3, 0)]]
+    assert n == 5788
+
+
+def _exact_classes(roots):
+    """The classes of exact roots, where an integer difference is an equivalence:
+    (value, multiplicity, offset from the class's first root), in root order."""
+    classes = []
+    for r in roots:
+        cls = next((c for c in classes if integer_difference(r, c[0][0]) is not None), None)
+        if cls is None:
+            classes.append([[r, 1, 0]])
+        elif cls[-1][0] == r:
+            cls[-1][1] += 1
+        else:
+            cls.append([r, 1, integer_difference(r, cls[0][0])])
+    return [[tuple(m) for m in cls] for cls in classes]
+
+
+@settings(max_examples=300)
+@given(_exact_roots())
+def test_exact_classes_are_the_equal_roots_and_integer_gaps(roots):
+    assert congruence_classes(roots) == _exact_classes(roots)
 
 
 def test_congruence_classes_group_and_merge():

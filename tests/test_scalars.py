@@ -1,9 +1,10 @@
 """Exact Gaussian-rational scalar arithmetic."""
 
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from frobode.scalars import (
     GaussianRational,
@@ -97,3 +98,58 @@ def test_integer_difference_matches_the_gaussian_difference(a, b):
         b = a - b
     d = a - b
     assert integer_difference(a, b) == (int(d.re) if d.is_rational_integer else None)
+
+
+@st.composite
+def _near_threshold_row(draw):
+    """(scale, entries): complex entries along an axis (abs exact) just below,
+    at and just above ZERO_TOL * max(1, scale), exact zeros among them."""
+    from frobode.scalars import ZERO_TOL
+
+    scale = draw(st.floats(1e-3, 1e6))
+    tol = ZERO_TOL * max(1.0, scale)
+    mag = st.sampled_from([0.0, math.nextafter(tol, 0.0), tol, math.nextafter(tol, math.inf)])
+    axis = st.sampled_from([complex(1, 0), complex(-1, 0), complex(0, 1), complex(0, -1)])
+    entries = draw(st.lists(st.builds(lambda m, u: complex(m * u.real, m * u.imag), mag, axis),
+                            min_size=1, max_size=8))
+    return scale, entries
+
+
+@settings(max_examples=200)
+@given(_near_threshold_row(), st.data())
+def test_valuation_decides_zeros_as_scalar_is_zero(case, data):
+    """`Series.valuation` reads its threshold once per series: the first entry
+    it keeps is the first that `scalar_is_zero` keeps, at the series' own
+    magnitude and at a scale given."""
+    from frobode.series import Series
+
+    scale, entries = case
+    want = next((n for n, c in enumerate(entries) if not scalar_is_zero(c, scale)), None)
+    assert Series(entries).valuation(scale) == want
+    row = list(entries)  # an entry of magnitude `scale` makes it the row's own
+    row.insert(data.draw(st.integers(0, len(row))), complex(0, -scale))
+    assert Series(row).magnitude() == scale
+    want = next(n for n, c in enumerate(row) if not scalar_is_zero(c, max(1.0, scale)))
+    assert Series(row).valuation() == want == Series(row).valuation(scale)
+
+
+@settings(max_examples=100)
+@given(st.lists(_near_threshold_row(), min_size=3, max_size=4), st.data())
+def test_theta_columns_decide_zeros_as_scalar_is_zero(cases, data):
+    """`theta_columns` reads one threshold per row: each entry it zeroes is one
+    that `scalar_is_zero` calls 0 against the row's magnitude, and no other."""
+    from frobode.ode import Ode, theta_columns
+    from frobode.series import Series
+
+    rows = []
+    for scale, entries in cases:
+        entries.insert(data.draw(st.integers(0, len(entries))), complex(scale, 0))
+        rows.append(Series(entries))
+    e = Ode(len(rows) - 1, rows)
+    zeroed = [Series([0j if scalar_is_zero(c, max(1.0, r.magnitude())) else c for c in r.coeffs])
+              for r in rows]
+    w = min(i + next(n for n, c in enumerate(r.coeffs) if c) for i, r in enumerate(zeroed))
+    want = [r.window(w - i, r.trunc + 1 + i - w) for i, r in reversed(list(enumerate(zeroed)))]
+    got_w, got = theta_columns(e)
+    assert got_w == w
+    assert [repr(c.coeffs) for c in got] == [repr(c.coeffs) for c in want]
