@@ -15,8 +15,8 @@ Document format (version 1)::
     }
 
 Exit codes: 0 success, 2 document/validation failure, 3 mathematical
-failure (e.g. an irregular point handed to `solve`, or an exact solution whose
-residual does not vanish).
+failure (e.g. an irregular point handed to `solve`, an exact solution whose
+residual does not vanish, or a particular solution known short of x^(N - order)).
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .ode import (
     transform_to_infinity,
 )
 from .riccati import Circle, global_holonomy, riccati_model
-from .scalars import GaussianRational, Scalar, is_exact, to_complex
+from .scalars import INT_TOL, GaussianRational, Scalar, is_exact, to_complex
 from .series import (
     GeneralizedSeries,
     GSTerm,
@@ -361,6 +361,11 @@ def cmd_particular(ctx: dict, args) -> dict:
     fs = frobenius_solve(to_frobenius_form(hom), ctx["terms"])
     part = variation_of_parameters(e, fs)
     (val,) = _certify(e, [(part.y_p, GaussianRational(0))])
+    # the certificate reads only the terms y_p has, which must reach x^(N - order)
+    want, ts = ctx["terms"] - e.order, part.y_p.terms
+    reached = min((to_complex(t.exponent).real + t.body.trunc for t in ts), default=want)
+    if reached < want - INT_TOL:
+        raise ArithmeticError(f"y_p is known only through x^{reached:g}, short of x^{want}")
     return {
         "y_p": dump_gs(part.y_p),
         "c_primes": [dump_gs(c) for c in part.c_primes],

@@ -41,6 +41,7 @@ from .series import (
     _all_exact,
     _convolve,
     _cut,
+    _frames,
     _int_series,
     _support,
     _theta,
@@ -719,7 +720,7 @@ def wronskian(e: Ode, solutions) -> GeneralizedSeries:
 
 def wronskian_of_system(solutions) -> GeneralizedSeries:
     """det[D^i y_j] = x^(-n(n-1)/2) det[theta^i y_j], as [D^i y] is [theta^i y] times a
-    triangular matrix of diagonal x^(-i), and theta keeps a frame (`_frames`) whole: W sums
+    triangular matrix of diagonal x^(-i), and theta keeps a frame (`_joined`) whole: W sums
     the determinant of each choice of one frame per column, through the shortest, whose row
     i holds (e theta)^i of column j's numerators over D_j (`_expand`), e and D_j the common
     denominators of the E_j and of column j (1 for complex data).
@@ -734,7 +735,7 @@ def wronskian_of_system(solutions) -> GeneralizedSeries:
     n, terms = len(solutions), []
     if n == 1:
         return solutions[0]
-    h, cols = n * (n - 1) // 2, [_frames(g) for g in solutions]
+    h, cols = n * (n - 1) // 2, [[_joined(*f) for f in _frames(g.terms)] for g in solutions]
     exact = all(is_exact(E) and C._ints() for col in cols for E, _, _, C in col)
     cut = exact and all(len(col) == 1 for col in cols) and any(col[0][1] > 1 for col in cols)
     for pick in itertools.product(*cols):
@@ -754,6 +755,13 @@ def wronskian_of_system(solutions) -> GeneralizedSeries:
         terms += [GSTerm(E, m, _int_series(den, re, im) if exact else Series([u or 0j for u in re]))
                   for m, (re, im) in enumerate(_expand(mat, 0, list(range(n)), L, real, exact))]
     return GeneralizedSeries(terms)
+
+
+def _joined(E: Scalar, S: int, bodies: dict) -> tuple:
+    """(E, M, S, C) for a frame of `_frames`: C its bodies of (log x)^m, m < M,
+    end to end in one series, S terms each."""
+    M = 1 + max(bodies)
+    return E, M, S, reduce(Series.__add__, (b.window(-m * S, M * S) for m, b in bodies.items()))
 
 
 def _log_closed(pick: tuple, forms: list, L: int) -> bool:
@@ -791,24 +799,6 @@ def _reduce(v: dict, basis: list) -> dict:
     return v
 
 
-def _frames(g: GeneralizedSeries) -> list:
-    """(E, M, S, C) per congruence class of g's terms: E the lowest exponent,
-    and C the bodies over x^E of (log x)^m, m < M, end to end in one series,
-    each of the S terms that every term of the class is known through."""
-    classes: dict = {}  # the first exponent met -> [(offset from it, term)]
-    for t in g.terms:
-        first = next((c for c in classes if integer_difference(t.exponent, c) is not None),
-                     t.exponent)
-        classes.setdefault(first, []).append((integer_difference(t.exponent, first), t))
-    out = []
-    for ts in classes.values():
-        (low, lowest), M = min(ts, key=lambda kt: kt[0]), 1 + max(t.logpow for _, t in ts)
-        S = min(k + t.body.trunc for k, t in ts) - low + 1
-        out.append((lowest.exponent, M, S, reduce(Series.__add__, (t.body.window(
-            low - k, S).window(-t.logpow * S, M * S) for k, t in ts))))
-    return out
-
-
 def _expand(mat: list, k: int, cols: list, L: int, real: bool, exact: bool) -> list:
     """The determinant of rows k.. over cols of mat[column][row], by log power (re, im),
     along row k: the minor of column j is over the other columns taken cyclically from
@@ -816,7 +806,8 @@ def _expand(mat: list, k: int, cols: list, L: int, real: bool, exact: bool) -> l
     them.  A complex body negligible against its running sums is 0."""
     if len(cols) == 1:
         return mat[cols[0]][k]
-    out, scale = [([0] * L, [0] * L)] * (1 + sum(len(mat[c][0]) - 1 for c in cols)), 0.0
+    zero = ([0] * L, None if real else [0] * L)
+    out, scale = [zero] * (1 + sum(len(mat[c][0]) - 1 for c in cols)), 0.0
     for j, c in enumerate(cols):
         minor = _expand(mat, k + 1, cols[j + 1:] + cols[:j], L, real, exact)
         g = (math.gcd(*(u for b in minor for p in b if p for u in p)) or 1) if exact else 1
@@ -824,8 +815,9 @@ def _expand(mat: list, k: int, cols: list, L: int, real: bool, exact: bool) -> l
         g = -g if j * (len(cols) - 1) % 2 else g
         for (s, x), (t, y) in itertools.product(enumerate(_support(*b) for b in mat[c][k]),
                                                 enumerate(minor)):
-            prod = _convolve(x, y, L, real)
-            out[s + t] = tuple([u + g * v for u, v in zip(a, b)] for a, b in zip(out[s + t], prod))
+            (r, i), (pr, pi) = out[s + t], _convolve(x, y, L, real)  # i None when real
+            out[s + t] = ([u + g * v for u, v in zip(r, pr)],
+                          i and [u + g * v for u, v in zip(i, pi)])
             scale = scale if exact else max(scale, *map(abs, out[s + t][0]))
     tol = zero_threshold(scale)
     return out if exact else [(r, i) if max(map(abs, r)) > tol else ([0j] * L, i) for r, i in out]
@@ -866,7 +858,7 @@ def _theta_bodies(cols: Sequence[Series], t: GSTerm, top: int) -> list:
     real = not q and not any(ui) and not any(ci for _, _, ci in forms)
     lam = math.lcm(*(d for d, _, _ in forms))
     jets = _falling_jets([(p + n * e, q) for n in range(top + 1)], e, order, M + 1)
-    out = [([0] * (top + 1), [0] * (top + 1)) for _ in range(M + 1)]
+    out = [([0] * (top + 1), None if real else [0] * (top + 1)) for _ in range(M + 1)]
     for j, (d, cr, ci) in enumerate(forms):
         f = lam // d * e ** (order - j)
         col = _support([f * u for u in cr[: top + 1]], [f * v for v in ci or [0] * len(cr)])
@@ -874,10 +866,10 @@ def _theta_bodies(cols: Sequence[Series], t: GSTerm, top: int) -> list:
             f, b = math.perm(M, i), [jet[j - 1][i] if j else (1, 0) for jet in jets]
             h = [(n, f * (br * u - bi * v), f * (br * v + bi * u))
                  for n, ((br, bi), u, v) in enumerate(zip(b, ur, ui)) if u or v]
-            out[i] = [[x + y for x, y in zip(a, b)]
-                      for a, b in zip(out[i], _convolve(col, h, top + 1, real))]
+            (r, v), (pr, pv) = out[i], _convolve(col, h, top + 1, real)  # v None when real
+            out[i] = [x + y for x, y in zip(r, pr)], v and [x + y for x, y in zip(v, pv)]
     if exact:
-        return [_int_series(db * lam * e ** order, r, None if real else v) for r, v in out]
+        return [_int_series(db * lam * e ** order, r, v) for r, v in out]
     return [Series([u or 0j for u in r]) for r, _ in out]  # 0j: an int would go through as_exact
 
 

@@ -9,9 +9,11 @@ from dataclasses import dataclass
 from .frobenius import (FundamentalSystem, residual, residual_valuation, wronskian,
                         wronskian_of_system, wronskian_ode_solution)
 from .ode import Ode
-from .scalars import GaussianRational, integer_difference
+from .scalars import GaussianRational
 from .series import (
+    GSTerm,
     GeneralizedSeries,
+    _frames,
     Series,
     gs_differentiate,
     gs_div_single,
@@ -84,34 +86,16 @@ def reduce_order(e: Ode, phi: GeneralizedSeries) -> Ode:
 
 
 def _gs_rows_to_series(rows_gs: list[GeneralizedSeries]) -> tuple:
-    """Strip a common exponent so all rows become plain Series."""
-    for r in rows_gs:
-        if not r.log_free():
-            raise ValueError("logarithmic coefficient rows are out of scope")
-    nonzero = [r for r in rows_gs if r.terms]
-    if not nonzero:
-        raise ValueError("all coefficient rows vanished")
-    rep = nonzero[0].terms[0].exponent
-    offsets = []
-    for r in rows_gs:
-        if not r.terms:
-            offsets.append(None)
-            continue
-        if len(r.terms) != 1:
-            raise ValueError("coefficient row spans several exponent classes")
-        off = integer_difference(r.terms[0].exponent, rep)
-        if off is None:
-            raise ValueError("coefficient rows are not exponent-congruent")
-        offsets.append(off)
-    kmin = min(o for o in offsets if o is not None)
-    trunc = min(r.trunc for r in nonzero)
-    out = []
-    for r, off in zip(rows_gs, offsets):
-        if off is None:
-            out.append(Series([_ZERO], trunc=trunc))
-        else:
-            out.append(r.terms[0].body.truncate(trunc).shift(off - kmin))
-    return tuple(out)
+    """Strip a common exponent so all rows become plain Series: row i goes where
+    log power i would in one class (`_frames`), so each row is known through the
+    order the class is."""
+    if not all(r.log_free() for r in rows_gs):
+        raise ValueError("logarithmic coefficient rows are out of scope")
+    frames = _frames(GSTerm(t.exponent, i, t.body) for i, r in enumerate(rows_gs) for t in r.terms)
+    if len(frames) != 1:  # 0 when every row vanished
+        raise ValueError(f"the coefficient rows span {len(frames)} exponent classes, not 1")
+    ((_, S, bodies),) = frames
+    return tuple(bodies.get(i, Series([_ZERO], trunc=S - 1)) for i in range(len(rows_gs)))
 
 
 def third_from_two(e: Ode, y1: GeneralizedSeries, y2: GeneralizedSeries) -> GeneralizedSeries:

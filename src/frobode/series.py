@@ -513,47 +513,50 @@ class GeneralizedSeries:
         return "GeneralizedSeries(" + " + ".join(bits) + ")"
 
 
+def _frames(terms: Iterable[GSTerm]) -> list:
+    """(E, S, bodies) per congruence class of the terms, in the order the
+    classes are met: x^E the lowest exponent of the class (the first one met
+    among equal offsets), S = min over its terms of (offset + trunc) - the
+    lowest offset + 1, so that the class is known through x^(E + S - 1), and
+    bodies[m] the sum over x^E of its (log x)^m bodies, each cut to S terms."""
+    classes: list[tuple] = []  # (first exponent met, [(offset from it, term)])
+    for t in terms:
+        for first, members in classes:
+            k = integer_difference(t.exponent, first)
+            if k is not None:
+                members.append((k, t))
+                break
+        else:
+            classes.append((t.exponent, [(0, t)]))
+    out = []
+    for _, members in classes:
+        low, lowest = min(members, key=lambda kt: kt[0])
+        S = min(k + t.body.trunc for k, t in members) - low + 1
+        bodies: dict[int, Series] = {}
+        for k, t in members:
+            body = t.body.window(low - k, S)
+            bodies[t.logpow] = bodies[t.logpow] + body if t.logpow in bodies else body
+        out.append((lowest.exponent, S, bodies))
+    return out
+
+
 def _normalize_terms(terms: tuple[GSTerm, ...]) -> tuple[GSTerm, ...]:
-    """Fold integer exponent offsets into bodies, merge, drop zero terms.
-    Each term is placed once, at its offset in its class; a class is
-    represented by its member of smallest offset (the first one met)."""
+    """One term per class and log power (`_frames`), ordered by the class's
+    exponent and then the log power; a zero body is dropped and exactly-zero
+    leading coefficients go into the exponent."""
     if not terms:
         return ()
     exact = all(t.body._ints() for t in terms)
     scale = 1.0 if exact else max(1.0, max(t.body.magnitude() for t in terms))
-    classes: list[list] = []  # [first exponent, smallest offset, its exponent]
-    placed = []  # (class index, offset) per term
-    for t in terms:
-        for i, cl in enumerate(classes):
-            k = integer_difference(t.exponent, cl[0])
-            if k is not None:
-                if k < cl[1]:
-                    cl[1], cl[2] = k, t.exponent
-                break
-        else:
-            i, k = len(classes), 0
-            classes.append([t.exponent, 0, t.exponent])
-        placed.append((i, k))
-    trunc = min(t.body.trunc for t in terms)
-    merged: dict[tuple[int, int], Series] = {}
-    for t, (i, k) in zip(terms, placed):
-        key = (i, t.logpow)
-        body = t.body.truncate(trunc).shift(k - classes[i][1])
-        merged[key] = merged[key] + body if key in merged else body
-    where = [complex(cl[2]) for cl in classes]
     out = []
-    for i, m in sorted(merged, key=lambda key: (where[key[0]].real, where[key[0]].imag, key[1])):
-        body = merged[i, m]
-        v = body.valuation(scale)
-        if v is None:
-            continue
-        v = v if exact else next(n for n, c in enumerate(body.coeffs) if c)
-        rho = classes[i][2]
-        if v:
-            # compact: exactly-zero leading coefficients go into the exponent
-            body = body.window(v, body.trunc + 1 - v)
-            rho = rho + v
-        out.append(GSTerm(rho, m, body))
+    for E, _, bodies in sorted(_frames(terms), key=lambda f: ((z := complex(f[0])).real, z.imag)):
+        for m in sorted(bodies):
+            body = bodies[m]
+            v = body.valuation(scale)
+            if v is None:
+                continue
+            v = v if exact else next(n for n, c in enumerate(body.coeffs) if c)
+            out.append(GSTerm(E + v if v else E, m, body.window(v, body.trunc + 1 - v)))
     return tuple(out)
 
 

@@ -394,6 +394,29 @@ def test_particular_command(tmp_path, capsys):
     assert report["residual_valuation"] == "clean" or report["residual_valuation"] >= 9
 
 
+def test_particular_exits_3_when_y_p_stops_short(tmp_path, capsys, monkeypatch):
+    """y_p = x^2 (u + v log x) cut to x^7 still certifies clean, since the
+    residual reads only the terms y_p has; at 12 terms of an order-3
+    equation particular asks for x^9, so it names the order reached and
+    exits 3."""
+    doc = dict(DOC, rhs=[0, 0, 1])
+    vop = cli.variation_of_parameters
+
+    def cut(e, fs):
+        part = vop(e, fs)
+        return dataclasses.replace(part, y_p=part.y_p.truncate(5))
+
+    monkeypatch.setattr(cli, "variation_of_parameters", cut)
+    assert main(["particular", _write(tmp_path, doc)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "known only through x^7, short of x^9" in captured.err
+    monkeypatch.setattr(cli, "variation_of_parameters", vop)
+    assert main(["particular", _write(tmp_path, doc)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["residual_valuation"] == "clean"
+    assert min(int(t["exponent"]) + len(t["coeffs"]) - 1 for t in report["y_p"]["terms"]) >= 9
+
+
 @pytest.mark.parametrize("terms", [8, 16, 32])
 def test_infinity_chart_keeps_the_requested_terms(tmp_path, capsys, terms):
     # (x^2 + x^3) y'' + x y' - y at infinity: b = (2 + t)/(1 + t) in the

@@ -66,6 +66,24 @@ def test_order2_variation_of_parameters():
     assert rv >= 13
 
 
+@pytest.mark.parametrize("N", [16, 24])
+@pytest.mark.parametrize("rows, case", [
+    ([[0, 0, 0, 1], [0, 0, 2, 1], [0, 0, 1], [0, -1]], "case_iii(1)"),
+    ([[0, 0, 0, 1], [0, 0, 0, 1], [0, 0, 1], [0, -1]], "case_iv(1, 1)"),
+])
+def test_particular_solution_of_a_log_case_reaches_the_requested_order(rows, case, N):
+    """y_p of an order-3 equation with a triple root (case iii) or a double
+    root and a root one below (case iv) is known through x^(N - 3), the order
+    that N terms of the solutions determine, and its exact residual vanishes."""
+    e = Ode.from_rows(rows, rhs=[1, 2, -1], trunc=N)
+    fs = frobenius_solve(to_frobenius_form(Ode(3, e.coeffs, e.chart, None)), N)
+    assert str(fs.indicial.case) == case
+    y_p = variation_of_parameters(e, fs).y_p
+    assert min(to_complex(t.exponent).real + t.body.trunc for t in y_p.terms) == N - 3
+    res = residual(e, y_p)
+    assert all(t.body._ints() for t in res.terms) and residual_valuation(res, G(0)) == math.inf
+
+
 def test_missing_rhs_is_rejected():
     e = Ode.from_rows([[0, 0, 0, 1], [0, 0, 1], [0, 1], [1]], trunc=8)
     f = frobenius_solve(

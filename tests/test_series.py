@@ -366,9 +366,9 @@ def _naive_differentiate(g: GeneralizedSeries) -> GeneralizedSeries:
 def _naive_normalize(terms) -> list:
     """(exponent, logpow, coefficient pairs) of the canonical form: integer
     exponent offsets folded into the body of the class's smallest exponent,
-    bodies cut to the shortest trunc and summed in Fractions, zero sums
-    dropped and exactly-zero leading coefficients moved into the exponent."""
-    trunc = min(t.body.trunc for t in terms)
+    each class cut at the highest power of x that all its terms are known
+    through and summed in Fractions, zero sums dropped and exactly-zero
+    leading coefficients moved into the exponent."""
     reps = []
     for t in terms:
         for i, r in enumerate(reps):
@@ -378,13 +378,18 @@ def _naive_normalize(terms) -> list:
                 break
         else:
             reps.append(t.exponent)
-    sums = {}
+    placed = []  # (class, offset from its representative) per term
     for t in terms:
         r = next(r for r in reps if (t.exponent - r).is_rational_integer)
-        k = int((t.exponent - r).re)
-        zeros = [(Fraction(0), Fraction(0))] * (trunc + 1)
-        acc = sums.setdefault((reps.index(r), t.logpow), zeros)
-        for n in range(trunc + 1 - k):
+        placed.append((reps.index(r), int((t.exponent - r).re)))
+    through = {}  # class -> its order over the representative
+    for t, (i, k) in zip(terms, placed):
+        through[i] = min(through.get(i, math.inf), k + t.body.trunc)
+    sums = {}
+    for t, (i, k) in zip(terms, placed):
+        zeros = [(Fraction(0), Fraction(0))] * (through[i] + 1)
+        acc = sums.setdefault((i, t.logpow), zeros)
+        for n in range(through[i] + 1 - k):
             re, im = acc[n + k]
             acc[n + k] = (re + t.body.coeffs[n].re, im + t.body.coeffs[n].im)
     out = []
@@ -486,12 +491,45 @@ def test_exact_normalization_cancels_folds_and_merges():
     # leading exact zeros fold into the exponent
     (t,) = GeneralizedSeries([GSTerm(half, 0, Series([0, 0, 3, 4], trunc=5))]).terms
     assert (t.exponent, _pairs(t.body)) == (half + 2, _pairs(Series([3, 4, 0, 0])))
-    # integer offsets merge into the smallest exponent, cut to the shortest trunc
+    # integer offsets merge into the smallest exponent, cut where every term is
+    # known: x^(1/2 + 1) through x^(1/2 + 4), x^(1/2) through x^(1/2 + 5)
     terms = [GSTerm(half + 1, 0, Series([1, 2, 3], trunc=3)),
              GSTerm(half, 0, Series([7, -1], trunc=5))]
     (t,) = GeneralizedSeries(terms).terms
-    assert (t.exponent, _pairs(t.body)) == (half, _pairs(Series([7, 0, 2, 3])))
+    assert (t.exponent, _pairs(t.body)) == (half, _pairs(Series([7, 0, 2, 3, 0])))
     assert _gs_pairs(GeneralizedSeries(terms)) == _naive_normalize(terms)
+
+
+def _known_through(g: GeneralizedSeries) -> list:
+    """(exponent, log power, highest power of x the term is known through) per term."""
+    return [(t.exponent, t.logpow, t.exponent + t.body.trunc) for t in g.terms]
+
+
+def test_each_class_keeps_its_own_order():
+    """x^(1/3) known through x^(1/3 + 2) and x^(1/2) through x^(1/2 + 6) stay
+    so in a sum and in a product with a series known through x^6: the
+    shorter class does not cut the longer one."""
+    third, half = GaussianRational(Fraction(1, 3)), GaussianRational(Fraction(1, 2))
+    g = GeneralizedSeries([GSTerm(half, 0, Series([1, 2], trunc=6)),
+                           GSTerm(third, 0, Series([1], trunc=2))])
+    want = [(third, 0, third + 2), (half, 0, half + 6)]
+    assert _known_through(g) == want
+    assert _known_through(g + g) == want
+    assert _known_through(g * gs_from_series(Series([1, 1], trunc=6))) == want
+
+
+def test_integration_cuts_a_log_raised_term_at_its_siblings_order():
+    """x^-3 log x (1 + x^2) known through x^3 integrates to terms at x^-2
+    known through x^4, and its x^-1 log x to log^2 x / 2, whose body claims
+    trunc 6 at x^0; with x^-1 known through x^3, whose integral is known
+    through x^4 too, every term of the class is cut at x^4."""
+    g = GeneralizedSeries([GSTerm(GaussianRational(-3), 1, Series([1, 0, 1], trunc=6)),
+                           GSTerm(GaussianRational(-1), 0, Series([1], trunc=4))])
+    out = gs_integrate(g)
+    assert {(m, str(through)) for _, m, through in _known_through(out)} == {
+        (0, "4"), (1, "4"), (2, "4")}
+    (raised,) = [t for t in out.terms if t.logpow == 2]
+    assert (raised.exponent, raised.body.coeffs) == (0, (GaussianRational(Fraction(1, 2)),) + (0,) * 4)
 
 
 signed_zero_floats = st.lists(
@@ -797,7 +835,8 @@ def test_int_series_reduces_alike_whatever_the_order_of_entries(t, rnd):
 def _two_pass_normalize(terms):
     """The earlier `_normalize_terms`: representatives chosen in one pass over
     the terms, every term matched against them again in a second, exponents
-    merged within INT_TOL (the tolerance of `integer_difference`)."""
+    merged within INT_TOL (the tolerance of `integer_difference`), and each
+    class cut at the highest power of x that all its terms are known through."""
     from frobode.scalars import integer_difference
 
     scale = max(1.0, max(t.body.magnitude() for t in terms))
@@ -811,17 +850,17 @@ def _two_pass_normalize(terms):
                 break
         else:
             reps.append(t.exponent)
+    placed = [next((i, k) for i, k in enumerate(integer_difference(t.exponent, r) for r in reps)
+                   if k is not None) for t in terms]
+    through = {}  # class -> its order over the representative
+    for t, (i, k) in zip(terms, placed):
+        through[i] = min(through.get(i, math.inf), k + t.body.trunc)
     merged, rep_of = {}, {}
-    trunc = min(t.body.trunc for t in terms)
-    for t in terms:
-        for i, r in enumerate(reps):
-            k = integer_difference(t.exponent, r)
-            if k is not None:
-                body = t.body.truncate(trunc).shift(k)
-                key = (i, t.logpow)
-                merged[key] = merged[key] + body if key in merged else body
-                rep_of.setdefault(key, r)
-                break
+    for t, (i, k) in zip(terms, placed):
+        body = t.body.truncate(through[i]).shift(k)
+        key = (i, t.logpow)
+        merged[key] = merged[key] + body if key in merged else body
+        rep_of.setdefault(key, reps[i])
     out = []
     for key in sorted(merged, key=lambda k: (to_complex(rep_of[k]).real,
                                              to_complex(rep_of[k]).imag, k[1])):
