@@ -17,6 +17,7 @@ __all__ = [
     "CaseTag",
     "indicial_polynomial",
     "solve_roots",
+    "float_roots",
     "classify_case",
     "integer_difference",
     "congruence_classes",
@@ -145,6 +146,18 @@ def _seeds(p: Sequence[complex]) -> list[complex]:
     return z
 
 
+def float_roots(p: Sequence[complex]) -> list[complex]:
+    """The roots of a monic polynomial (low power first): the `_seeds`, each
+    polished by two Newton steps."""
+    dp, roots = poly_derivative(p), []
+    for z in _seeds(p) if len(p) > 1 else ():
+        for _ in range(2):
+            if abs(d := poly_eval(dp, z)) > NEWTON_TOL:
+                z = z - poly_eval(p, z) / d
+        roots.append(z)
+    return roots
+
+
 def _snap(x, g: int):
     """x rounded to the lattice (1/g) Z, or (1/g) Z[i] for a Gaussian rational."""
     if isinstance(x, GaussianRational):
@@ -192,7 +205,7 @@ def solve_roots(poly: Sequence[Scalar]) -> tuple[tuple, bool]:
     lies in Q(i).  Float input is read exactly (a float is a dyadic rational)
     unless the discriminant's image mod `_P` is non-zero.  The roots found in
     Q(i), by `_cubic_root` and from a quadratic's discriminant, are kept, and
-    numpy, loaded on first use, with two Newton steps takes the rest."""
+    `float_roots` takes the rest."""
     poly = list(poly)
     exact_in = all(is_exact(c) for c in poly)
     work = poly if exact_in else [to_complex(c) for c in poly]
@@ -205,17 +218,7 @@ def solve_roots(poly: Sequence[Scalar]) -> tuple[tuple, bool]:
         if len(work) == 3 and (s := gr_sqrt(_discriminant(work))) is not None:
             roots, work = roots + [(s - work[1]) / 2, (-s - work[1]) / 2], work[2:]
         work = [to_complex(c) for c in work]
-    # the rest: companion matrix + two Newton polish steps
-    if len(work) > 1:
-        import numpy as np
-        dpoly = poly_derivative(work)
-        for z in np.roots(list(reversed(work))):
-            z = complex(z)
-            for _ in range(2):
-                dp = poly_eval(dpoly, z)
-                if abs(dp) > NEWTON_TOL:
-                    z = z - poly_eval(work, z) / dp
-            roots.append(z)
+    roots += float_roots(work)
     roots = roots if exact_in else [complex(r) for r in roots]
     return _ordered(roots), exact_in and all(map(is_exact, roots))
 

@@ -16,9 +16,10 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .classify import classify_infinity
+from .indicial import float_roots
 from .ode import Ode, poly_degree
 from .scalars import (RESIDUAL_TOL, as_exact, is_exact, poly_derivative, poly_divide_linear,
-                      poly_eval, poly_gcd, scalar_is_zero, to_complex)
+                      poly_divmod, poly_eval, scalar_is_zero, to_complex)
 
 __all__ = [
     "RiccatiModel",
@@ -122,23 +123,39 @@ def riccati_model(e: Ode) -> RiccatiModel:
     """Riccati model of an order-2 polynomial-coefficient equation."""
     if e.order != 2:
         raise ValueError("riccati_model applies to order 2")
-    import numpy as np
     rows = [r.coeffs[: poly_degree(r) + 1] for r in e.coeffs]
     a, b, c = (tuple(to_complex(x) for x in row) for row in rows)
-    # the distinct roots of a are those of a / gcd(a, a'), the gcd taken over
-    # Q(i): a float coefficient is a dyadic rational and converts exactly
-    exact = [as_exact(x if is_exact(x) else (x.real, x.imag)) for x in rows[0]]
-    g = poly_gcd(exact, poly_derivative(exact))
-    free = np.polydiv(a[::-1], [to_complex(x) for x in g[::-1]])[0]
-    sigma: list = [complex(z) for z in np.roots(free)]
+    sigma: list = _distinct_roots(rows[0])
     if classify_infinity(e).tag != "ordinary":
         sigma.append(INFINITY)
     return RiccatiModel(a, b, c, tuple(sigma))
 
 
+def _distinct_roots(p: Sequence) -> list:
+    """The distinct roots of p (low power first, zero top coefficients dropped): those
+    of p / gcd(p, p'), the gcd by Euclid's algorithm over Q(i), a float read exactly."""
+    g = [as_exact(x if is_exact(x) else (x.real, x.imag)) for x in p]
+    while not g[-1]:
+        g.pop()
+    exact, r = g, poly_derivative(g)
+    while r:
+        g, r = r, poly_divmod(g, r)[1]
+    free = poly_divmod(exact, g)[0]
+    return float_roots([to_complex(x / free[-1]) for x in free])
+
+
 # ---------------------------------------------------------------------------
 # transition matrices by Taylor steps
 # ---------------------------------------------------------------------------
+
+#: the 2x2 identity as a transition matrix (T11, T12, T21, T22)
+_IDENTITY = (1 + 0j, 0j, 0j, 1 + 0j)
+
+
+def _product(s: tuple, t: tuple) -> tuple:
+    """The 2x2 matrix product s t, both read (T11, T12, T21, T22)."""
+    (a, b, c, d), (e, f, g, h) = s, t
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
 
 def _shift(p: Sequence, z0: complex) -> list:
@@ -156,9 +173,8 @@ def _taylor_step(m: RiccatiModel, z0: complex, h: complex):
     (u, u') at z0 + h, and I is the integral of b/a, both summed from the
     Taylor series at z0.  The terms are kept scaled, v_n = u_n h^n, so that
     |h| <= rho/2 makes them fall at least like 2^-n."""
-    import numpy as np
     if h == 0:
-        return np.eye(2, dtype=complex), 0j
+        return _IDENTITY, 0j
     sa, sb, sc = (_shift(p, z0) for p in (m.a, m.b, m.c))
     # al_0 t(t-1) v_t = -sum_j (al_j s(s-1) + be_j s + ga_j) v_s over s = t - j,
     # j = 1..w, where al_j, be_j, ga_j are a_j, b_(j-1), c_(j-2) times h^j;
@@ -189,26 +205,28 @@ def _taylor_step(m: RiccatiModel, z0: complex, h: complex):
             break
     else:
         raise ArithmeticError(f"Taylor step at z = {z0} did not converge in {_TERM_CAP} terms")
-    return np.array([[su, h * sp], [du / h, dp]]), integral
+    return (su, h * sp, du / h, dp), integral
 
 
 def _transition(m: RiccatiModel, path):
-    """(T, I) along the path: T maps (u, u') at its start to (u, u') at its
-    end, and I is the integral of b/a along it.  A step from z0 covers at most
-    rho/2 of arc length (rho the distance to the nearest root of a, else
-    _FREE_STEP), |a/c|^(1/2) and |a/b| at z0, at the speed at z0: exact on a
-    circle and on each segment of a polyline; a path that needs more than
-    _STEP_CAP steps raises ArithmeticError.  k turns of a circle are the
-    one-turn matrix to the k-th power."""
-    import numpy as np
-    if isinstance(path, Circle) and path.turns != 1:
-        one, i1 = _transition(m, Circle(path.center, path.radius))
-        with np.errstate(all="ignore"):  # an overflow fails Abel's identity
-            return np.linalg.matrix_power(one, path.turns), path.turns * i1
+    """(T, I) along the path: T = (T11, T12, T21, T22) maps (u, u') at its start
+    to (u, u') at its end, and I is the integral of b/a along it.  A step from
+    z0 covers at most rho/2 of arc length (rho the distance to the nearest root
+    of a, else _FREE_STEP), |a/c|^(1/2) and |a/b| at z0, at the speed at z0:
+    exact on a circle and on each segment of a polyline; a path that needs more
+    than _STEP_CAP steps raises ArithmeticError.  k turns of a circle, either
+    way round, are one turn that way to the |k|-th power by repeated squaring;
+    an overflow fails Abel's identity."""
+    if isinstance(path, Circle) and abs(path.turns) != 1:
+        k, T = abs(path.turns), _IDENTITY
+        power, i1 = _transition(m, Circle(path.center, path.radius, path.turns // k))
+        for bit in bin(k)[:1:-1]:
+            T, power = _product(T, power) if bit == "1" else T, _product(power, power)
+        return T, k * i1
     pieces = ([Polyline(seg) for seg in zip(path.points, path.points[1:])]
               if isinstance(path, Polyline) else [path])
     roots = [sig for sig in m.ramification if sig != INFINITY]
-    T, integral, steps = np.eye(2, dtype=complex), 0j, 0
+    T, integral, steps = _IDENTITY, 0j, 0
     for piece in pieces:
         s = 0.0
         while s < 1.0:
@@ -233,15 +251,14 @@ def _transition(m: RiccatiModel, path):
             if s1 == s:
                 raise ArithmeticError(f"path too long to resolve a step at z = {z0}")
             step, di = _taylor_step(m, z0, piece.point(s1) - z0)
-            with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails Abel's identity
-                T, integral, s = step @ T, integral + di, s1
+            T, integral, s = _product(step, T), integral + di, s1
     return T, integral
 
 
 def continue_along_path(m: RiccatiModel, t0, path) -> ProjectivePoint:
     """Continue the Riccati solution with initial value t0 (complex or
     "infinity") along the path; t = u'/u moves by the transition matrix."""
-    (t11, t12), (t21, t22) = _transition(m, path)[0].tolist()
+    t11, t12, t21, t22 = _transition(m, path)[0]
     return MoebiusMap.from_matrix(t22, t21, t12, t11).apply(ProjectivePoint.of(t0))
 
 
@@ -286,13 +303,13 @@ class MoebiusMap:
         return MoebiusMap.from_matrix(self.a4, -self.a2, -self.a3, self.a1)
 
     def multipliers(self) -> tuple[complex, complex]:
-        """Fixed-point multipliers (lambda, 1/lambda)."""
-        import numpy as np
-        ev = np.linalg.eigvals(
-            np.array([[self.a1, self.a2], [self.a3, self.a4]], dtype=complex)
-        )
-        lam = (ev[0] / ev[1]) if ev[1] != 0 else complex(math.inf)
-        return complex(lam), complex(1.0 / lam)
+        """Fixed-point multipliers (lambda, 1/lambda), |lambda| >= 1: lambda = e1^2/det
+        for e1 = (tr +- sqrt((a1 - a4)^2 + 4 a2 a3))/2, the eigenvalue of larger modulus."""
+        tr, det = self.a1 + self.a4, self.a1 * self.a4 - self.a2 * self.a3
+        s = cmath.sqrt((self.a1 - self.a4) ** 2 + 4 * self.a2 * self.a3)
+        e1 = (tr + s if abs(tr + s) >= abs(tr - s) else tr - s) / 2
+        lam = e1 * e1 / det
+        return lam, 1 / lam
 
     def identity_defect(self) -> float:
         """How far from the identity, scale-invariantly."""
@@ -306,13 +323,13 @@ class MoebiusMap:
 def holonomy_of_loop(m: RiccatiModel, path) -> MoebiusMap:
     """The loop's map t -> (T22 t + T21)/(T12 t + T11) from its transition
     matrix T, checked by Abel's identity det T = exp(-(integral of b/a))."""
-    import numpy as np
-    T, integral = _transition(m, path)
-    with np.errstate(all="ignore"):  # an overflow makes the defect inf or nan
-        defect = abs(np.linalg.det(T) * np.exp(integral) - 1)
+    (t11, t12, t21, t22), integral = _transition(m, path)
+    try:  # an overflow makes the defect inf or nan
+        defect = abs((t11 * t22 - t12 * t21) * cmath.exp(integral) - 1)
+    except OverflowError:
+        defect = math.inf
     if not defect <= _ABEL_TOL:
         raise ArithmeticError(f"Abel's identity fails on the loop: defect {defect:.3e}")
-    (t11, t12), (t21, t22) = T.tolist()
     return MoebiusMap.from_matrix(t22, t21, t12, t11)
 
 
@@ -350,7 +367,6 @@ def liouvillian_solution(
     the segment meets a pole of gamma, E is read from T, and ArithmeticError is
     raised if that cancels half its digits.
     """
-    import numpy as np
     m = riccati_model(e)
     g0, mg = 0j, None
     if e.coeffs[2].valuation() is not None:
@@ -364,7 +380,7 @@ def liouvillian_solution(
             raise ValueError("gamma has a pole at the anchor or a grid point")
         gs = [poly_eval(P, z) / q for z, q in zip(pts, qs)]
         g0 = gs[0]
-        mg = RiccatiModel(Q, P, (0j,), tuple(map(complex, np.roots(Q[::-1]))))
+        mg = RiccatiModel(Q, P, (0j,), tuple(_distinct_roots(Q)))
         # residual check at the grid: gamma' - rhs_t(z, gamma) must vanish
         for z, q, g in zip(pts[1:], qs[1:], gs[1:]):
             res = (poly_eval(dP, z) - g * poly_eval(dQ, z)) / q - m.rhs_t(z, g)
@@ -372,7 +388,7 @@ def liouvillian_solution(
                 raise ValueError(f"gamma fails the Riccati residual at z={z}: {abs(res):.3e}")
 
     def u(z: complex, k: complex = 1.0, ell: complex = 0.0) -> complex:
-        (t11, t12), _ = _transition(m, Polyline((anchor, z)))[0].tolist()
+        t11, t12, _, _ = _transition(m, Polyline((anchor, z)))[0]
         try:
             eg = cmath.exp(_transition(mg, Polyline((anchor, z)))[1]) if mg else 1.0
         except ValueError:  # a pole of gamma, a zero of E, on the segment

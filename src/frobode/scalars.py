@@ -28,7 +28,7 @@ __all__ = [
     "poly_mul",
     "poly_divide_linear",
     "poly_derivative",
-    "poly_gcd",
+    "poly_divmod",
     "ZERO_TOL",
     "INT_TOL",
     "RESIDUAL_TOL",
@@ -296,18 +296,14 @@ def poly_derivative(p: Sequence) -> list:
     return [k * p[k] for k in range(1, len(p))]
 
 
-def poly_gcd(p: list, q: list) -> list:
-    """Greatest common divisor of two polynomials over Q or Q(i) (low power
-    first), by Euclid's algorithm; the result's length is its degree plus one."""
-    while q:
-        r = list(p)
-        while len(r) >= len(q):
-            f = r[-1] / q[-1]
-            off = len(r) - len(q)
-            for i, c in enumerate(q):
-                r[off + i] -= f * c
+def poly_divmod(p: Sequence, q: Sequence) -> tuple[list, list]:
+    """(quotient, remainder) of p by q over Q or Q(i) (low power first, q's top
+    coefficient non-zero); the remainder drops its zero top coefficients."""
+    r, quo = list(p), [_ZERO] * max(len(p) - len(q) + 1, 0)
+    while len(r) >= len(q):
+        off = len(r) - len(q)
+        quo[off] = f = r[-1] / q[-1]
+        r = [x - f * c for x, c in zip(r[:-1], [_ZERO] * off + list(q))]
+        while r and r[-1] == 0:
             r.pop()
-            while r and r[-1] == 0:
-                r.pop()
-        p, q = q, r
-    return p
+    return quo, r

@@ -304,24 +304,56 @@ _BESSEL0 = {"format": 1, "order": 2, "coeffs": [[0, 0, 1], [0, 1], [0, 0, 1]], "
             "options": {"terms": 12}}
 
 
-@pytest.mark.parametrize("doc", [dict(DOC, rhs=[0, 0, 1]), _BESSEL0], ids=["case_iv", "bessel0"])
-def test_exact_documents_run_without_numpy(tmp_path, doc):
-    """Indicial roots in Q(i) need neither numpy's roots nor a holonomy
-    matrix: a fresh process runs every command on such a document without
-    importing numpy."""
-    path, bundle = _write(tmp_path, doc), str(tmp_path / "bundle.json")
-    runs = [("solve", path, ["--output", bundle]), ("residual", bundle, []),
-            ("eval", bundle, ["--grid", "0.1:0.5:3"]), ("classify", path, []),
-            ("probe", path, []), ("particular", path, [])]
-    code = ("import json, sys\nfrom frobode.cli import main\n"
-            f"codes = [main([c, d, *a]) for c, d, a in {runs!r}]\n"
-            "print(json.dumps([codes, 'numpy' in sys.modules]))")
+#: x^2 y'' + x y' - 2y = x^2: the indicial roots +-sqrt 2 lie outside Q(i)
+_IRRATIONAL = {"format": 1, "order": 2, "coeffs": [[0, 0, 1], [0, 1], [-2]], "rhs": [0, 0, 1],
+               "options": {"terms": 12}}
+
+
+def _with_numpy_blocked(code):
+    """Run code in a fresh interpreter in which importing numpy fails; returns
+    the JSON of its last line of output."""
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(os.path.abspath(frobode.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import json, sys\nsys.modules['numpy'] = None\n" + code
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == [[0] * len(runs), False]
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize(
+    "doc", [dict(DOC, rhs=[0, 0, 1]), _BESSEL0, dict(DOC, rhs=[0, 0, 1], options={"mode": "float"}),
+            _IRRATIONAL],
+    ids=["case_iv", "bessel0", "float", "irrational"])
+def test_documents_run_with_numpy_blocked(tmp_path, doc):
+    """No command needs numpy: a fresh process in which it cannot be imported
+    runs every command on exact documents, on a float one and on one whose
+    indicial roots are irrational."""
+    path, bundle = _write(tmp_path, doc), str(tmp_path / "bundle.json")
+    runs = [("solve", path, ["--output", bundle]), ("residual", bundle, []),
+            ("eval", bundle, ["--grid", "0.1:0.5:3"]), ("classify", path, []),
+            ("indicial", path, []), ("probe", path, []), ("particular", path, [])]
+    code = ("from frobode.cli import main\n"
+            f"print(json.dumps([main([c, d, *a]) for c, d, a in {runs!r}]))")
+    assert _with_numpy_blocked(code) == [0] * len(runs)
+
+
+def test_holonomy_and_liouvillian_run_with_numpy_blocked(tmp_path):
+    """Without numpy: the loop maps of 1, 2, -1 and 10^9 turns round the
+    singular point of z^2 u'' + u = 0 (the last overflows and fails Abel's
+    identity, exit 3), and a Liouvillian solution whose gamma has a pole."""
+    paths = [_write(tmp_path, {**HOLONOMY_DOC, "options": {"terms": 8, "holonomy": {"loops": [
+        {"center": [0, 0], "radius": 1.0, "turns": turns}]}}}, f"turns{turns}.json")
+        for turns in (1, 2, -1, 10**9)]
+    code = ("from frobode.cli import main\nfrom frobode.ode import Ode\n"
+            "from frobode.riccati import liouvillian_solution\n"
+            f"codes = [main(['holonomy', p]) for p in {paths!r}]\n"
+            "e = Ode.from_rows([[0, 0, 1], [0], [-2]], trunc=8)\n"
+            "u = liouvillian_solution(e, ((2,), (0, 1)), anchor=1 + 0j, grid=[0.5, 2.0])\n"
+            "z = -0.5 + 0.5j\n"
+            "print(json.dumps([codes, abs(u(z, 1, 1) - z * z * (1 + (1 - z ** -3) / 3))]))")
+    codes, error = _with_numpy_blocked(code)
+    assert codes == [0, 0, 0, 3] and error < 1e-12
 
 
 def test_indicial_command(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Fundamental systems, formal probes, wronskians and residual certificates."""
 
 import gc
+import itertools
 import math
 import os
 import random
@@ -738,42 +739,105 @@ def _columns_in_two_classes(draw):
     return cols, exact
 
 
-def _known_order(ys):
-    """The power below which every product of the determinant of D^i y_j is
-    known: column j, of lowest exponent low_j, is known below x^(top_j + 1)."""
-    low = [min(t.exponent.re for t in y.terms) for y in ys]
-    top = [min(t.exponent.re + t.body.trunc for t in y.terms) for y in ys]
-    return sum(low) - len(ys) * (len(ys) - 1) // 2 + min(a + 1 - b for a, b in zip(top, low))
+def _cls(e):
+    """The congruence class of an exponent: its real part mod 1, its imaginary part."""
+    return e.re % 1, e.im
 
 
-@settings(max_examples=40, deadline=None)
-@given(_columns_in_two_classes())
-def test_wronskian_of_columns_in_two_classes_is_their_cofactor_determinant(case):
-    """Columns whose terms lie in two congruence classes: every coefficient W
-    gives, and every one below the order the cofactor determinant of D^i y_j on
-    its columns is known to (`_known_order`), equals that determinant taken on
-    the same columns known 4 coefficients further, as plain sums (y1 y2' - y2 y1'
-    at n = 2).  (A product of generalized series cuts every body to the shortest
-    relative order and drops a class that vanishes there, so it cannot say how
-    far each class is known.)"""
-    cols, exact = case
+def _known_orders(ys):
+    """Per congruence class c (`_cls`) of the determinant of D^i y_j, the
+    power below which every product in it is known.  Column j's part in
+    class k, of lowest exponent low, is known below x^(top + 1), top the least
+    exponent + trunc of its terms (`series._frames`); a product of one part
+    of each column, whose classes sum to c, is known below
+    sum(low) - n(n-1)/2 + min(top + 1 - low)."""
+    parts = []
+    for y in ys:
+        part = {}
+        for t in y.terms:
+            e = t.exponent.re
+            low, top = part.get(_cls(t.exponent), (math.inf, math.inf))
+            part[_cls(t.exponent)] = min(low, e), min(top, e + t.body.trunc)
+        parts.append(part.items())
+    orders = {}
+    for pick in itertools.product(*parts):
+        c = (sum(re for (re, _), _ in pick) % 1, sum(im for (_, im), _ in pick))
+        known = (sum(low for _, (low, _) in pick) - len(ys) * (len(ys) - 1) // 2
+                 + min(top + 1 - low for _, (low, top) in pick))
+        orders[c] = min(orders.get(c, math.inf), known)
+    return orders
+
+
+def _assert_cofactor_determinant(W, cols, exact):
+    """W of the short columns reaches, in each class, exactly the order that
+    class of the cofactor determinant of D^i y_j is known to (`_known_orders`),
+    and every coefficient W gives, and every one of the determinant below that
+    order, equals the determinant taken on the same columns known 4
+    coefficients further, as plain sums (y1 y2' - y2 y1' at n = 2)."""
     ys, longer = zip(*cols)
     n = len(ys)
-    W = wronskian_of_system(list(ys))
     mat = [[_known_terms(y) for y in longer]]
     while len(mat) < n:
         mat.append([_dx(p) for p in mat[-1]])
     want = _cofactor_det(mat)
-    bound, further = _known_order(ys), _known_order(longer)
-    assert all(bound <= t.exponent.re + t.body.trunc + 1 <= further for t in W.terms)
+    bound, further = _known_orders(ys), _known_orders(longer)
+    assert all(bound[c] <= further[c] for c in bound)
+    assert all(t.exponent.re + t.body.trunc + 1 == bound[_cls(t.exponent)] for t in W.terms)
     assert all(bool(t.body._ints()) == exact for t in W.terms)
     got = {(t.exponent + k, t.logpow): c for t in W.terms for k, c in enumerate(t.body.coeffs)}
     # a bound on each product of the determinant, as floats cancel in it
     scale = math.prod(max((abs(to_complex(c)) for row in mat for c in row[j].values()), default=1.0)
                       for j in range(n))
-    for key in set(got) | {key for key in want if key[0].re < bound}:
+    for key in set(got) | {key for key in want if key[0].re < bound[_cls(key[0])]}:
         a, b = got.get(key, 0), want.get(key, 0)
         assert a == b if exact else abs(to_complex(a) - to_complex(b)) <= 1e-9 * scale, key
+
+
+def _pinned_columns(spec, exact):
+    """Columns (short, long) from terms (exponent, log power, long body); the
+    short body drops the last 4 coefficients, as `_columns_in_two_classes` does."""
+    cols = []
+    for terms in spec:
+        terms = [(e, m, cs if exact else [complex(c) for c in cs]) for e, m, cs in terms]
+        cols.append(tuple(GeneralizedSeries([GSTerm(e, m, Series(cs[:len(cs) - cut]))
+                                             for e, m, cs in terms]) for cut in (4, 0)))
+    return cols, exact
+
+
+#: a float draw whose class 1/2 + 1/2 is known further than the columns'
+#: shortest class: a bound taken over all classes at once refused its W
+_PINNED_TWO_CLASSES = _pinned_columns(
+    [[(_THIRD, 0, [7, 7, 0, 0, 0, 0, 0]), (_HALF + 1, 0, [7] + [0] * 8),
+      (_HALF + 1, 1, [7] + [0] * 8)],
+     [(_THIRD, 0, [7, 7, 0, 0, 0, 0, 0]), (_HALF + 1, 0, [7] + [0] * 8)]], exact=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_columns_in_two_classes())
+@example(_PINNED_TWO_CLASSES)
+def test_wronskian_of_columns_in_two_classes_is_their_cofactor_determinant(case):
+    """Columns whose terms lie in two congruence classes: W is the cofactor
+    determinant of D^i y_j on its columns, class by class
+    (`_assert_cofactor_determinant`).  (A product of generalized series cuts
+    every body to the shortest relative order and drops a class that vanishes
+    there, so it cannot say how far each class is known.)"""
+    cols, exact = case
+    _assert_cofactor_determinant(wronskian_of_system([y for y, _ in cols]), cols, exact)
+
+
+def test_cofactor_check_refuses_a_coefficient_past_the_class_order():
+    """On the pinned draw, a W whose every term claims one coefficient more
+    than its class is known to fails the check, though the coefficient it
+    adds is the determinant's own."""
+    cols, exact = _PINNED_TWO_CLASSES
+    W = wronskian_of_system([y for y, _ in cols])
+    _assert_cofactor_determinant(W, cols, exact)
+    want = _oracle_wronskian([y for _, y in cols])
+    longer = GeneralizedSeries([GSTerm(t.exponent, t.logpow, Series(
+        list(t.body.coeffs) + [want.get((t.exponent + t.body.trunc + 1, t.logpow), 0j)]))
+        for t in W.terms], normalize=False)
+    with pytest.raises(AssertionError):
+        _assert_cofactor_determinant(longer, cols, exact)
 
 
 def _oracle_wronskian(ys):
@@ -798,11 +862,12 @@ def _wronskian_and_cut(ys):
 
 
 def _assert_is_the_oracle(W, want, bound):
-    """W is known below x^bound, and every coefficient it gives, and every one of
-    `want` below x^bound of any log power, is want's."""
-    assert all(t.exponent.re + t.body.trunc + 1 == bound for t in W.terms)
+    """W is known below x^bound[c] in each class c (`_known_orders`), and every
+    coefficient it gives, and every one of `want` below that power of any log
+    power, is want's."""
+    assert all(t.exponent.re + t.body.trunc + 1 == bound[_cls(t.exponent)] for t in W.terms)
     got = {(t.exponent + k, t.logpow): c for t in W.terms for k, c in enumerate(t.body.coeffs)}
-    for key in set(got) | {key for key in want if key[0].re < bound}:
+    for key in set(got) | {key for key in want if key[0].re < bound[_cls(key[0])]}:
         assert got.get(key, 0) == want.get(key, 0), key
 
 
@@ -820,7 +885,7 @@ def test_wronskian_of_a_log_system_takes_the_log0_cut(case):
     (t,) = W.terms
     assert t.logpow == 0
     longer = solve(Ode.from_rows(rows, trunc=N + 4), N=N + 4).solutions
-    _assert_is_the_oracle(W, _oracle_wronskian(longer), _known_order(fs.solutions))
+    _assert_is_the_oracle(W, _oracle_wronskian(longer), _known_orders(fs.solutions))
 
 
 #: third-order Bessel, x^3 y''' + 3x^2 y'' + x y' + x^3 y = 0: case_i, roots 0, 0, 0
@@ -844,7 +909,7 @@ def _full_path_with_log_terms(ys):
     """W of ys declines the cut, has a log term, and is the oracle's."""
     W, seen = _wronskian_and_cut(ys)
     assert seen == [False] and any(t.logpow for t in W.terms)
-    _assert_is_the_oracle(W, _oracle_wronskian(ys), _known_order(ys))
+    _assert_is_the_oracle(W, _oracle_wronskian(ys), _known_orders(ys))
 
 
 @pytest.mark.parametrize("j, m, k", [(2, 1, 5), (2, 2, 0), (2, 2, 12), (1, 1, 12), (2, 1, 3)])

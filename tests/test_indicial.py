@@ -1,6 +1,7 @@
 """Indicial polynomials, exact roots and exceptional-case tags."""
 
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -19,7 +20,8 @@ from frobode.indicial import (
     solve_roots,
 )
 from frobode.ode import Ode, to_frobenius_form
-from frobode.scalars import GaussianRational, poly_mul, to_complex
+from frobode.scalars import (NEWTON_TOL, GaussianRational, poly_derivative, poly_eval, poly_mul,
+                             to_complex)
 
 
 def _form(rows, trunc=10):
@@ -288,7 +290,7 @@ def test_irrational_cubic_falls_back_to_float_roots():
 
 
 def test_rational_root_beside_an_irrational_pair_stays_exact():
-    # (r - 1)(r^2 - 2): the rational root is kept, numpy takes r^2 - 2 only
+    # (r - 1)(r^2 - 2): the rational root is kept, the float roots are those of r^2 - 2 only
     roots, exact = solve_roots([GaussianRational(c) for c in (2, -2, -1, 1)])
     assert not exact
     assert roots[1] == GaussianRational(1) and str(roots[1]) == "1"
@@ -317,17 +319,49 @@ def test_float_dyadic_double_root_is_exact():
     assert solve_roots([4 + 0j, 0j, -3 + 0j, 1 + 0j]) == ((2.0, 2.0, -1.0), False)
 
 
-def test_non_dyadic_float_cluster_keeps_its_numpy_roots():
+def _oracle_roots(poly):
+    """The roots of a polynomial (low power first) to 50 digits, by mpmath."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        return mpmath.polyroots([mpmath.mpc(c) for c in reversed(poly)], maxsteps=200,
+                                extraprec=200)
+
+
+def test_non_dyadic_float_cluster_roots_are_near_the_oracle():
     """A near-triple root whose float coefficients are not those of a
-    repeated root: the exact discriminant is not zero, and the roots are
-    numpy's, bit for bit."""
-    roots, exact = solve_roots([0.015624999999999997, 0.1875000000000009, 0.7499999999999991, 1])
+    repeated root: the exact discriminant is not zero, and the three float
+    roots lie within 5e-8 of the 50-digit roots (numpy's companion-matrix
+    roots, after the same two Newton steps, are up to 3.8e-8 off them)."""
+    poly = [0.015624999999999997, 0.1875000000000009, 0.7499999999999991, 1]
+    roots, exact = solve_roots(poly)
     assert not exact
-    assert [repr(r) for r in roots] == [
-        "(-0.24999344020428574-2.2004162289215985e-12j)",
-        "(-0.2500032802908153-5.681738754406697e-06j)",
-        "(-0.25000329382396097+5.7052082001293946e-06j)",
-    ]
+    assert len(set(roots)) == 3
+    want = _oracle_roots(poly)
+    assert all(min(abs(w - r) for w in want) <= 5e-8 for r in roots)
+
+
+def test_float_roots_of_random_cubics_are_the_companion_matrix_roots():
+    """On 3,000 random monic cubics, real and complex, each root is within 4
+    ulp x max(1, |r|) of a root of numpy's companion matrix after the same
+    two Newton steps, or nearer than it to the 50-digit root."""
+    np = pytest.importorskip("numpy")
+    rng = random.Random(27)
+    for k in range(3000):
+        poly = [complex(rng.uniform(-1, 1), k % 2 and rng.uniform(-1, 1)) for _ in range(3)]
+        poly.append(1 + 0j)
+        roots, exact = solve_roots(poly)
+        assert not exact
+        dp, ref = poly_derivative(poly), []
+        for z in map(complex, np.roots(poly[::-1])):
+            for _ in range(2):
+                if abs(d := poly_eval(dp, z)) > NEWTON_TOL:
+                    z -= poly_eval(poly, z) / d
+            ref.append(z)
+        for r in roots:
+            w = min(ref, key=lambda w: abs(w - r))
+            if abs(w - r) > 4 * math.ulp(1.0) * max(1.0, abs(w)):
+                true = min(_oracle_roots(poly), key=lambda t: abs(t - r))
+                assert abs(true - r) <= abs(true - w), (poly, r, w)
 
 
 _GAUSS = st.builds(GaussianRational, st.fractions(-4, 4, max_denominator=12),

@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -125,8 +126,16 @@ def test_holonomy_multipliers_are_the_frobenius_exponent_gap():
         for sign in (1, -1):
             want = cmath.exp(2j * math.pi * turns * sign * (r1 - r2))
             assert min(abs(w - want) for w in mult) < 1e-9
-    T, _ = _transition(m, Circle(0j, 0.5))
-    assert abs(complex(T[0, 0] * T[1, 1] - T[0, 1] * T[1, 0]) - cmath.exp(-2j * math.pi / 3)) < 1e-9
+    (t11, t12, t21, t22), _ = _transition(m, Circle(0j, 0.5))
+    assert abs(t11 * t22 - t12 * t21 - cmath.exp(-2j * math.pi / 3)) < 1e-9
+
+
+def test_abel_check_of_an_overflowing_integral_fails_the_loop():
+    # z u'' + (1/3 + i) u' + u = 0: a clockwise turn round 0 adds 2 pi (1 - i/3)
+    # to the integral of b/a, so exp of 10^9 turns overflows
+    m = riccati_model(Ode.from_rows([[0, 1], [(Fraction(1, 3), 1)], [1]], trunc=8))
+    with pytest.raises(ArithmeticError, match="Abel"):
+        holonomy_of_loop(m, Circle(0j, 0.5, -10**9))
 
 
 def test_log_case_holonomy_is_parabolic():
